@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,20 +25,13 @@ from .numberfield import (
     QuadElem,
     SQRT_M3,
     ZETA3_E,
-    cubic_norm,
-    cubic_rho,
-    cubic_trace,
-    embed_E_in_L,
+    galois_actions_commute,
     galois_rho,
     galois_tau,
-    is_in_E,
     is_prime,
     local_norm_obstruction,
-    norm_L_over_E,
-    project_to_E,
     quad_from_sqrt3_basis,
     splitting_data,
-    trace_L_over_E,
 )
 
 GALOIS = "galois"
@@ -47,11 +40,16 @@ NONGALOIS = "nongalois"
 
 @dataclass(frozen=True)
 class AlgebraParams:
-    """Structure data (kind, a, and for the non-Galois kind the radicand b)."""
+    """Structure data (kind, a, and for the non-Galois kind the radicand b).
+
+    ``one`` is the unit of the coefficient field L: Q(zeta_9) for the Galois
+    kind, E(theta) for the other.  The operations of L come from its elements.
+    """
 
     kind: str
     a: QuadElem
     b: Optional[QuadElem] = None
+    one: CycloElem | CubicExtElem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (GALOIS, NONGALOIS):
@@ -63,38 +61,24 @@ class AlgebraParams:
                 raise ValueError("non-Galois kind needs the radicand b")
             if self.a != self.b.conj():
                 raise ValueError("non-Galois kind requires a = tau(b)")
+            one = CubicExtElem.scalar(1, self.b)
         else:
-            # the two Galois actions of L must commute (checked on the basis)
-            for i in range(6):
-                zi = CycloElem.zeta9(i)
-                if galois_tau(galois_rho(zi)) != galois_rho(galois_tau(zi)):
-                    raise ValueError("Galois actions do not commute")
-
-    # -- scalar embeddings into the coefficient field L ----------------------
+            if not galois_actions_commute():
+                raise ValueError("Galois actions do not commute")
+            one = CycloElem([1])
+        object.__setattr__(self, "one", one)
 
     def l_zero(self):
-        if self.kind == GALOIS:
-            return CycloElem([])
-        return CubicExtElem.scalar(QuadElem(0), self.b)
+        return self.one.from_E(0)
 
     def l_one(self):
-        return self.l_scalar(QuadElem(1))
+        return self.one
 
     def l_scalar(self, e: QuadElem):
-        if self.kind == GALOIS:
-            return embed_E_in_L(e)
-        return CubicExtElem.scalar(e, self.b)
-
-    # -- field operations on L, dispatched per kind ---------------------------
+        return self.one.from_E(e)
 
     def rho(self, l):
-        return galois_rho(l) if self.kind == GALOIS else cubic_rho(l)
-
-    def norm(self, l) -> QuadElem:
-        return norm_L_over_E(l) if self.kind == GALOIS else cubic_norm(l)
-
-    def trace(self, l) -> QuadElem:
-        return trace_L_over_E(l) if self.kind == GALOIS else cubic_trace(l)
+        return l.rho()
 
 
 def example_galois_params() -> AlgebraParams:
@@ -121,10 +105,8 @@ class AlgebraElem:
 
     @classmethod
     def scalar(cls, params: AlgebraParams, e) -> "AlgebraElem":
-        if isinstance(e, (int, Fraction)):
-            e = QuadElem(e)
-        if isinstance(e, QuadElem):
-            return cls(params, params.l_scalar(e))
+        if isinstance(e, (int, Fraction, QuadElem)):
+            e = params.l_scalar(e)
         return cls(params, e)
 
     @classmethod
@@ -194,16 +176,9 @@ def to_matrix(d: AlgebraElem) -> List[list]:
 
 def matrix_mul(m1: Sequence, m2: Sequence) -> List[list]:
     return [
-        [sum_l([m1[i][k] * m2[k][j] for k in range(3)]) for j in range(3)]
+        [sum(m1[i][k] * m2[k][j] for k in range(3)) for j in range(3)]
         for i in range(3)
     ]
-
-
-def sum_l(items):
-    out = items[0]
-    for it in items[1:]:
-        out = out + it
-    return out
 
 
 def matrix_det(m: Sequence):
@@ -219,17 +194,17 @@ def reduced_norm(d: AlgebraElem) -> QuadElem:
     p = d.params
     a = p.a
     l0, l1, l2 = d.l
-    cross = l0 * p.rho(l1) * p.rho(p.rho(l2))
+    cross = l0 * l1.rho() * l2.rho().rho()
     return (
-        p.norm(l0)
-        + a * p.norm(l1)
-        + a * a * p.norm(l2)
-        - a * p.trace(cross)
+        l0.norm()
+        + a * l1.norm()
+        + a * a * l2.norm()
+        - a * cross.trace()
     )
 
 
 def reduced_trace(d: AlgebraElem) -> QuadElem:
-    return d.params.trace(d.l[0])
+    return d.l[0].trace()
 
 
 def involution(d: AlgebraElem) -> AlgebraElem:
@@ -237,7 +212,7 @@ def involution(d: AlgebraElem) -> AlgebraElem:
     p = d.params
     l0, l1, l2 = d.l
     if p.kind == GALOIS:
-        ta = embed_E_in_L(p.a.conj())
+        ta = p.l_scalar(p.a.conj())
         t, r = galois_tau, galois_rho
         return AlgebraElem(
             p,
@@ -246,7 +221,7 @@ def involution(d: AlgebraElem) -> AlgebraElem:
             ta * t(r(r(l1))),
         )
     # non-Galois kind: transpose the theta/z coefficient grid and conjugate
-    e = [list(lj.e) for lj in d.l]  # e[j][k]: theta^k coefficient of l_j
+    e = [lj.coeffs for lj in d.l]  # e[j][k]: theta^k coefficient of l_j
     tilde = [
         CubicExtElem(e[0][j].conj(), e[1][j].conj(), e[2][j].conj(), b=p.b)
         for j in range(3)
@@ -326,16 +301,17 @@ def _obvious_norm(a: QuadElem) -> bool:
     for u in zeta3_powers:
         if a == u or a == -u:
             return True
-    if a.is_rational:
-        # rational cubes are norms of rationals
-        num, den = a.x.numerator, a.x.denominator
-        r = round(abs(num) ** (1 / 3)) if num else 0
-        s = round(den ** (1 / 3))
-        for rr in (r - 1, r, r + 1):
-            for ss in (s - 1, s, s + 1):
-                if ss > 0 and Fraction((-rr if num < 0 else rr) ** 3, ss ** 3) == a.x:
-                    return True
-    return False
+    # rational cubes are norms of rationals; in lowest terms both parts are cubes
+    return a.is_rational and _is_cube(a.x.numerator) and _is_cube(a.x.denominator)
+
+
+def _is_cube(n: int) -> bool:
+    """Whether the integer n is a perfect cube, decided in integer arithmetic."""
+    n = abs(n)
+    r = 1 << -(-n.bit_length() // 3)   # 2^ceil(bits/3) exceeds the cube root
+    while r ** 3 > n:
+        r = (2 * r + n // (r * r)) // 3   # Newton steps stay >= floor(cbrt(n))
+    return r ** 3 == n
 
 
 def witness_primes(limit: int):
@@ -359,11 +335,7 @@ def check_theorem_conditions(
         raise ValueError("condition report applies to the Galois kind only")
     a = params.a
     unit_norm = a * a.conj() == QuadElem(1)
-    commuting = all(
-        galois_tau(galois_rho(CycloElem.zeta9(i)))
-        == galois_rho(galois_tau(CycloElem.zeta9(i)))
-        for i in range(6)
-    )
+    commuting = galois_actions_commute()
     a2 = a * a
     if _obvious_norm(a) or _obvious_norm(a2):
         return ConditionReport(False, unit_norm, commuting, searched_below=witness_limit)
@@ -403,14 +375,8 @@ def _random_fraction(rng: random.Random, span: int = 3) -> Fraction:
 
 
 def random_l_element(params: AlgebraParams, rng: random.Random):
-    if params.kind == GALOIS:
-        return CycloElem([_random_fraction(rng) for _ in range(6)])
-    return CubicExtElem(
-        QuadElem(_random_fraction(rng), _random_fraction(rng)),
-        QuadElem(_random_fraction(rng), _random_fraction(rng)),
-        QuadElem(_random_fraction(rng), _random_fraction(rng)),
-        b=params.b,
-    )
+    """Random element of L with six random rational coordinates (L has degree 6 over Q)."""
+    return params.one.from_rationals([_random_fraction(rng) for _ in range(6)])
 
 
 def random_element(params: AlgebraParams, rng: random.Random) -> AlgebraElem:
@@ -431,7 +397,7 @@ def random_hermitian(params: AlgebraParams, rng: random.Random) -> AlgebraElem:
         raise ValueError("hermitian sampling implemented for the Galois kind")
     l0 = _random_real_subfield_element(rng)
     l1 = CycloElem([_random_fraction(rng) for _ in range(6)])
-    ta = embed_E_in_L(params.a.conj())
+    ta = params.l_scalar(params.a.conj())
     l2 = ta * galois_tau(galois_rho(galois_rho(l1)))
     return AlgebraElem(params, l0, l1, l2)
 

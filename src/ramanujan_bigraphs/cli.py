@@ -476,7 +476,7 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    start = time.time()
+    start = time.perf_counter()
     try:
         args = parser.parse_args(argv)
         if args.paper_suite:
@@ -509,7 +509,7 @@ def _emit(command, inputs, results, code, status, notes, start) -> None:
         "inputs": {k: repr(v) if not isinstance(v, (int, float, str, bool, type(None))) else v
                    for k, v in inputs.items()},
         "results": results,
-        "duration_seconds": time.time() - start,
+        "duration_seconds": time.perf_counter() - start,
         "exit_code": code,
         "status": status,
     }

@@ -1,11 +1,16 @@
 """Exact arithmetic in Q(sqrt(-3)), Q(zeta_9), and cubic radical extensions.
 
 Everything here is exact: elements carry Fraction coefficients and equality is
-structural, never tolerance-based.  The quadratic field E = Q(sqrt(-3)) is
-represented on the integral basis {1, w} with w^2 = w - 1 (w = (1+sqrt(-3))/2),
-which keeps residue-ring reduction correct even at 2.  The degree-6 field
-L = Q(zeta_9) is represented on the power basis of zeta_9 modulo
-Phi_9(x) = x^6 + x^3 + 1.
+structural, never tolerance-based.  The three fields are polynomial quotients
+sharing one kernel, :class:`PolyElem`:
+
+* E = Q(sqrt(-3)) = Q[w]/(w^2 - w + 1), on the integral basis {1, w} with
+  w = (1+sqrt(-3))/2, which keeps residue-ring reduction correct even at 2;
+* L = Q(zeta_9) = Q[x]/(x^6 + x^3 + 1), on the power basis of zeta_9;
+* E(theta) = E[theta]/(theta^3 - b), with coefficients in E.
+
+Reduction and the Galois actions are precomputed linear maps on coefficient
+vectors; relative norms, traces and inverses follow from the Galois generator.
 """
 
 from __future__ import annotations
@@ -13,208 +18,79 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
-# --------------------------------------------------------------------------
-# E = Q(sqrt(-3)) on the basis {1, w}, w^2 = w - 1, sqrt(-3) = 2w - 1.
-# --------------------------------------------------------------------------
+
+def _linear_map(images):
+    """The linear map sending basis vector i to images[i], as rows: row j
+    lists (i, s, m) for each nonzero m = images[i][j], where s = +-1 when
+    m = +-1 (applied as an addition or subtraction) and s = 0 otherwise."""
+    rows = []
+    for j in range(len(images[0])):
+        col = [(i, img[j]) for i, img in enumerate(images) if img[j]]
+        rows.append(tuple((i, 1 if m == 1 else -1 if m == -1 else 0, m) for i, m in col))
+    return tuple(rows)
 
 
-class QuadElem:
-    """Element x + y*w of Q(sqrt(-3)), with w = (1 + sqrt(-3)) / 2."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: Scalar = 0, y: Scalar = 0):
-        self.x = Fraction(x)
-        self.y = Fraction(y)
-
-    @classmethod
-    def _coerce(cls, other) -> "QuadElem":
-        if isinstance(other, QuadElem):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return cls(other, 0)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadElem(self.x + o.x, self.y + o.y)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadElem(self.x - o.x, self.y - o.y)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return QuadElem(-self.x, -self.y)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        # (x1 + y1 w)(x2 + y2 w) with w^2 = w - 1
-        return QuadElem(
-            self.x * o.x - self.y * o.y,
-            self.x * o.y + self.y * o.x + self.y * o.y,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = QuadElem(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.x == o.x and self.y == o.y
-
-    def __hash__(self):
-        return hash((self.x, self.y))
-
-    def __bool__(self):
-        return self.x != 0 or self.y != 0
-
-    def conj(self) -> "QuadElem":
-        """Nontrivial automorphism of E/Q: w -> 1 - w (sqrt(-3) -> -sqrt(-3))."""
-        return QuadElem(self.x + self.y, -self.y)
-
-    def norm(self) -> Fraction:
-        """N_{E/Q}: x^2 + xy + y^2."""
-        return self.x * self.x + self.x * self.y + self.y * self.y
-
-    def trace(self) -> Fraction:
-        return 2 * self.x + self.y
-
-    def inverse(self) -> "QuadElem":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inversion of zero in Q(sqrt(-3))")
-        c = self.conj()
-        return QuadElem(c.x / n, c.y / n)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.y == 0
-
-    def __repr__(self):
-        return f"QuadElem({self.x!r}, {self.y!r})"
-
-    def __str__(self):
-        if self.y == 0:
-            return str(self.x)
-        return f"({self.x} + {self.y}*w)"
+def _apply(rows, vec, zero):
+    """The linear map ``rows`` applied to vec, in which None stands for 0.
+    Entries +-1 are applied as additions and subtractions."""
+    out = []
+    for row in rows:
+        acc = None
+        for i, s, m in row:
+            v = vec[i]
+            if v:
+                if acc is None:
+                    acc = v if s > 0 else -v if s < 0 else m * v
+                else:
+                    acc = acc + v if s > 0 else acc - v if s < 0 else acc + m * v
+        out.append(zero if acc is None else acc)
+    return tuple(out)
 
 
-SQRT_M3 = QuadElem(-1, 2)     # sqrt(-3) = 2w - 1
-ZETA3_E = QuadElem(-1, 1)     # zeta_3 = w - 1 = (-1 + sqrt(-3)) / 2
-QUAD_ONE = QuadElem(1)
-QUAD_ZERO = QuadElem(0)
+def _powers(top):
+    """t^0, ..., t^(2n-2) as vectors on the basis 1, t, ..., t^(n-1), for the
+    monic rule t^n = top[0] + top[1] t + ... + top[n-1] t^(n-1)."""
+    n = len(top)
+    images = [[int(i == k) for i in range(n)] for k in range(n)]
+    while len(images) < 2 * n - 1:
+        *low, high = images[-1]
+        images.append([a + high * r for a, r in zip([0] + low, top)])
+    return images
 
 
-def quad_from_sqrt3_basis(x: Scalar, y: Scalar) -> QuadElem:
-    """Build x + y*sqrt(-3) as a QuadElem."""
-    return QuadElem(x, 0) + QuadElem(y, 0) * SQRT_M3
+class PolyElem:
+    """c_0 + c_1 t + ... + c_(n-1) t^(n-1) modulo a fixed monic rule.
 
-
-# --------------------------------------------------------------------------
-# L = Q(zeta_9), power basis mod Phi_9 = x^6 + x^3 + 1.
-# --------------------------------------------------------------------------
-
-_PHI9 = (Fraction(1), Fraction(0), Fraction(0), Fraction(1), Fraction(0),
-         Fraction(0), Fraction(1))  # 1 + x^3 + x^6, low to high
-
-
-def _reduce_mod_phi9(coeffs: list) -> list:
-    """Reduce a coefficient list (low to high) modulo x^6 = -x^3 - 1."""
-    c = list(coeffs) + [Fraction(0)] * max(0, 6 - len(coeffs))
-    for k in range(len(c) - 1, 5, -1):
-        if c[k]:
-            c[k - 3] -= c[k]
-            c[k - 6] -= c[k]
-            c[k] = Fraction(0)
-    return [Fraction(v) for v in c[:6]]
-
-
-def _poly_divmod(num: list, den: list):
-    num = list(num)
-    deg_d = max(i for i, v in enumerate(den) if v != 0)
-    q = [Fraction(0)] * max(1, len(num))
-    for k in range(len(num) - 1, deg_d - 1, -1):
-        if num[k] == 0:
-            continue
-        f = num[k] / den[deg_d]
-        q[k - deg_d] = f
-        for i in range(deg_d + 1):
-            num[k - deg_d + i] -= f * den[i]
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-class CycloElem:
-    """Element of Q(zeta_9) as c0 + c1 z + ... + c5 z^5, z = zeta_9."""
+    A subclass fixes the field: ``_reduction`` maps the 2n-1 coefficients of a
+    product to n, ``_galois`` is the generator g of Gal(F/base) and
+    ``_order`` its order, ``_zero`` is the zero coefficient and ``from_E``
+    embeds E.  The fixed field of g is the coefficient field unless the
+    subclass overrides ``_to_base``.
+    """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        c = [Fraction(v) for v in coeffs]
-        if len(c) > 6:
-            c = _reduce_mod_phi9(c)
-        c += [Fraction(0)] * (6 - len(c))
-        self.coeffs = tuple(c)
+    def _new(self, coeffs: tuple) -> "PolyElem":
+        out = object.__new__(type(self))
+        out.coeffs = coeffs
+        return out
 
-    @classmethod
-    def zeta9(cls, k: int = 1) -> "CycloElem":
-        k %= 9
-        c = [Fraction(0)] * (k + 1)
-        c[k] = Fraction(1)
-        return cls(_reduce_mod_phi9(c))
-
-    @classmethod
-    def _coerce(cls, other) -> "CycloElem":
-        if isinstance(other, CycloElem):
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
             return other
-        if isinstance(other, QuadElem):
-            return embed_E_in_L(other)
-        if isinstance(other, (int, Fraction)):
-            return cls([other])
+        if isinstance(other, (int, Fraction, QuadElem)):
+            return self.from_E(other)
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return CycloElem([a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._new(tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
@@ -222,26 +98,26 @@ class CycloElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return CycloElem([a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._new(tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return CycloElem([-a for a in self.coeffs])
+        return self._new(tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        prod = [Fraction(0)] * 11
+        right = [(j, b) for j, b in enumerate(o.coeffs) if b]
+        prod = [None] * (2 * len(self.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    prod[i + j] += a * b
-        return CycloElem(_reduce_mod_phi9(prod))
+            if a:
+                for j, b in right:
+                    p = prod[i + j]
+                    prod[i + j] = a * b if p is None else p + a * b
+        return self._new(_apply(self._reduction, prod, self._zero))
 
     __rmul__ = __mul__
 
@@ -257,7 +133,7 @@ class CycloElem:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = CycloElem([1])
+        out = self._coerce(1)
         base = self
         while k:
             if k & 1:
@@ -278,100 +154,160 @@ class CycloElem:
     def __bool__(self):
         return any(self.coeffs)
 
-    def inverse(self) -> "CycloElem":
-        """Invert via extended Euclid against Phi_9."""
+    def _to_base(self):
+        """The element as one of the fixed field of g; raises if it is not."""
+        if any(self.coeffs[1:]):
+            raise ValueError(f"element {self!r} does not lie in the base field")
+        return self.coeffs[0]
+
+    def rho(self) -> "PolyElem":
+        """The generator g of Gal(F/base): conj on E, zeta_9 -> zeta_9^4 on L,
+        theta -> zeta_3 * theta on E(theta)."""
+        return self._new(_apply(self._galois, self.coeffs, self._zero))
+
+    def _conjugates(self) -> list:
+        """g(x), ..., g^(order-1)(x)."""
+        out = [self.rho()]
+        while len(out) < self._order - 1:
+            out.append(out[-1].rho())
+        return out
+
+    def norm(self):
+        """Relative norm to the fixed field of g: the product of the conjugates."""
+        return math.prod(self._conjugates(), start=self)._to_base()
+
+    def trace(self):
+        """Relative trace to the fixed field of g: the sum of the conjugates."""
+        return sum(self._conjugates(), self)._to_base()
+
+    def inverse(self) -> "PolyElem":
+        """x^-1 = g(x) ... g^(order-1)(x) / N(x)."""
         if not self:
-            raise ZeroDivisionError("inversion of zero in Q(zeta_9)")
-        # extended gcd(self, Phi9) over Q[x]
-        r0, r1 = list(_PHI9), list(self.coeffs)
-        while len(r1) > 1 and r1[-1] == 0:
-            r1.pop()
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        t0 = None  # coefficients against Phi9 are not needed
-        while True:
-            deg1 = max(i for i, v in enumerate(r1) if v != 0) if any(r1) else -1
-            if deg1 <= 0:
-                break
-            q, r = _poly_divmod(r0, r1)
-            # s_new = s0 - q * s1
-            s_new = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - len(s0) - 1)
-            for i, qi in enumerate(q):
-                if qi == 0:
-                    continue
-                for j, sj in enumerate(s1):
-                    if sj:
-                        while i + j >= len(s_new):
-                            s_new.append(Fraction(0))
-                        s_new[i + j] -= qi * sj
-            r0, r1 = r1, r
-            s0, s1 = s1, s_new
-        if not any(r1):
-            raise ZeroDivisionError("element not invertible mod Phi_9")
-        lead = r1[0]
-        inv = [c / lead for c in s1]
-        return CycloElem(_reduce_mod_phi9(inv))
+            raise ZeroDivisionError(f"inversion of zero in {type(self).__name__}")
+        first, *rest = self._conjugates()
+        others = math.prod(rest, start=first)
+        return others * (1 / (self * others)._to_base())
+
+
+# --------------------------------------------------------------------------
+# E = Q(sqrt(-3)) on the basis {1, w}, w^2 = w - 1, sqrt(-3) = 2w - 1.
+# --------------------------------------------------------------------------
+
+
+class QuadElem(PolyElem):
+    """Element x + y*w of Q(sqrt(-3)), with w = (1 + sqrt(-3)) / 2."""
+
+    __slots__ = ()
+    _order, _zero = 2, Fraction(0)
+    _reduction = _linear_map(_powers((-1, 1)))       # w^2 = -1 + w
+    _galois = _linear_map([(1, 0), (1, -1)])         # w -> 1 - w
+
+    def __init__(self, x: Scalar = 0, y: Scalar = 0):
+        self.coeffs = (Fraction(x), Fraction(y))
+
+    x = property(lambda self: self.coeffs[0])
+    y = property(lambda self: self.coeffs[1])
+    conj = PolyElem.rho   # the nontrivial automorphism of E/Q
+
+    def from_E(self, e) -> "QuadElem":
+        return _as_quad(e)
+
+    @property
+    def is_rational(self) -> bool:
+        return self.y == 0
+
+    def __repr__(self):
+        return f"QuadElem({self.x!r}, {self.y!r})"
+
+    def __str__(self):
+        if self.y == 0:
+            return str(self.x)
+        return f"({self.x} + {self.y}*w)"
+
+
+def _as_quad(v) -> QuadElem:
+    return v if isinstance(v, QuadElem) else QuadElem(v)
+
+
+SQRT_M3 = QuadElem(-1, 2)     # sqrt(-3) = 2w - 1
+ZETA3_E = QuadElem(-1, 1)     # zeta_3 = w - 1 = (-1 + sqrt(-3)) / 2
+QUAD_ZERO = QuadElem(0)
+
+
+def quad_from_sqrt3_basis(x: Scalar, y: Scalar) -> QuadElem:
+    """Build x + y*sqrt(-3) as a QuadElem."""
+    return QuadElem(x, 0) + QuadElem(y, 0) * SQRT_M3
+
+
+# --------------------------------------------------------------------------
+# L = Q(zeta_9), power basis mod Phi_9 = x^6 + x^3 + 1.
+# --------------------------------------------------------------------------
+
+_ZETA9_POWERS = _powers((-1, 0, 0, -1, 0, 0))    # zeta_9^0 .. zeta_9^10; x^6 = -1 - x^3
+
+
+class CycloElem(PolyElem):
+    """Element of Q(zeta_9) as c0 + c1 z + ... + c5 z^5, z = zeta_9."""
+
+    __slots__ = ()
+    _order, _zero = 3, Fraction(0)
+    _reduction = _linear_map(_ZETA9_POWERS)
+    _galois = _linear_map([_ZETA9_POWERS[4 * i % 9] for i in range(6)])  # zeta_9 -> zeta_9^4
+    _tau = _linear_map([_ZETA9_POWERS[8 * i % 9] for i in range(6)])     # zeta_9 -> zeta_9^8
+
+    def __init__(self, coeffs: Iterable[Scalar] = ()):
+        c = [Fraction(v) for v in coeffs]
+        for k in range(len(c) - 1, 8, -1):   # zeta_9^9 = 1
+            c[k - 9] += c.pop()
+        self.coeffs = _apply(self._reduction, c + [None] * (11 - len(c)), self._zero)
+
+    @classmethod
+    def zeta9(cls, k: int = 1) -> "CycloElem":
+        return cls([0] * (k % 9) + [1])
+
+    def from_E(self, e) -> "CycloElem":
+        return embed_E_in_L(_as_quad(e))
+
+    def _to_base(self) -> QuadElem:
+        """Inverse of embed_E_in_L; raises if the element is not in E."""
+        if not is_in_E(self):
+            raise ValueError(f"element {self!r} does not lie in Q(sqrt(-3))")
+        # l = c0 + c3 zeta_3 = (c0 - c3) + c3 w
+        return QuadElem(self.coeffs[0] - self.coeffs[3], self.coeffs[3])
+
+    def tau(self) -> "CycloElem":
+        """Complex conjugation zeta_9 -> zeta_9^8."""
+        return self._new(_apply(self._tau, self.coeffs, self._zero))
+
+    def from_rationals(self, qs) -> "CycloElem":
+        """The element of L with coordinates qs on the power basis."""
+        return CycloElem(qs)
 
     def __repr__(self):
         return f"CycloElem({list(self.coeffs)!r})"
 
 
-ZETA9 = CycloElem.zeta9(1)
-ZETA3_L = CycloElem.zeta9(3)
-CYCLO_ONE = CycloElem([1])
-CYCLO_ZERO = CycloElem([])
+galois_rho = CycloElem.rho        # order 3 automorphism of L/E; fixes E pointwise
+galois_tau = CycloElem.tau        # order 2 automorphism (complex conjugation)
+norm_L_over_E = CycloElem.norm
+trace_L_over_E = CycloElem.trace
+project_to_E = CycloElem._to_base
 
 
-def _automorphism_table(exp_mult: int):
-    """Images of the basis monomials zeta_9^i under zeta_9 -> zeta_9^exp_mult."""
-    return tuple(CycloElem.zeta9(exp_mult * i % 9) for i in range(6))
-
-
-_RHO_TABLE = _automorphism_table(4)   # rho(zeta_9) = zeta_3 * zeta_9 = zeta_9^4
-_TAU_TABLE = _automorphism_table(8)   # tau(zeta_9) = zeta_9^8
-
-
-def _apply_table(table, l: CycloElem) -> CycloElem:
-    out = CYCLO_ZERO
-    for c, img in zip(l.coeffs, table):
-        if c:
-            out = out + CycloElem([c]) * img
-    return out
-
-
-def galois_rho(l: CycloElem) -> CycloElem:
-    """Order-3 automorphism of L/E: zeta_9 -> zeta_9^4. Fixes E pointwise."""
-    return _apply_table(_RHO_TABLE, l)
-
-
-def galois_tau(l: CycloElem) -> CycloElem:
-    """Order-2 automorphism (complex conjugation): zeta_9 -> zeta_9^8."""
-    return _apply_table(_TAU_TABLE, l)
+def galois_actions_commute() -> bool:
+    """tau rho = rho tau, checked on the power basis of L."""
+    basis = [CycloElem.zeta9(i) for i in range(6)]
+    return all(z.rho().tau() == z.tau().rho() for z in basis)
 
 
 def embed_E_in_L(e: QuadElem) -> CycloElem:
     """Embed x + y*w into L via w = 1 + zeta_3 = 1 + zeta_9^3."""
-    return CycloElem([e.x + e.y, 0, 0, e.y, 0, 0])
+    return CycloElem([e.x + e.y, 0, 0, e.y])
 
 
 def is_in_E(l: CycloElem) -> bool:
     c = l.coeffs
     return c[1] == 0 and c[2] == 0 and c[4] == 0 and c[5] == 0
-
-
-def project_to_E(l: CycloElem) -> QuadElem:
-    """Inverse of embed_E_in_L; raises if the element is not in E."""
-    if not is_in_E(l):
-        raise ValueError(f"element {l!r} does not lie in Q(sqrt(-3))")
-    # l = c0 + c3 zeta_3 = (c0 - c3) + c3 w
-    return QuadElem(l.coeffs[0] - l.coeffs[3], l.coeffs[3])
-
-
-def norm_L_over_E(l: CycloElem) -> QuadElem:
-    return project_to_E(l * galois_rho(l) * galois_rho(galois_rho(l)))
-
-
-def trace_L_over_E(l: CycloElem) -> QuadElem:
-    return project_to_E(l + galois_rho(l) + galois_rho(galois_rho(l)))
 
 
 def norm_trace_L_over_E(l: CycloElem):
@@ -384,88 +320,60 @@ def norm_trace_L_over_E(l: CycloElem):
 # --------------------------------------------------------------------------
 
 
-class CubicExtElem:
+class CubicExtElem(PolyElem):
     """Element e0 + e1*theta + e2*theta^2 of E(theta) with theta^3 = b."""
 
-    __slots__ = ("e", "b")
+    __slots__ = ("b",)
+    _order, _zero = 3, QUAD_ZERO
+    _galois = _linear_map([(1, 0, 0), (0, ZETA3_E, 0), (0, 0, ZETA3_E * ZETA3_E)])
 
     def __init__(self, e0, e1=QUAD_ZERO, e2=QUAD_ZERO, *, b: QuadElem):
-        def q(v):
-            return v if isinstance(v, QuadElem) else QuadElem(v)
-        self.e = (q(e0), q(e1), q(e2))
-        self.b = b if isinstance(b, QuadElem) else QuadElem(b)
+        self.coeffs = (_as_quad(e0), _as_quad(e1), _as_quad(e2))
+        self.b = _as_quad(b)
 
-    def _check(self, other: "CubicExtElem"):
-        if self.b != other.b:
-            raise ValueError("mixing cubic extensions with different radicands")
+    def _new(self, coeffs: tuple) -> "CubicExtElem":
+        out = PolyElem._new(self, coeffs)
+        out.b = self.b
+        return out
+
+    e = property(lambda self: self.coeffs)
+
+    @property
+    def _reduction(self):
+        b = self.b    # theta^3 = b, theta^4 = b * theta
+        return (((0, 1, 1), (3, 0, b)), ((1, 1, 1), (4, 0, b)), ((2, 1, 1),))
 
     @classmethod
     def scalar(cls, v, b: QuadElem) -> "CubicExtElem":
         return cls(v, QUAD_ZERO, QUAD_ZERO, b=b)
 
-    def __add__(self, other: "CubicExtElem"):
-        self._check(other)
-        return CubicExtElem(*(a + c for a, c in zip(self.e, other.e)), b=self.b)
+    def from_E(self, e) -> "CubicExtElem":
+        return CubicExtElem.scalar(e, self.b)
 
-    def __sub__(self, other: "CubicExtElem"):
-        self._check(other)
-        return CubicExtElem(*(a - c for a, c in zip(self.e, other.e)), b=self.b)
+    def from_rationals(self, qs) -> "CubicExtElem":
+        """The element with coordinates qs on the basis theta^k, theta^k w."""
+        return CubicExtElem(*(QuadElem(x, y) for x, y in zip(qs[::2], qs[1::2])), b=self.b)
 
-    def __neg__(self):
-        return CubicExtElem(*(-a for a in self.e), b=self.b)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QuadElem)):
-            q = other if isinstance(other, QuadElem) else QuadElem(other)
-            return CubicExtElem(*(a * q for a in self.e), b=self.b)
-        self._check(other)
-        prod = [QUAD_ZERO] * 5
-        for i, a in enumerate(self.e):
-            for j, c in enumerate(other.e):
-                prod[i + j] = prod[i + j] + a * c
-        # theta^3 = b, theta^4 = b*theta
-        return CubicExtElem(
-            prod[0] + self.b * prod[3],
-            prod[1] + self.b * prod[4],
-            prod[2],
-            b=self.b,
-        )
-
-    __rmul__ = __mul__
+    def _coerce(self, other):
+        if isinstance(other, CubicExtElem) and other.b is not self.b and other.b != self.b:
+            raise ValueError("mixing cubic extensions with different radicands")
+        return PolyElem._coerce(self, other)
 
     def __eq__(self, other):
         if isinstance(other, CubicExtElem):
-            return self.b == other.b and self.e == other.e
+            return self.b == other.b and self.coeffs == other.coeffs
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.e, self.b))
-
-    def __bool__(self):
-        return any(bool(a) for a in self.e)
+        return hash((self.coeffs, self.b))
 
     def __repr__(self):
         return f"CubicExtElem({self.e[0]!r}, {self.e[1]!r}, {self.e[2]!r}, b={self.b!r})"
 
 
-def cubic_rho(x: CubicExtElem) -> CubicExtElem:
-    """Generator of Gal(E(theta)/E): theta -> zeta_3 * theta."""
-    z = ZETA3_E
-    return CubicExtElem(x.e[0], x.e[1] * z, x.e[2] * z * z, b=x.b)
-
-
-def cubic_norm(x: CubicExtElem) -> QuadElem:
-    prod = x * cubic_rho(x) * cubic_rho(cubic_rho(x))
-    if prod.e[1] or prod.e[2]:
-        raise ValueError("relative norm did not land in the base field")
-    return prod.e[0]
-
-
-def cubic_trace(x: CubicExtElem) -> QuadElem:
-    s = x + cubic_rho(x) + cubic_rho(cubic_rho(x))
-    if s.e[1] or s.e[2]:
-        raise ValueError("relative trace did not land in the base field")
-    return s.e[0]
+cubic_rho = CubicExtElem.rho      # generator of Gal(E(theta)/E): theta -> zeta_3 * theta
+cubic_norm = CubicExtElem.norm
+cubic_trace = CubicExtElem.trace
 
 
 # --------------------------------------------------------------------------
@@ -586,11 +494,10 @@ def local_norm_obstruction(a: QuadElem, p: int, precision: int = 8) -> Obstructi
     r = hensel_sqrt_minus3(p, precision)
     inv2 = pow(2, -1, mod)
     # clear denominators: a = (u + v*w) / d with u, v, d integers
-    d = a.x.denominator * a.y.denominator // math.gcd(
-        a.x.denominator, a.y.denominator
-    )
-    u = int(a.x * d)
-    v = int(a.y * d)
+    x, y = a.coeffs
+    d = x.denominator * y.denominator // math.gcd(x.denominator, y.denominator)
+    u = int(x * d)
+    v = int(y * d)
     vd = _padic_valuation(d, p, precision)
     vals = []
     for root in (r, (-r) % mod):

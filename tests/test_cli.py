@@ -48,6 +48,16 @@ def test_verify_algebra_a_one(capsys):
     assert rep["results"]["conditions"]["division_condition"]["value"] is False
 
 
+@pytest.mark.parametrize("a, code, division", [
+    (str(10 ** 400), 2, None),              # too large for a float cube root
+    (str((10 ** 17 + 3) ** 3), 1, False),   # a rational cube is a norm
+], ids=["10^400", "cube"])
+def test_verify_algebra_huge_integer_a(capsys, a, code, division):
+    got, rep = run(["verify-algebra", "--a", a, "--samples", "2"], capsys)
+    assert got == code
+    assert rep["results"]["conditions"]["division_condition"]["value"] is division
+
+
 def test_verify_algebra_nongalois(capsys):
     code, rep = run(["verify-algebra", "--kind", "nongalois", "--samples", "10"], capsys)
     assert code == 0

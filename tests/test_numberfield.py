@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ramanujan_bigraphs.numberfield import (
     CubicExtElem,
@@ -73,6 +73,72 @@ def test_quad_field_axioms(x1, y1, x2, y2):
     assert (a * b).norm() == a.norm() * b.norm()
     if a:
         assert a * a.inverse() == QuadElem(1)
+
+
+# ---------------------------------------------------------------------------
+# Field laws over E, L and E(theta)
+# ---------------------------------------------------------------------------
+
+NONGALOIS_B = QuadElem(2) * ZETA3_E
+six_fractions = st.lists(small_fractions, min_size=6, max_size=6)
+
+FIELDS = {
+    "E": st.tuples(small_fractions, small_fractions).map(lambda t: QuadElem(*t)),
+    "L": six_fractions.map(CycloElem),
+    "E(theta)": six_fractions.map(CubicExtElem.scalar(1, NONGALOIS_B).from_rationals),
+}
+ORDERS = {"E": 2, "L": 3, "E(theta)": 3}   # of the Galois generator rho (conj on E)
+# Exact arithmetic in L takes milliseconds per law on a loaded host: no deadline.
+field_laws = settings(max_examples=50, deadline=None)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@given(data=st.data())
+@field_laws
+def test_ring_laws(field, data):
+    x, y, z = (data.draw(FIELDS[field]) for _ in range(3))
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + 0 == x and x * 1 == x and not x * 0
+    assert not x - x and -(-x) == x
+
+
+@pytest.mark.parametrize("field", ["E", "L"])
+@given(data=st.data())
+@field_laws
+def test_inverse_law(field, data):
+    x = data.draw(FIELDS[field])
+    if x:
+        assert x * x.inverse() == 1
+        assert x / x == 1
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@given(data=st.data())
+@field_laws
+def test_galois_generator_and_norm(field, data):
+    x, y = data.draw(FIELDS[field]), data.draw(FIELDS[field])
+    assert x.rho() * y.rho() == (x * y).rho()
+    assert (x + y).rho() == x.rho() + y.rho()
+    orbit = x
+    for _ in range(ORDERS[field]):
+        orbit = orbit.rho()
+    assert orbit == x
+    assert (x * y).norm() == x.norm() * y.norm()
+    assert (x + y).trace() == x.trace() + y.trace()
+
+
+@given(six_fractions.map(CycloElem), six_fractions.map(CycloElem))
+@field_laws
+def test_tau_laws(x, y):
+    assert galois_tau(galois_tau(x)) == x
+    assert galois_tau(galois_rho(x)) == galois_rho(galois_tau(x))
+    assert galois_tau(x * y) == galois_tau(x) * galois_tau(y)
 
 
 # ---------------------------------------------------------------------------
