@@ -44,12 +44,14 @@ class AlgebraParams:
 
     ``one`` is the unit of the coefficient field L: Q(zeta_9) for the Galois
     kind, E(theta) for the other.  The operations of L come from its elements.
+    ``a_l`` is the structure constant a embedded in L.
     """
 
     kind: str
     a: QuadElem
     b: Optional[QuadElem] = None
     one: CycloElem | CubicExtElem = field(init=False, repr=False, compare=False)
+    a_l: CycloElem | CubicExtElem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (GALOIS, NONGALOIS):
@@ -67,6 +69,7 @@ class AlgebraParams:
                 raise ValueError("Galois actions do not commute")
             one = CycloElem([1])
         object.__setattr__(self, "one", one)
+        object.__setattr__(self, "a_l", one.from_E(self.a))
 
     def l_zero(self):
         return self.one.from_E(0)
@@ -100,8 +103,10 @@ class AlgebraElem:
 
     def __init__(self, params: AlgebraParams, l0, l1=None, l2=None):
         self.params = params
-        z = params.l_zero()
-        self.l = (l0, l1 if l1 is not None else z, l2 if l2 is not None else z)
+        if l1 is None or l2 is None:
+            z = params.l_zero()
+            l1, l2 = (z if c is None else c for c in (l1, l2))
+        self.l = (l0, l1, l2)
 
     @classmethod
     def scalar(cls, params: AlgebraParams, e) -> "AlgebraElem":
@@ -132,7 +137,7 @@ class AlgebraElem:
         self._check(other)
         p = self.params
         rho = p.rho
-        a = p.l_scalar(p.a)
+        a = p.a_l
         l0, l1, l2 = self.l
         m0, m1, m2 = other.l
         rm0, rm1, rm2 = rho(m0), rho(m1), rho(m2)
@@ -163,7 +168,7 @@ def to_matrix(d: AlgebraElem) -> List[list]:
     """Regular-representation image A(l0, l1, l2) in M_3(L)."""
     p = d.params
     rho = p.rho
-    a = p.l_scalar(p.a)
+    a = p.a_l
     l0, l1, l2 = d.l
     r0, r1, r2 = rho(l0), rho(l1), rho(l2)
     rr0, rr1, rr2 = rho(r0), rho(r1), rho(r2)
@@ -227,6 +232,30 @@ def involution(d: AlgebraElem) -> AlgebraElem:
         for j in range(3)
     ]
     return AlgebraElem(p, *tilde)
+
+
+def involution_failures(params: AlgebraParams, samples: int, rng: random.Random) -> dict:
+    """Failure counts of the involution laws on seeded random elements d_i.
+
+    alpha_sq: alpha(alpha(d)) = d.  anti: alpha(d e) = alpha(e) alpha(d), with
+    e the next sample cyclically.  tau: alpha restricts to tau on E, checked on
+    the scalars (i % 11 - 5) + (i % 7 - 3) w.  norm_conj: Nrd(alpha(d)) =
+    tau(Nrd(d)).  norm_det: det of the matrix image = Nrd(d).
+    """
+    failures = dict.fromkeys(("alpha_sq", "anti", "tau", "norm_conj", "norm_det"), 0)
+    elems = [random_element(params, rng) for _ in range(samples)]
+    images = [involution(d) for d in elems]
+    for i, (d, ad) in enumerate(zip(elems, images)):
+        j = (i + 1) % samples
+        nd = reduced_norm(d)
+        s = QuadElem(i % 11 - 5, i % 7 - 3)
+        failures["alpha_sq"] += involution(ad) != d
+        failures["anti"] += involution(d * elems[j]) != images[j] * ad
+        failures["tau"] += involution(AlgebraElem.scalar(params, s)) != \
+            AlgebraElem.scalar(params, s.conj())
+        failures["norm_conj"] += reduced_norm(ad) != nd.conj()
+        failures["norm_det"] += matrix_det(to_matrix(d)) != params.l_scalar(nd)
+    return failures
 
 
 def inverse(d: AlgebraElem) -> AlgebraElem:

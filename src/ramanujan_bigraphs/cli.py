@@ -19,11 +19,12 @@ import os
 import random
 import sys
 import time
-from fractions import Fraction
-from typing import Optional
+
+import numpy as np
 
 from . import algebra, graphs, lattices, trees
 from .numberfield import (
+    PrecisionCapError,
     QuadElem,
     ZETA3_E,
     local_norm_obstruction,
@@ -34,6 +35,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_PRECONDITION = 2
 EXIT_USAGE = 64
+STATUS = {EXIT_PASS: "pass", EXIT_FAIL: "fail", EXIT_PRECONDITION: "inconclusive"}
 
 ENUM_CEILING_ENV = "RAMANUJAN_BIGRAPHS_ENUM_CEILING"
 
@@ -105,57 +107,47 @@ def parse_quad(expr: str) -> QuadElem:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (results_dict, exit_code, status)
+# Command implementations: each returns (results_dict, exit_code, notes)
 # ---------------------------------------------------------------------------
 
-def _involution_suite(params, samples: int, seed: int):
-    rng = random.Random(seed)
-    one = algebra.AlgebraElem.scalar(params, 1)
-    ok_sq = ok_tau = ok_anti = ok_normconj = ok_det = True
-    for _ in range(samples):
-        d = algebra.random_element(params, rng)
-        e = algebra.random_element(params, rng)
-        if algebra.involution(algebra.involution(d)) != d:
-            ok_sq = False
-        if algebra.involution(d * e) != algebra.involution(e) * algebra.involution(d):
-            ok_anti = False
-        if algebra.reduced_norm(algebra.involution(d)) != algebra.reduced_norm(d).conj():
-            ok_normconj = False
-        det = algebra.matrix_det(algebra.to_matrix(d))
-        if det != params.l_scalar(algebra.reduced_norm(d)):
-            ok_det = False
-        s = QuadElem(Fraction(rng.randrange(-5, 6)), Fraction(rng.randrange(-5, 6)))
-        if algebra.involution(algebra.AlgebraElem.scalar(params, s)) != \
-                algebra.AlgebraElem.scalar(params, s.conj()):
-            ok_tau = False
-    return {
-        "samples": exact(samples),
-        "alpha_squared_is_identity": exact(ok_sq),
-        "restricts_to_tau_on_E": exact(ok_tau),
-        "anti_automorphism": exact(ok_anti),
-        "norm_conjugation": exact(ok_normconj),
-        "norm_equals_det": exact(ok_det),
-    }
+# report key of each involution law -> its key in algebra.involution_failures
+_INVOLUTION_LAWS = {
+    "alpha_squared_is_identity": "alpha_sq",
+    "restricts_to_tau_on_E": "tau",
+    "anti_automorphism": "anti",
+    "norm_conjugation": "norm_conj",
+    "norm_equals_det": "norm_det",
+}
 
 
 def cmd_verify_algebra(args):
-    kind = args.kind
-    if kind == "galois":
+    if args.kind == "galois":
         if args.a is not None:
             params = algebra.AlgebraParams(algebra.GALOIS, parse_quad(args.a))
         else:
             params = algebra.example_galois_params()
+    elif args.b is not None:
+        b = parse_quad(args.b)
+        params = algebra.AlgebraParams(algebra.NONGALOIS, b.conj(), b)
     else:
-        if args.b is not None:
-            b = parse_quad(args.b)
-            params = algebra.AlgebraParams(algebra.NONGALOIS, b.conj(), b)
-        else:
-            params = algebra.example_nongalois_params()
-    suite = _involution_suite(params, args.samples, args.seed)
-    results = {"kind": kind, "involution_suite": suite}
-    notes = []
-    if kind == "galois":
-        rep = algebra.check_theorem_conditions(params, args.witness_limit, args.precision)
+        params = algebra.example_nongalois_params()
+    return _verify_algebra(params, args.samples, args.seed, args.witness_limit, args.precision)
+
+
+def _verify_algebra(params, samples: int, seed: int, witness_limit: int, precision: int):
+    failures = algebra.involution_failures(params, samples, random.Random(seed))
+    suite = {"samples": exact(samples)}
+    suite.update((key, exact(failures[law] == 0)) for key, law in _INVOLUTION_LAWS.items())
+    results = {"kind": params.kind, "involution_suite": suite}
+    failed = [key for key, law in _INVOLUTION_LAWS.items() if failures[law]]
+    notes = [f"involution laws that fail: {', '.join(failed)}"] if failed else []
+    ok = not failed
+    if params.kind == algebra.GALOIS:
+        try:
+            rep = algebra.check_theorem_conditions(params, witness_limit, precision)
+        except PrecisionCapError as exc:
+            notes.append(f"condition (i) inconclusive at --precision {precision}: {exc}")
+            return results, EXIT_PRECONDITION, notes
         results["conditions"] = {
             "division_condition": exact(rep.division_condition),
             "unit_norm_condition": exact(rep.unit_norm_condition),
@@ -167,7 +159,7 @@ def cmd_verify_algebra(args):
             "searched_below": exact(rep.searched_below),
         }
         if rep.witness_prime_a is not None:
-            obs = local_norm_obstruction(params.a, rep.witness_prime_a, args.precision)
+            obs = local_norm_obstruction(params.a, rep.witness_prime_a, precision)
             results["obstruction_at_witness"] = {
                 "prime": exact(obs.prime),
                 "valuations": exact(list(obs.valuations)),
@@ -178,26 +170,9 @@ def cmd_verify_algebra(args):
             notes.append(
                 f"condition (i) inconclusive: no witness prime below {rep.searched_below}"
             )
-            return results, EXIT_PRECONDITION, "inconclusive", notes
-        suite_keys = (
-            "alpha_squared_is_identity", "restricts_to_tau_on_E",
-            "anti_automorphism", "norm_conjugation", "norm_equals_det",
-        )
-        ok = rep.all_verified and all(suite[k]["value"] for k in suite_keys)
-        return results, EXIT_PASS if ok else EXIT_FAIL, "pass" if ok else "fail", notes
-    # non-Galois kind: the alpha^2 = id suite is the verdict; the
-    # anti-automorphism and norm-conjugation results are reported as-is
-    # (they fail for the published grid formula -- see README).
-    ok = all(
-        suite[k]["value"]
-        for k in ("alpha_squared_is_identity", "restricts_to_tau_on_E", "norm_equals_det")
-    )
-    if not suite["anti_automorphism"]["value"]:
-        notes.append(
-            "non-Galois grid involution is not anti-multiplicative; "
-            "see README 'Known limitation'"
-        )
-    return results, EXIT_PASS if ok else EXIT_FAIL, "pass" if ok else "fail", notes
+            return results, EXIT_PRECONDITION, notes
+        ok = ok and rep.all_verified
+    return results, EXIT_PASS if ok else EXIT_FAIL, notes
 
 
 def _certificate_dict(cert: graphs.RamanujanCertificate):
@@ -223,8 +198,7 @@ def cmd_certify(args):
     results = {"certificate": _certificate_dict(cert)}
     if args.format == "dot":
         results["graph_dot"] = graphs.to_dot(g)
-    code = EXIT_PASS if cert.is_ramanujan else EXIT_FAIL
-    return results, code, "pass" if cert.is_ramanujan else "fail", []
+    return results, EXIT_PASS if cert.is_ramanujan else EXIT_FAIL, []
 
 
 def cmd_spectrum(args):
@@ -238,7 +212,7 @@ def cmd_spectrum(args):
     }
     if rep.profile is not None and rep.connected:
         results["lambda"] = floating(graphs.lambda_of(s, rep.profile), s.tolerance)
-    return results, EXIT_PASS, "pass", []
+    return results, EXIT_PASS, []
 
 
 def cmd_expansion(args):
@@ -255,7 +229,7 @@ def cmd_expansion(args):
         results["one_minus_lambda_over_k"] = floating(
             rep.one_minus_lambda_over_k, graphs.DEFAULT_TOLERANCE
         )
-    return results, EXIT_PASS, "pass", []
+    return results, EXIT_PASS, []
 
 
 def cmd_tree(args):
@@ -275,7 +249,7 @@ def cmd_tree(args):
             )
         ),
     }
-    return results, EXIT_PASS, "pass", []
+    return results, EXIT_PASS, []
 
 
 def cmd_primes(args):
@@ -285,12 +259,7 @@ def cmd_primes(args):
         for p in range(2, min(args.up_to, 50) + 1)
         if lattices.is_prime(p)
     }
-    return (
-        {"good_primes": exact(primes), "classification": classes},
-        EXIT_PASS,
-        "pass",
-        [],
-    )
+    return {"good_primes": exact(primes), "classification": classes}, EXIT_PASS, []
 
 
 def cmd_finite_group(args):
@@ -298,7 +267,7 @@ def cmd_finite_group(args):
     rep = lattices.enumerate_su3(args.q, args.n, ceiling)
     results = rep.as_dict()
     results["formula_order_level1"] = tag(lattices.su3_order_formula(args.q), "formula")
-    return results, EXIT_PASS, "pass", []
+    return results, EXIT_PASS, []
 
 
 def cmd_random_bigraph(args):
@@ -316,7 +285,7 @@ def cmd_random_bigraph(args):
             else None
         ),
     }
-    return results, EXIT_PASS, "pass", []
+    return results, EXIT_PASS, []
 
 
 def cmd_paper_suite(args):
@@ -325,22 +294,15 @@ def cmd_paper_suite(args):
     notes = []
     ok_all = True
 
-    # 1. built-in example conditions
-    res, code, status, n1 = cmd_verify_algebra(
-        argparse.Namespace(kind="galois", a=None, b=None, samples=100,
-                           seed=args.seed, witness_limit=200, precision=8)
-    )
-    battery["galois_example"] = {"status": status, **res}
-    ok_all &= code == EXIT_PASS
-
-    # 2. involution suite, both kinds
-    res_ng, code_ng, status_ng, n2 = cmd_verify_algebra(
-        argparse.Namespace(kind="nongalois", a=None, b=None, samples=100,
-                           seed=args.seed + 1, witness_limit=200, precision=8)
-    )
-    battery["nongalois_example"] = {"status": status_ng, **res_ng}
-    notes.extend(n2)
-    ok_all &= code_ng == EXIT_PASS
+    # 1-2. built-in example conditions and involution suite, both kinds
+    for name, params, seed in (
+        ("galois_example", algebra.example_galois_params(), args.seed),
+        ("nongalois_example", algebra.example_nongalois_params(), args.seed + 1),
+    ):
+        res, code, n = _verify_algebra(params, 100, seed, 200, 8)
+        battery[name] = {"status": STATUS[code], **res}
+        notes.extend(n)
+        ok_all &= code == EXIT_PASS
 
     # 3. archimedean signature
     params = algebra.example_galois_params()
@@ -349,10 +311,8 @@ def cmd_paper_suite(args):
     for _ in range(20):
         d = algebra.random_special_unitary(params, rng)
         m = algebra.matrix_at_infinity(d)
-        import numpy as np
-
         if not (
-            np.allclose(m.conj().T @ m, np.eye(3), atol=1e-10)
+            np.max(np.abs(m.conj().T @ m - np.eye(3))) < 1e-10
             and abs(np.linalg.det(m) - 1) < 1e-10
         ):
             arch_ok = False
@@ -397,12 +357,7 @@ def cmd_paper_suite(args):
     battery["tree_balls"] = {"level_counts_match": exact(tree_ok)}
     ok_all &= tree_ok
 
-    return (
-        {"battery": battery},
-        EXIT_PASS if ok_all else EXIT_FAIL,
-        "pass" if ok_all else "fail",
-        notes,
-    )
+    return {"battery": battery}, EXIT_PASS if ok_all else EXIT_FAIL, notes
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +436,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.paper_suite:
             command = "paper-suite"
-            results, code, status, notes = cmd_paper_suite(args)
+            results, code, notes = cmd_paper_suite(args)
         elif getattr(args, "command", None):
             command = args.command
-            results, code, status, notes = args.func(args)
+            results, code, notes = args.func(args)
         else:
             raise UsageError("a subcommand or --paper-suite is required")
         inputs = {
@@ -499,7 +454,7 @@ def main(argv=None) -> int:
     except (graphs.GraphError, json.JSONDecodeError, OSError, ValueError) as exc:
         _emit("parse-error", {}, {"error": str(exc)}, EXIT_USAGE, "error", [], start)
         return EXIT_USAGE
-    _emit(command, inputs, results, code, status, notes, start)
+    _emit(command, inputs, results, code, STATUS[code], notes, start)
     return code
 
 

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .numberfield import is_prime
+from .numberfield import is_prime, splitting_data
 
 DEFAULT_ENUM_CEILING = 10_000_000
 
@@ -38,29 +38,18 @@ class PrimeClass:
     good: bool        # good <=> inert
 
 
-def _is_square_mod(a: int, p: int) -> bool:
-    """Brute-force square search (the oracle the mod-12 rule is checked against)."""
-    a %= p
-    return any((x * x) % p == a for x in range(p))
-
-
 def classify_prime(p: int) -> PrimeClass:
     """Ramified (p = 3), split (-3 a square mod p), or inert.
 
-    p = 2 and p = 3 are decided by the minimal polynomial x^2 - x + 1
-    directly; for p > 3 the brute-force Legendre oracle is cross-checked
-    against the mod-12 rule (split iff p = 1, 7 mod 12).
+    The class comes from ``splitting_data`` (a brute-force square-root
+    search); for p > 3 it is cross-checked against the mod-12 rule (split
+    iff p = 1, 7 mod 12).
     """
     if not is_prime(p):
         raise LatticeError(f"{p} is not prime")
-    if p == 3:
-        return PrimeClass(3, RAMIFIED, False)
-    if p == 2:
-        # x^2 - x + 1 has no root mod 2, so 2 is inert
-        return PrimeClass(2, INERT, True)
-    cls = SPLIT if _is_square_mod(-3, p) else INERT
+    cls, _ = splitting_data(p)
     rule = SPLIT if p % 12 in (1, 7) else INERT
-    if cls != rule:
+    if p > 3 and cls != rule:
         raise LatticeError(
             f"internal inconsistency: oracle says {cls}, mod-12 rule says {rule} for p={p}"
         )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 Scalar = Union[int, Fraction]
 
@@ -405,6 +405,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _sqrt_minus3_mod(p: int) -> Optional[int]:
+    """Least square root of -3 mod p by brute-force search, or None.
+
+    The least root is at most p // 2, since p - x is a root whenever x is.
+    """
+    target = -3 % p
+    return next((x for x in range(p // 2 + 1) if x * x % p == target), None)
+
+
 def splitting_data(p: int):
     """Splitting type of p in E and residue degree of p in L = Q(zeta_9).
 
@@ -424,15 +433,14 @@ def splitting_data(p: int):
     if p == 2:
         # w^2 - w + 1 is irreducible mod 2, so 2 is inert
         return "inert", f
-    kind = "split" if any(x * x % p == (-3) % p for x in range(p)) else "inert"
-    return kind, f
+    return ("inert" if _sqrt_minus3_mod(p) is None else "split"), f
 
 
 def hensel_sqrt_minus3(p: int, precision: int) -> int:
     """Lift a square root of -3 mod p to a root mod p^precision by Newton steps."""
     if p == 2 or p == 3 or not is_prime(p):
         raise ValueError(f"no unramified square root of -3 at p={p}")
-    r = next((x for x in range(p) if x * x % p == (-3) % p), None)
+    r = _sqrt_minus3_mod(p)
     if r is None:
         raise ValueError(f"-3 is not a square mod {p}")
     k = 1
@@ -461,9 +469,13 @@ class ObstructionReport:
     obstructed: bool
 
 
+class PrecisionCapError(ArithmeticError):
+    """A p-adic valuation reached the precision cap, so it is not known."""
+
+
 def _padic_valuation(n: int, p: int, cap: int) -> int:
     if n % (p ** cap) == 0:
-        raise ArithmeticError(
+        raise PrecisionCapError(
             f"valuation at {p} reached the precision cap {cap}; raise precision"
         )
     v = 0

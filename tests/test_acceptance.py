@@ -16,7 +16,6 @@ given and is expected to fail on that sub-check; see README
 
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,24 +58,7 @@ def test_1_builtin_example_conditions():
     ids=["galois", "nongalois"],
 )
 def test_2_involution_suite(params):
-    rng = random.Random(20260823)
-    failures = {"alpha_sq": 0, "anti": 0, "tau": 0, "norm_conj": 0, "norm_det": 0}
-    elems = [algebra.random_element(params, rng) for _ in range(1000)]
-    for i, d in enumerate(elems):
-        if algebra.involution(algebra.involution(d)) != d:
-            failures["alpha_sq"] += 1
-        nd = algebra.reduced_norm(d)
-        if algebra.reduced_norm(algebra.involution(d)) != nd.conj():
-            failures["norm_conj"] += 1
-        if algebra.matrix_det(algebra.to_matrix(d)) != params.l_scalar(nd):
-            failures["norm_det"] += 1
-        e = elems[(i + 1) % len(elems)]
-        if algebra.involution(d * e) != algebra.involution(e) * algebra.involution(d):
-            failures["anti"] += 1
-        s = algebra.QuadElem(Fraction(i % 11 - 5), Fraction(i % 7 - 3))
-        if algebra.involution(algebra.AlgebraElem.scalar(params, s)) != \
-                algebra.AlgebraElem.scalar(params, s.conj()):
-            failures["tau"] += 1
+    failures = algebra.involution_failures(params, 1000, random.Random(20260823))
     assert failures == {k: 0 for k in failures}, (
         f"involution suite failures for kind={params.kind}: {failures} "
         "(non-Galois anti-multiplicativity is a known honest failure; "

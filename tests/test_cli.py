@@ -60,9 +60,23 @@ def test_verify_algebra_huge_integer_a(capsys, a, code, division):
 
 def test_verify_algebra_nongalois(capsys):
     code, rep = run(["verify-algebra", "--kind", "nongalois", "--samples", "10"], capsys)
-    assert code == 0
+    assert code == 1
     suite = rep["results"]["involution_suite"]
     assert suite["alpha_squared_is_identity"]["value"] is True
+
+
+def test_verify_algebra_precision_cap(capsys):
+    # v_7(a^2) = 40: the witness valuation needs a cap above 40
+    a = "*".join(["7"] * 20)
+    code, rep = run(["verify-algebra", "--a", a, "--samples", "2"], capsys)
+    assert (code, rep["status"]) == (2, "inconclusive")
+    assert "conditions" not in rep["results"]
+    assert any("--precision 8" in note for note in rep["notes"])
+    code, rep = run(["verify-algebra", "--a", a, "--samples", "2", "--precision", "41"], capsys)
+    assert code == 1
+    conds = rep["results"]["conditions"]
+    assert conds["division_condition"]["value"] is True
+    assert conds["unit_norm_condition"]["value"] is False
 
 
 def test_verify_algebra_bad_expression(capsys):
@@ -152,6 +166,21 @@ def test_infeasible_random_bigraph(capsys):
     code, _ = run(["random-bigraph", "--n1", "3", "--n2", "9", "--l", "10", "--m", "3",
                    "--seed", "1"], capsys)
     assert code == 2
+
+
+def test_paper_suite(capsys):
+    code, rep = run(["--paper-suite"], capsys)
+    assert (code, rep["status"]) == (1, "fail")    # the non-Galois battery fails
+    battery = rep["results"]["battery"]
+    assert set(battery) == {"galois_example", "nongalois_example", "archimedean",
+                            "good_primes", "certification", "finite_group", "tree_balls"}
+    assert battery["galois_example"]["status"] == "pass"
+    nongalois = battery["nongalois_example"]
+    laws = ("alpha_squared_is_identity", "restricts_to_tau_on_E", "norm_equals_det",
+            "anti_automorphism", "norm_conjugation")
+    assert [nongalois["involution_suite"][k]["value"] for k in laws] == \
+        [True, True, True, False, False]
+    assert nongalois["status"] == "fail"
 
 
 def test_no_subcommand_is_usage_error(capsys):
