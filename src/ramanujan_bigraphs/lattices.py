@@ -13,7 +13,7 @@ lattices themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -86,13 +86,10 @@ class ResidueRing:
         self.kind = cls.cls
         self.modulus = q ** n
 
-    # elements are tuples (x, y) with 0 <= x, y < modulus
+    # elements are pairs (x, y) with 0 <= x, y < modulus; the operations are
+    # elementwise, so x and y may also be numpy integer arrays
     def element(self, x: int, y: int) -> Tuple[int, int]:
         return (x % self.modulus, y % self.modulus)
-
-    @property
-    def zero(self) -> Tuple[int, int]:
-        return (0, 0)
 
     @property
     def one(self) -> Tuple[int, int]:
@@ -137,11 +134,6 @@ class ResidueRing:
         c = self.conj(a)
         return ((c[0] * nrm_inv) % self.modulus, (c[1] * nrm_inv) % self.modulus)
 
-    def elements(self):
-        for x in range(self.modulus):
-            for y in range(self.modulus):
-                yield (x, y)
-
 
 # ---------------------------------------------------------------------------
 # Finite special unitary groups by exhaustive enumeration
@@ -165,7 +157,6 @@ class FiniteGroupReport:
     order_method: str                     # enumerated | formula
     level1_order: Optional[int] = None
     kernel_size: Optional[int] = None     # kernel of reduction to level n-1
-    kernel_method: Optional[str] = None
     surjective: Optional[bool] = None
     elements: Optional[Tuple] = None      # enumerated matrices at n = 1
 
@@ -178,7 +169,7 @@ class FiniteGroupReport:
         if self.level1_order is not None:
             out["level1_order"] = {"value": self.level1_order, "method": "enumerated"}
         if self.kernel_size is not None:
-            out["kernel_size"] = {"value": self.kernel_size, "method": self.kernel_method}
+            out["kernel_size"] = {"value": self.kernel_size, "method": "enumerated"}
         if self.surjective is not None:
             out["surjective"] = self.surjective
         return out
@@ -198,42 +189,30 @@ def _enumerate_component_grids(q: int):
     return x, y
 
 
-def _ring_mul_arrays(ax, ay, bx, by, m):
-    return (ax * bx - ay * by) % m, (ax * by + ay * bx + ay * by) % m
-
-
-def _unitary_det_mask(x, y, m):
-    """Boolean mask of matrices g (component arrays mod m) with
-    conj-transpose(g) g = I and det(g) = 1 in (Z/m)[omega]."""
-    cx, cy = (x + y) % m, (-y) % m           # conjugated entries
-    # C = conj(g)^T g via einsum over the shared row index
-    gx = np.einsum("kti,ktj->kij", cx, x) - np.einsum("kti,ktj->kij", cy, y)
-    gy = (
-        np.einsum("kti,ktj->kij", cx, y)
-        + np.einsum("kti,ktj->kij", cy, x)
-        + np.einsum("kti,ktj->kij", cy, y)
-    )
-    eye = np.eye(3, dtype=np.int64)
-    unitary = np.all((gx - eye) % m == 0, axis=(1, 2)) & np.all(gy % m == 0, axis=(1, 2))
-
-    def mul(a, b):
-        return _ring_mul_arrays(a[0], a[1], b[0], b[1], m)
-
-    def sub(a, b):
-        return (a[0] - b[0]) % m, (a[1] - b[1]) % m
-
-    def entry(i, j):
-        return x[:, i, j], y[:, i, j]
+def _unitary_det_mask(x, y, ring: ResidueRing):
+    """Boolean mask of the matrices g = x + y*omega (component arrays of shape
+    (k, 3, 3)) with conj-transpose(g) g = I and det(g) = 1 in ``ring``."""
+    g = [[(x[:, i, j], y[:, i, j]) for j in range(3)] for i in range(3)]
+    cg = [[ring.conj(e) for e in row] for row in g]
+    mask = np.ones(len(x), dtype=bool)
+    # conj(g)^T g is Hermitian, so its upper triangle decides whether it is I
+    for i in range(3):
+        for j in range(i, 3):
+            c = ring.mul(cg[0][i], g[0][j])
+            for t in (1, 2):
+                c = ring.add(c, ring.mul(cg[t][i], g[t][j]))
+            want = ring.one if i == j else (0, 0)
+            mask &= (c[0] == want[0]) & (c[1] == want[1])
 
     def minor(i1, j1, i2, j2):
-        return sub(mul(entry(i1, j1), entry(i2, j2)), mul(entry(i1, j2), entry(i2, j1)))
+        return ring.sub(ring.mul(g[i1][j1], g[i2][j2]), ring.mul(g[i1][j2], g[i2][j1]))
 
     # det = a00 (a11 a22 - a12 a21) - a01 (a10 a22 - a12 a20) + a02 (a10 a21 - a11 a20)
-    d = sub(mul(entry(0, 0), minor(1, 1, 2, 2)), mul(entry(0, 1), minor(1, 0, 2, 2)))
-    last = mul(entry(0, 2), minor(1, 0, 2, 1))
-    d = ((d[0] + last[0]) % m, (d[1] + last[1]) % m)
-    det_one = ((d[0] - 1) % m == 0) & (d[1] % m == 0)
-    return unitary & det_one
+    det = ring.add(
+        ring.sub(ring.mul(g[0][0], minor(1, 1, 2, 2)), ring.mul(g[0][1], minor(1, 0, 2, 2))),
+        ring.mul(g[0][2], minor(1, 0, 2, 1)),
+    )
+    return mask & (det[0] == ring.one[0]) & (det[1] == ring.one[1])
 
 
 def enumerate_su3(
@@ -261,56 +240,36 @@ def enumerate_su3(
         )
 
     x, y = _enumerate_component_grids(q)
-    mask1 = _unitary_det_mask(x, y, q)
-    idx1 = np.nonzero(mask1)[0]
-    level1 = [
-        tuple(
-            tuple((int(x[k, i, j]), int(y[k, i, j])) for j in range(3))
-            for i in range(3)
-        )
-        for k in idx1
-    ]
-    order1 = len(level1)
+    idx1 = np.nonzero(_unitary_det_mask(x, y, ResidueRing(q)))[0]
     if n == 1:
+        elements = tuple(
+            tuple(tuple((int(x[k, i, j]), int(y[k, i, j])) for j in range(3)) for i in range(3))
+            for k in idx1
+        )
         return FiniteGroupReport(
-            q=q, n=1, order=order1, order_method="enumerated",
-            elements=tuple(level1),
+            q=q, n=1, order=len(elements), order_method="enumerated", elements=elements,
         )
 
-    m = q * q
-    # kernel of SU_3(O/q^2) -> SU_3(O/q): elements I + q M, M mod q
-    eye_x = np.eye(3, dtype=np.int64)[None]
-    kx = (eye_x + q * x) % m
-    ky = (q * y) % m
-    kernel_mask = _unitary_det_mask(kx, ky, m)
-    kernel_size = int(kernel_mask.sum())
+    ring2 = ResidueRing(q, 2)
 
-    # surjectivity: every level-1 element admits a lift g + q M in chunks
-    chunk = 1 << 14
-    total = q ** 18
-    surjective = True
-    for g in level1:
-        gx = np.array([[g[i][j][0] for j in range(3)] for i in range(3)], dtype=np.int64)
-        gy = np.array([[g[i][j][1] for j in range(3)] for i in range(3)], dtype=np.int64)
-        found = False
-        for start in range(0, total, chunk):
-            sl = slice(start, min(start + chunk, total))
-            lx = (gx[None] + q * x[sl]) % m
-            ly = (gy[None] + q * y[sl]) % m
-            if _unitary_det_mask(lx, ly, m).any():
-                found = True
-                break
-        if not found:
-            surjective = False
-            break
+    def lifts(gx, gy, sl):
+        """Mask of the candidates g + q M, M = x[sl] + y[sl]*omega, in SU_3(O/q^2)."""
+        return _unitary_det_mask(gx + q * x[sl], gy + q * y[sl], ring2)
 
-    order2 = order1 * kernel_size if surjective else -1
+    eye = np.eye(3, dtype=np.int64)
+    kernel_size = int(lifts(eye, np.zeros_like(eye), slice(None)).sum())
+    # every non-empty fibre is a coset of the kernel, so a chunk of this size
+    # holds one lift on average
+    chunk = q ** 18 // kernel_size
+    chunks = [slice(start, start + chunk) for start in range(0, q ** 18, chunk)]
+    surjective = all(any(lifts(x[k], y[k], sl).any() for sl in chunks) for k in idx1)
+
+    order1 = len(idx1)
     return FiniteGroupReport(
-        q=q, n=2, order=order2,
+        q=q, n=2, order=order1 * kernel_size if surjective else -1,
         order_method="enumerated",
         level1_order=order1,
         kernel_size=kernel_size,
-        kernel_method="enumerated",
         surjective=surjective,
     )
 
@@ -348,23 +307,16 @@ def congruence_tower(
         raise LatticeError("ramified q = 3 towers are out of scope")
     if n_max < 1:
         raise LatticeError("n_max must be >= 1")
-    entries: List[IndexEntry] = []
-    enumerable = cls.cls == INERT and q ** 18 <= ceiling
-    if enumerable:
+    if cls.cls == INERT and q ** 18 <= ceiling:
         report = enumerate_su3(q, 2, ceiling)
-        level0 = IndexEntry(0, report.level1_order, "enumerated")
-        level1 = IndexEntry(1, report.kernel_size, "enumerated")
+        first, method = [report.level1_order, report.kernel_size], "enumerated"
     else:
         order = su3_order_formula(q) if cls.cls == INERT else sl3_order_formula(q)
-        level0 = IndexEntry(0, order, "formula")
-        level1 = IndexEntry(1, q ** 8, "formula")
-    for k in range(n_max):
-        if k == 0:
-            entries.append(level0)
-        elif k == 1:
-            entries.append(level1)
-        else:
-            entries.append(IndexEntry(k, q ** 8, "formula"))
+        first, method = [order, q ** 8], "formula"
+    entries = [
+        IndexEntry(k, first[k], method) if k < 2 else IndexEntry(k, q ** 8, "formula")
+        for k in range(n_max)
+    ]
     for entry in entries:
         if entry.index <= 1:
             raise LatticeError("tower index not > 1: strict nesting violated")

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from ramanujan_bigraphs.lattices import (
@@ -72,6 +73,20 @@ def test_residue_ring_norm_multiplicative():
             a = r.element(rng.randrange(r.modulus), rng.randrange(r.modulus))
             b = r.element(rng.randrange(r.modulus), rng.randrange(r.modulus))
             assert r.norm(r.mul(a, b)) == (r.norm(a) * r.norm(b)) % r.modulus
+
+
+@pytest.mark.parametrize("q, n", [(2, 1), (2, 2), (5, 1), (7, 1)])
+def test_residue_ring_arrays_match_scalars(q, n):
+    # the SU_3 enumerator applies the ring operations to whole numpy arrays
+    r = ResidueRing(q, n)
+    rng = np.random.default_rng(100 * q + n)
+    a = tuple(rng.integers(0, r.modulus, 64) for _ in range(2))
+    b = tuple(rng.integers(0, r.modulus, 64) for _ in range(2))
+    for op, args in ((r.add, (a, b)), (r.sub, (a, b)), (r.mul, (a, b)), (r.conj, (a,))):
+        got = op(*args)
+        for k in range(64):
+            scalar = op(*((int(v[0][k]), int(v[1][k])) for v in args))
+            assert (int(got[0][k]), int(got[1][k])) == scalar
 
 
 def test_residue_ring_rejects_ramified():
