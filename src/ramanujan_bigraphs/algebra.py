@@ -44,7 +44,7 @@ class AlgebraParams:
 
     ``one`` is the unit of the coefficient field L: Q(zeta_9) for the Galois
     kind, E(theta) for the other.  The operations of L come from its elements.
-    ``a_l`` is the structure constant a embedded in L.
+    ``a_l`` and ``ta_l`` are the structure constant a and tau(a) embedded in L.
     """
 
     kind: str
@@ -52,6 +52,7 @@ class AlgebraParams:
     b: Optional[QuadElem] = None
     one: CycloElem | CubicExtElem = field(init=False, repr=False, compare=False)
     a_l: CycloElem | CubicExtElem = field(init=False, repr=False, compare=False)
+    ta_l: CycloElem | CubicExtElem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (GALOIS, NONGALOIS):
@@ -70,6 +71,7 @@ class AlgebraParams:
             one = CycloElem([1])
         object.__setattr__(self, "one", one)
         object.__setattr__(self, "a_l", one.from_E(self.a))
+        object.__setattr__(self, "ta_l", one.from_E(self.a.conj()))
 
     def l_zero(self):
         return self.one.from_E(0)
@@ -217,13 +219,12 @@ def involution(d: AlgebraElem) -> AlgebraElem:
     p = d.params
     l0, l1, l2 = d.l
     if p.kind == GALOIS:
-        ta = p.l_scalar(p.a.conj())
         t, r = galois_tau, galois_rho
         return AlgebraElem(
             p,
             t(l0),
-            ta * t(r(l2)),
-            ta * t(r(r(l1))),
+            p.ta_l * t(r(l2)),
+            p.ta_l * t(r(r(l1))),
         )
     # non-Galois kind: transpose the theta/z coefficient grid and conjugate
     e = [lj.coeffs for lj in d.l]  # e[j][k]: theta^k coefficient of l_j
@@ -344,15 +345,10 @@ def _is_cube(n: int) -> bool:
 
 
 def witness_primes(limit: int):
-    """Primes below limit at which the valuation obstruction test applies."""
-    out = []
-    for p in range(5, limit):
-        if not is_prime(p):
-            continue
-        kind, f = splitting_data(p)
-        if kind == "split" and f == 3:
-            out.append(p)
-    return out
+    """Primes below limit at which the valuation obstruction test applies,
+    ascending and generated lazily: the condition report stops at the first
+    primes that settle it."""
+    return (p for p in range(5, limit) if is_prime(p) and splitting_data(p) == ("split", 3))
 
 
 def check_theorem_conditions(
@@ -426,8 +422,7 @@ def random_hermitian(params: AlgebraParams, rng: random.Random) -> AlgebraElem:
         raise ValueError("hermitian sampling implemented for the Galois kind")
     l0 = _random_real_subfield_element(rng)
     l1 = CycloElem([_random_fraction(rng) for _ in range(6)])
-    ta = params.l_scalar(params.a.conj())
-    l2 = ta * galois_tau(galois_rho(galois_rho(l1)))
+    l2 = params.ta_l * galois_tau(galois_rho(galois_rho(l1)))
     return AlgebraElem(params, l0, l1, l2)
 
 

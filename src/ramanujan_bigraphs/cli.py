@@ -36,6 +36,8 @@ EXIT_FAIL = 1
 EXIT_PRECONDITION = 2
 EXIT_USAGE = 64
 STATUS = {EXIT_PASS: "pass", EXIT_FAIL: "fail", EXIT_PRECONDITION: "inconclusive"}
+# exit code of a check that holds (True), fails (False) or is undecided (None)
+VERDICT = {True: EXIT_PASS, False: EXIT_FAIL, None: EXIT_PRECONDITION}
 
 ENUM_CEILING_ENV = "RAMANUJAN_BIGRAPHS_ENUM_CEILING"
 
@@ -59,6 +61,12 @@ def exact(value):
 
 def floating(value, tolerance):
     return tag(value, f"floating({tolerance:g})")
+
+
+def combine(*codes: int) -> int:
+    """Exit code of a report made of several verdicts: fail beats
+    inconclusive, and inconclusive beats pass."""
+    return max(codes, key=(EXIT_PASS, EXIT_PRECONDITION, EXIT_FAIL).index)
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +149,13 @@ def _verify_algebra(params, samples: int, seed: int, witness_limit: int, precisi
     results = {"kind": params.kind, "involution_suite": suite}
     failed = [key for key, law in _INVOLUTION_LAWS.items() if failures[law]]
     notes = [f"involution laws that fail: {', '.join(failed)}"] if failed else []
-    ok = not failed
+    code = VERDICT[not failed]
     if params.kind == algebra.GALOIS:
         try:
             rep = algebra.check_theorem_conditions(params, witness_limit, precision)
         except PrecisionCapError as exc:
             notes.append(f"condition (i) inconclusive at --precision {precision}: {exc}")
-            return results, EXIT_PRECONDITION, notes
+            return results, combine(code, EXIT_PRECONDITION), notes
         results["conditions"] = {
             "division_condition": exact(rep.division_condition),
             "unit_norm_condition": exact(rep.unit_norm_condition),
@@ -170,9 +178,11 @@ def _verify_algebra(params, samples: int, seed: int, witness_limit: int, precisi
             notes.append(
                 f"condition (i) inconclusive: no witness prime below {rep.searched_below}"
             )
-            return results, EXIT_PRECONDITION, notes
-        ok = ok and rep.all_verified
-    return results, EXIT_PASS if ok else EXIT_FAIL, notes
+        code = combine(code, *(
+            VERDICT[c]
+            for c in (rep.division_condition, rep.unit_norm_condition, rep.commuting_condition)
+        ))
+    return results, code, notes
 
 
 def _certificate_dict(cert: graphs.RamanujanCertificate):
@@ -292,7 +302,7 @@ def cmd_paper_suite(args):
     """Condensed verification battery mirroring the acceptance criteria."""
     battery = {}
     notes = []
-    ok_all = True
+    codes = []
 
     # 1-2. built-in example conditions and involution suite, both kinds
     for name, params, seed in (
@@ -302,7 +312,7 @@ def cmd_paper_suite(args):
         res, code, n = _verify_algebra(params, 100, seed, 200, 8)
         battery[name] = {"status": STATUS[code], **res}
         notes.extend(n)
-        ok_all &= code == EXIT_PASS
+        codes.append(code)
 
     # 3. archimedean signature
     params = algebra.example_galois_params()
@@ -324,7 +334,7 @@ def cmd_paper_suite(args):
         "special_unitary_matrices": floating(arch_ok, 1e-10),
         "torus_points": floating(torus_ok, 1e-10),
     }
-    ok_all &= arch_ok and torus_ok
+    codes.append(VERDICT[arch_ok and torus_ok])
 
     # 4. good primes
     primes_ok = lattices.good_primes_up_to(100) == [
@@ -332,7 +342,7 @@ def cmd_paper_suite(args):
         if lattices.is_prime(p) and (p == 2 or (p != 3 and p % 12 in (5, 11)))
     ]
     battery["good_primes"] = {"mod12_agreement": exact(primes_ok)}
-    ok_all &= primes_ok
+    codes.append(VERDICT[primes_ok])
 
     # 5. certification spot checks
     cert_ok = (
@@ -343,21 +353,21 @@ def cmd_paper_suite(args):
                 for n in range(2, 17))
     )
     battery["certification"] = {"spot_checks": floating(cert_ok, 1e-9)}
-    ok_all &= cert_ok
+    codes.append(VERDICT[cert_ok])
 
     # 7. finite group (q = 2, level 1 only, for speed)
     grp = lattices.enumerate_su3(2, 1)
     grp_ok = grp.order == 216 == lattices.su3_order_formula(2)
     battery["finite_group"] = {"order": tag(grp.order, "enumerated"), "matches_formula": grp_ok}
-    ok_all &= grp_ok
+    codes.append(VERDICT[grp_ok])
 
     # 8. tree balls
     ball = trees.biregular_tree_ball(9, 3, 4)
     tree_ok = list(ball.level_counts) == trees.level_counts_closed_form(9, 3, 4)
     battery["tree_balls"] = {"level_counts_match": exact(tree_ok)}
-    ok_all &= tree_ok
+    codes.append(VERDICT[tree_ok])
 
-    return {"battery": battery}, EXIT_PASS if ok_all else EXIT_FAIL, notes
+    return {"battery": battery}, combine(*codes), notes
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ handshake n1 (p^3+1) = n2 (p+1) = |E|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from .graphs import Graph, GraphClassError, GraphError, analyze_structure
@@ -29,7 +30,7 @@ class TreeBall:
     l: int
     m: int
     root_side: str                    # "l" (root has degree l) or "m"
-    level_counts: Tuple[int, ...]
+    level_counts: Tuple[int, ...]     # vertices at each BFS depth, as built
 
     def depth_of(self) -> List[int]:
         """Distance from the root for every vertex (BFS)."""
@@ -85,30 +86,29 @@ def biregular_tree_ball(
         raise GraphError(
             f"ball would have {total} vertices, exceeding the ceiling {ceiling}"
         )
-    d_root, d_other = (l, m) if root_side == "l" else (m, l)
     edges: List[Tuple[int, int]] = []
     parts = [0]
     frontier = [0]
     next_vertex = 1
     for level in range(1, radius + 1):
-        children_per = d_root if level == 1 else (
-            (d_other if level % 2 == 0 else d_root) - 1
-        )
+        branch = counts[level] // counts[level - 1]
         new_frontier = []
         for parent in frontier:
-            for _ in range(children_per):
+            for _ in range(branch):
                 edges.append((parent, next_vertex))
                 parts.append(level % 2)
                 new_frontier.append(next_vertex)
                 next_vertex += 1
         frontier = new_frontier
     graph = Graph(total, tuple(edges), tuple(parts))
-    ball = TreeBall(graph, 0, radius, l, m, root_side, tuple(counts))
-    _validate_ball(ball)
-    return ball
+    ball = TreeBall(graph, 0, radius, l, m, root_side, ())
+    depth = Counter(_validate_ball(ball))
+    return replace(ball, level_counts=tuple(depth[k] for k in range(radius + 1)))
 
 
-def _validate_ball(ball: TreeBall) -> None:
+def _validate_ball(ball: TreeBall) -> List[int]:
+    """Check that the ball is a tree with the biregular interior degrees;
+    return the BFS depth of every vertex."""
     g = ball.graph
     if len(g.edges) != g.n - 1:
         raise GraphError("tree ball is not acyclic")
@@ -117,10 +117,11 @@ def _validate_ball(ball: TreeBall) -> None:
         raise GraphError("tree ball is not connected")
     deg = g.degrees()
     d_root, d_other = (ball.l, ball.m) if ball.root_side == "l" else (ball.m, ball.l)
-    for v in ball.interior_vertices():
+    for v in range(g.n):
         want = d_root if depth[v] % 2 == 0 else d_other
-        if deg[v] != want:
+        if depth[v] < ball.radius and deg[v] != want:
             raise GraphError(f"interior vertex {v} has degree {deg[v]}, expected {want}")
+    return depth
 
 
 @dataclass(frozen=True)

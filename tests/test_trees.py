@@ -46,6 +46,13 @@ def test_ball_examples():
     assert ball.level_counts == (1, 9, 18, 144)
 
 
+@pytest.mark.parametrize("side", ["l", "m"])
+def test_level_counts_are_measured_depths(side):
+    ball = biregular_tree_ball(4, 3, 4, side)
+    depth = ball.depth_of()
+    assert list(ball.level_counts) == [depth.count(k) for k in range(ball.radius + 1)]
+
+
 def test_ball_spectrum_symmetric():
     ball = biregular_tree_ball(4, 3, 3)
     vals = sorted(spectrum(ball.graph).values)
