@@ -175,20 +175,6 @@ class FiniteGroupReport:
         return out
 
 
-def _enumerate_component_grids(q: int):
-    """All q^18 matrices over O_E/q as component arrays X, Y of shape
-    (q^18, 3, 3): entry (i, j) is X[.,i,j] + Y[.,i,j] * omega."""
-    count = q ** 18
-    idx = np.arange(count, dtype=np.int64)
-    digits = np.empty((count, 18), dtype=np.int64)
-    for k in range(18):
-        digits[:, k] = idx % q
-        idx //= q
-    x = digits[:, :9].reshape(count, 3, 3)
-    y = digits[:, 9:].reshape(count, 3, 3)
-    return x, y
-
-
 def _unitary_det_mask(x, y, ring: ResidueRing):
     """Boolean mask of the matrices g = x + y*omega (component arrays of shape
     (k, 3, 3)) with conj-transpose(g) g = I and det(g) = 1 in ``ring``."""
@@ -215,15 +201,57 @@ def _unitary_det_mask(x, y, ring: ResidueRing):
     return mask & (det[0] == ring.one[0]) & (det[1] == ring.one[1])
 
 
+def _su3_fibre(bx, by, s: int, ring: ResidueRing):
+    """Every matrix g + s*M in SU_3(ring), M over O_E/q, for the bases
+    g = bx + by*omega of shape (B, 3, 3), each in SU_3 modulo s.
+
+    Returns the component arrays of the matrices found and the index of the
+    base each came from.  For g in SU_3, conj(g)^T = g^-1 = adj(g): columns 0
+    and 1 are orthonormal and column 2 is conj(c0 x c1), the cofactor column.
+    So only orthonormal pairs of lifted columns are completed, and
+    ``_unitary_det_mask`` decides every completed matrix.
+    """
+    q, m = ring.q, ring.modulus
+    grid = np.indices((q,) * 6).reshape(2, 3, -1).transpose(0, 2, 1)   # the q^6 columns over O_E/q
+
+    def dot(u, v):
+        """Hermitian product sum_i conj(u_i) v_i of columns stored along the last axis."""
+        return tuple(c.sum(axis=-1) % m for c in ring.mul(ring.conj(u), v))
+
+    def equal(a, b):
+        return (a[0] == b[0]) & (a[1] == b[1])
+
+    # column j of every base lifted by s * (each column over O_E/q): shape (B, q^6, 3)
+    lifted = [((bx[:, None, :, j] + s * grid[0]) % m, (by[:, None, :, j] + s * grid[1]) % m)
+              for j in (0, 1)]
+    unit0, unit1 = (equal(dot(c, c), ring.one) for c in lifted)
+    base, k0 = np.nonzero(unit0)
+    pair, k1 = np.nonzero(unit1[base])           # the unit columns 1 of the same base
+    base, k0 = base[pair], k0[pair]
+    c0, c1 = ((x[base, k], y[base, k]) for (x, y), k in zip(lifted, (k0, k1)))
+    orth = equal(dot(c0, c1), (0, 0))
+    base = base[orth]
+    c0, c1 = (tuple(a[orth] for a in c) for c in (c0, c1))
+    nxt, prv = [1, 2, 0], [2, 0, 1]             # (c0 x c1)_i = c0_i+1 c1_i+2 - c0_i+2 c1_i+1
+    c2 = ring.conj(ring.sub(
+        ring.mul(tuple(a[:, nxt] for a in c0), tuple(a[:, prv] for a in c1)),
+        ring.mul(tuple(a[:, prv] for a in c0), tuple(a[:, nxt] for a in c1)),
+    ))
+    x, y = (np.stack(c, axis=-1) for c in zip(c0, c1, c2))
+    keep = _unitary_det_mask(x, y, ring)
+    return x[keep], y[keep], base[keep]
+
+
 def enumerate_su3(
     q: int, n: int = 1, ceiling: int = DEFAULT_ENUM_CEILING
 ) -> FiniteGroupReport:
     """Exhaustively enumerate SU_3(O_E/q^n) for inert q.
 
-    n = 1 scans all q^18 candidate matrices.  n = 2 enumerates the kernel of
-    reduction to level 1 (matrices I + q M) and proves surjectivity of the
-    reduction by exhibiting a lift of every level-1 element; the level-2
-    order is then (level-1 order) * (kernel size).
+    n = 1 takes the fibre of SU_3(O_E/q) over the zero matrix, ordered as the
+    base-q indices sum x_ij q^(3i+j) + y_ij q^(9+3i+j) of the q^18 candidate
+    matrices.  n = 2 enumerates the kernel of reduction to level 1 (the fibre
+    over I) and the fibres over every level-1 element: the reduction is
+    surjective iff none is empty, and together they are SU_3(O_E/q^2).
     """
     cls = classify_prime(q)
     if cls.cls != INERT:
@@ -239,38 +267,28 @@ def enumerate_su3(
             "use formula mode (su3_order_formula)"
         )
 
-    x, y = _enumerate_component_grids(q)
-    idx1 = np.nonzero(_unitary_det_mask(x, y, ResidueRing(q)))[0]
+    zero = np.zeros((1, 3, 3), dtype=np.int64)
+    x, y, _ = _su3_fibre(zero, zero, 1, ResidueRing(q))
     if n == 1:
+        # np.lexsort takes its last key as the primary one: digit 17 down to 0
+        order = np.lexsort(np.concatenate([x.reshape(-1, 9), y.reshape(-1, 9)], axis=1).T)
         elements = tuple(
-            tuple(tuple((int(x[k, i, j]), int(y[k, i, j])) for j in range(3)) for i in range(3))
-            for k in idx1
+            tuple(tuple(zip(xr, yr)) for xr, yr in zip(xm, ym))
+            for xm, ym in zip(x[order].tolist(), y[order].tolist())
         )
         return FiniteGroupReport(
             q=q, n=1, order=len(elements), order_method="enumerated", elements=elements,
         )
 
     ring2 = ResidueRing(q, 2)
-
-    def lifts(gx, gy, sl):
-        """Mask of the candidates g + q M, M = x[sl] + y[sl]*omega, in SU_3(O/q^2)."""
-        return _unitary_det_mask(gx + q * x[sl], gy + q * y[sl], ring2)
-
-    eye = np.eye(3, dtype=np.int64)
-    kernel_size = int(lifts(eye, np.zeros_like(eye), slice(None)).sum())
-    # every non-empty fibre is a coset of the kernel, so a chunk of this size
-    # holds one lift on average
-    chunk = q ** 18 // kernel_size
-    chunks = [slice(start, start + chunk) for start in range(0, q ** 18, chunk)]
-    surjective = all(any(lifts(x[k], y[k], sl).any() for sl in chunks) for k in idx1)
-
-    order1 = len(idx1)
+    eye = np.eye(3, dtype=np.int64)[None]
+    kernel_size = len(_su3_fibre(eye, np.zeros_like(eye), q, ring2)[2])
+    base = _su3_fibre(x, y, q, ring2)[2]
     return FiniteGroupReport(
-        q=q, n=2, order=order1 * kernel_size if surjective else -1,
-        order_method="enumerated",
-        level1_order=order1,
+        q=q, n=2, order=len(base), order_method="enumerated",
+        level1_order=len(x),
         kernel_size=kernel_size,
-        surjective=surjective,
+        surjective=bool(np.bincount(base, minlength=len(x)).all()),
     )
 
 
@@ -308,8 +326,9 @@ def congruence_tower(
     if n_max < 1:
         raise LatticeError("n_max must be >= 1")
     if cls.cls == INERT and q ** 18 <= ceiling:
-        report = enumerate_su3(q, 2, ceiling)
-        first, method = [report.level1_order, report.kernel_size], "enumerated"
+        report = enumerate_su3(q, min(n_max, 2), ceiling)
+        first = [report.level1_order, report.kernel_size] if n_max > 1 else [report.order]
+        method = "enumerated"
     else:
         order = su3_order_formula(q) if cls.cls == INERT else sl3_order_formula(q)
         first, method = [order, q ** 8], "formula"

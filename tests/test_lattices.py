@@ -9,8 +9,11 @@ from ramanujan_bigraphs.lattices import (
     INERT,
     RAMIFIED,
     SPLIT,
+    IndexEntry,
     LatticeError,
     ResidueRing,
+    _su3_fibre,
+    _unitary_det_mask,
     classify_prime,
     congruence_tower,
     enumerate_su3,
@@ -119,11 +122,66 @@ def test_enumerate_su3_level1():
     assert identity in rep.elements
 
 
+def test_enumerate_su3_level1_matches_full_scan():
+    # the q^18 scan the column-pair enumerator replaced, in base-q index order:
+    # digit k of index sum_k d_k 2^k is x_ij for k = 3i + j, y_ij for k = 9 + 3i + j
+    digits = np.indices((2,) * 18).reshape(18, -1)[::-1].T
+    x, y = digits[:, :9].reshape(-1, 3, 3), digits[:, 9:].reshape(-1, 3, 3)
+    keep = np.nonzero(_unitary_det_mask(x, y, ResidueRing(2)))[0]
+    scanned = tuple(
+        tuple(tuple((int(x[k, i, j]), int(y[k, i, j])) for j in range(3)) for i in range(3))
+        for k in keep
+    )
+    assert enumerate_su3(2, 1).elements == scanned
+
+
+@pytest.fixture(scope="module")
+def su3_level2_fibres():
+    """The level-1 elements at q = 2 and the fibres of SU_3(O/4) over them."""
+    level1 = np.array(enumerate_su3(2, 1).elements)
+    return level1, _su3_fibre(level1[..., 0], level1[..., 1], 2, ResidueRing(2, 2))
+
+
+def _adjugate(g, ring):
+    def cofactor(i, j):
+        r, c = [k for k in range(3) if k != i], [k for k in range(3) if k != j]
+        minor = ring.sub(ring.mul(g[r[0]][c[0]], g[r[1]][c[1]]),
+                         ring.mul(g[r[0]][c[1]], g[r[1]][c[0]]))
+        return minor if (i + j) % 2 == 0 else ring.sub((0, 0), minor)
+
+    return tuple(tuple(cofactor(j, i) for j in range(3)) for i in range(3))
+
+
+def test_su3_conj_transpose_is_adjugate(su3_level2_fibres):
+    # conj(g)^T = g^-1 = adj(g) on SU_3: the law the column-pair pruning rests on
+    _, (x, y, _) = su3_level2_fibres
+    picks = np.random.default_rng(9).choice(len(x), 300, replace=False)
+    level2 = [tuple(tuple(zip(xr, yr)) for xr, yr in zip(x[k].tolist(), y[k].tolist()))
+              for k in picks]
+    for ring, group in ((ResidueRing(2), enumerate_su3(2, 1).elements),
+                        (ResidueRing(2, 2), level2)):
+        for g in group:
+            conj_t = tuple(tuple(ring.conj(g[j][i]) for j in range(3)) for i in range(3))
+            assert conj_t == _adjugate(g, ring)
+
+
+def test_su3_level2_fibres_are_kernel_cosets(su3_level2_fibres):
+    level1, (_, _, base) = su3_level2_fibres
+    rep = enumerate_su3(2, 2)
+    counts = np.bincount(base, minlength=len(level1))
+    assert (counts == rep.kernel_size).all()
+    assert counts.sum() == rep.order == 216 * 256
+
+
 def test_congruence_tower_split_formula():
     entries = congruence_tower(7, 3, p=5)
     assert [e.index for e in entries] == [sl3_order_formula(7), 7 ** 8, 7 ** 8]
     assert [e.method for e in entries] == ["formula", "formula", "formula"]
     assert all(e.index > 1 for e in entries)
+
+
+def test_congruence_tower_level1_only():
+    assert congruence_tower(2, 1, p=5) == [IndexEntry(0, 216, "enumerated")]
 
 
 def test_congruence_tower_inert_formula():
