@@ -14,6 +14,7 @@ lattices themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -212,32 +213,34 @@ def _su3_fibre(bx, by, s: int, ring: ResidueRing):
     ``_unitary_det_mask`` decides every completed matrix.
     """
     q, m = ring.q, ring.modulus
-    grid = np.indices((q,) * 6).reshape(2, 3, -1).transpose(0, 2, 1)   # the q^6 columns over O_E/q
+    grid = np.indices((q,) * 6).reshape(2, 3, -1)     # the q^6 columns over O_E/q
+    # column j of every base lifted by s * (each column over O_E/q): shape (B, 3, q^6)
+    lifted = [((bx[:, :, j, None] + s * grid[0]) % m, (by[:, :, j, None] + s * grid[1]) % m)
+              for j in (0, 1)]
+
+    def column(j, b=slice(None), k=slice(None)):
+        """The three entries of the lifted columns j at bases b and lifts k, lazily."""
+        x, y = lifted[j]
+        return ((x[b, i, k], y[b, i, k]) for i in range(3))
 
     def dot(u, v):
-        """Hermitian product sum_i conj(u_i) v_i of columns stored along the last axis."""
-        return tuple(c.sum(axis=-1) % m for c in ring.mul(ring.conj(u), v))
+        """Hermitian product sum_i conj(u_i) v_i of two columns."""
+        return reduce(ring.add, (ring.mul(ring.conj(a), b) for a, b in zip(u, v)))
 
     def equal(a, b):
         return (a[0] == b[0]) & (a[1] == b[1])
 
-    # column j of every base lifted by s * (each column over O_E/q): shape (B, q^6, 3)
-    lifted = [((bx[:, None, :, j] + s * grid[0]) % m, (by[:, None, :, j] + s * grid[1]) % m)
-              for j in (0, 1)]
-    unit0, unit1 = (equal(dot(c, c), ring.one) for c in lifted)
-    base, k0 = np.nonzero(unit0)
-    pair, k1 = np.nonzero(unit1[base])           # the unit columns 1 of the same base
+    base, k0 = np.nonzero(equal(dot(column(0), column(0)), ring.one))
+    unit1 = equal(dot(column(1), column(1)), ring.one)
+    pair, k1 = np.nonzero(unit1[base])            # the unit columns 1 of the same base
     base, k0 = base[pair], k0[pair]
-    c0, c1 = ((x[base, k], y[base, k]) for (x, y), k in zip(lifted, (k0, k1)))
-    orth = equal(dot(c0, c1), (0, 0))
-    base = base[orth]
-    c0, c1 = (tuple(a[orth] for a in c) for c in (c0, c1))
-    nxt, prv = [1, 2, 0], [2, 0, 1]             # (c0 x c1)_i = c0_i+1 c1_i+2 - c0_i+2 c1_i+1
-    c2 = ring.conj(ring.sub(
-        ring.mul(tuple(a[:, nxt] for a in c0), tuple(a[:, prv] for a in c1)),
-        ring.mul(tuple(a[:, prv] for a in c0), tuple(a[:, nxt] for a in c1)),
-    ))
-    x, y = (np.stack(c, axis=-1) for c in zip(c0, c1, c2))
+    orth = equal(dot(column(0, base, k0), column(1, base, k1)), (0, 0))
+    base, k0, k1 = base[orth], k0[orth], k1[orth]
+    c0, c1 = list(column(0, base, k0)), list(column(1, base, k1))
+    c2 = [ring.conj(ring.sub(ring.mul(c0[i1], c1[i2]), ring.mul(c0[i2], c1[i1])))
+          for i1, i2 in ((1, 2), (2, 0), (0, 1))]      # conj(c0 x c1)
+    x, y = (np.stack([col[i][part] for i in range(3) for col in (c0, c1, c2)], axis=-1)
+            .reshape(-1, 3, 3) for part in (0, 1))
     keep = _unitary_det_mask(x, y, ring)
     return x[keep], y[keep], base[keep]
 
