@@ -123,8 +123,8 @@ def test_enumerate_su3_level1():
 
 
 def test_enumerate_su3_level1_matches_full_scan():
-    # the q^18 scan the column-pair enumerator replaced, in base-q index order:
-    # digit k of index sum_k d_k 2^k is x_ij for k = 3i + j, y_ij for k = 9 + 3i + j
+    # reference: scan all 2^18 matrices over O_E/2 in base-2 index order; digit k
+    # of the index sum_k d_k 2^k is x_ij for k = 3i + j and y_ij for k = 9 + 3i + j
     digits = np.indices((2,) * 18).reshape(18, -1)[::-1].T
     x, y = digits[:, :9].reshape(-1, 3, 3), digits[:, 9:].reshape(-1, 3, 3)
     keep = np.nonzero(_unitary_det_mask(x, y, ResidueRing(2)))[0]
