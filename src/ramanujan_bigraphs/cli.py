@@ -205,7 +205,8 @@ def _certificate_dict(cert: graphs.RamanujanCertificate):
 def cmd_certify(args):
     g = graphs.load_graph(args.graph)
     cert = graphs.certify_ramanujan(g, args.tolerance)
-    results = {"certificate": _certificate_dict(cert)}
+    results = {"certificate": _certificate_dict(cert),
+               "eigenproblem": exact(list(cert.eigenproblem))}
     if args.format == "dot":
         results["graph_dot"] = graphs.to_dot(g)
     return results, EXIT_PASS if cert.is_ramanujan else EXIT_FAIL, []
@@ -213,10 +214,11 @@ def cmd_certify(args):
 
 def cmd_spectrum(args):
     g = graphs.load_graph(args.graph)
-    s = graphs.spectrum(g, args.tolerance)
     rep = graphs.analyze_structure(g)
+    s = graphs._spectrum(g, rep.bipartition, args.tolerance)
     results = {
         "eigenvalues": floating(list(s.values), s.tolerance),
+        "eigenproblem": exact(list(s.eigenproblem)),
         "connected": exact(rep.connected),
         "bipartite": exact(rep.bipartition is not None),
     }
@@ -458,7 +460,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _emit("usage-error", {}, {"error": str(exc)}, EXIT_USAGE, "error", [], start)
         return EXIT_USAGE
-    except (graphs.GraphClassError, trees.GraphClassError, lattices.LatticeError) as exc:
+    except (graphs.GraphClassError, graphs.SpectralStructureError, trees.GraphClassError,
+            lattices.LatticeError) as exc:
         _emit("precondition-error", {}, {"error": str(exc)}, EXIT_PRECONDITION, "error", [], start)
         return EXIT_PRECONDITION
     except (graphs.GraphError, json.JSONDecodeError, OSError, ValueError) as exc:

@@ -107,6 +107,24 @@ def test_certify_exit_codes(tmp_path, capsys):
     assert code == 64
 
 
+def test_certify_disagreeing_windows_is_precondition(tmp_path, capsys):
+    # at tolerance 0.2, lambda(K_2,3) = 0 fails def22 but passes def23
+    k23 = write_graph(tmp_path, graphs.complete_bipartite(2, 3))
+    code, rep = run(["certify", k23, "--tolerance", "0.2"], capsys)
+    assert (code, rep["command"]) == (2, "precondition-error")
+    assert "def22 and def23" in rep["results"]["error"]
+
+
+def test_reports_name_the_eigenproblem(tmp_path, capsys):
+    bigraph = write_graph(tmp_path, graphs.random_biregular(60, 180, 9, 3, seed=7), "b.json")
+    odd = write_graph(tmp_path, graphs.cycle(7), "c7.json")
+    for path, shape in ((bigraph, [60, 180]), (odd, [7, 7])):
+        for command in ("certify", "spectrum"):
+            code, rep = run([command, path], capsys)
+            assert code in (0, 1)
+            assert rep["results"]["eigenproblem"] == {"value": shape, "method": "exact"}
+
+
 def test_certify_dot_format(tmp_path, capsys):
     k44 = write_graph(tmp_path, graphs.complete_bipartite(4, 4))
     code, rep = run(["certify", k44, "--format", "dot"], capsys)
