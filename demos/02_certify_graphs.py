@@ -20,7 +20,7 @@ from ramanujan_bigraphs import (
 print("-- Complete bipartite graphs --")
 for a, b in ((4, 4), (2, 3)):
     cert = certify_ramanujan(complete_bipartite(a, b))
-    print(f"K_{a},{b}: lambda = {cert.lam:.3g}, window "
+    print(f"K_{a},{b}: lambda = {cert.lam:.4f}, window "
           f"[{cert.lower_bound:.3f}, {cert.upper_bound:.3f}] "
           f"-> Ramanujan: {cert.is_ramanujan}")
 print("K_2,3 fails because lambda = 0 sits BELOW the lower bound:")

@@ -214,32 +214,31 @@ def test_bipartite_spectral_symmetry():
         assert all(abs(vals[i] + vals[-1 - i]) < 1e-9 for i in range(len(vals) // 2))
 
 
-def _identity_cases():
-    g93 = random_biregular(4, 12, 9, 3, seed=3)
-    paths = Graph(7, ((0, 1), (1, 2), (3, 4), (4, 5), (5, 6)))
-    return {
-        "biregular-parts-none": (Graph(g93.n, g93.edges), (4, 12)),
-        "larger-side-1": (g93, (4, 12)),
-        "larger-side-0": (Graph(g93.n, g93.edges, tuple(1 - c for c in g93.parts)), (4, 12)),
-        "disconnected": (paths, (3, 4)),
-        "disconnected-parts": (Graph(7, paths.edges, (0, 1, 0, 1, 0, 1, 0)), (3, 4)),
-        "isolated-vertices": (Graph(6, ((0, 1), (0, 2))), (2, 4)),
-        "edgeless": (Graph(4, ()), (0, 4)),
-        "single-vertex": (Graph(1, ()), (0, 1)),
-        "K44": (complete_bipartite(4, 4), (4, 4)),
-        "K25": (complete_bipartite(2, 5), (2, 5)),
-        "C8": (cycle(8), (4, 4)),
-        "C8-parts-none": (Graph(8, cycle(8).edges), (4, 4)),
-        "tree-ball": (biregular_tree_ball(3, 2, 4).graph, (9, 10)),
-        "odd-cycle": (cycle(7), (7, 7)),
-    }
+_G93 = random_biregular(4, 12, 9, 3, seed=3)
+_PATHS = Graph(7, ((0, 1), (1, 2), (3, 4), (4, 5), (5, 6)))
+# graph and the shape of the matrix its spectrum is taken from
+_IDENTITY_CASES = {
+    "biregular-parts-none": (Graph(_G93.n, _G93.edges), (4, 12)),
+    "larger-side-1": (_G93, (4, 12)),
+    "larger-side-0": (Graph(_G93.n, _G93.edges, tuple(1 - c for c in _G93.parts)), (4, 12)),
+    "disconnected": (_PATHS, (3, 4)),
+    "disconnected-parts": (Graph(7, _PATHS.edges, (0, 1, 0, 1, 0, 1, 0)), (3, 4)),
+    "isolated-vertices": (Graph(6, ((0, 1), (0, 2))), (2, 4)),
+    "edgeless": (Graph(4, ()), (0, 4)),
+    "single-vertex": (Graph(1, ()), (0, 1)),
+    "K44": (complete_bipartite(4, 4), (4, 4)),
+    "K25": (complete_bipartite(2, 5), (2, 5)),
+    "C8": (cycle(8), (4, 4)),
+    "C8-parts-none": (Graph(8, cycle(8).edges), (4, 4)),
+    "tree-ball": (biregular_tree_ball(3, 2, 4).graph, (9, 10)),
+    "odd-cycle": (cycle(7), (7, 7)),
+}
 
 
-@pytest.mark.parametrize("name", list(_identity_cases()))
-def test_spectrum_matches_adjacency_eigenvalues(name):
+@pytest.mark.parametrize("g, shape", list(_IDENTITY_CASES.values()), ids=list(_IDENTITY_CASES))
+def test_spectrum_matches_adjacency_eigenvalues(g, shape):
     # bipartite graphs are decomposed as their r x c biadjacency matrix,
     # the rest as their n x n adjacency matrix; both give spec(A)
-    g, shape = _identity_cases()[name]
     s = spectrum(g)
     want = np.sort(np.linalg.eigvalsh(g.adjacency_matrix()))[::-1]
     assert len(s.values) == g.n
