@@ -351,9 +351,7 @@ def witness_primes(limit: int):
     return (p for p in range(5, limit) if is_prime(p) and splitting_data(p) == ("split", 3))
 
 
-def check_theorem_conditions(
-    params: AlgebraParams, witness_limit: int = 200, precision: int = 8
-) -> ConditionReport:
+def check_theorem_conditions(params: AlgebraParams, witness_limit: int = 200) -> ConditionReport:
     """Verify the three conditions making (D, alpha) a division algebra with
     involution of the second kind and compact archimedean unitary group."""
     if params.kind != GALOIS:
@@ -368,11 +366,11 @@ def check_theorem_conditions(
     res_a = res_a2 = None
     for p in witness_primes(witness_limit):
         if wp_a is None:
-            rep = local_norm_obstruction(a, p, precision)
+            rep = local_norm_obstruction(a, p)
             if rep.obstructed:
                 wp_a, res_a = p, rep.valuations_mod_3
         if wp_a2 is None:
-            rep2 = local_norm_obstruction(a2, p, precision)
+            rep2 = local_norm_obstruction(a2, p)
             if rep2.obstructed:
                 wp_a2, res_a2 = p, rep2.valuations_mod_3
         if wp_a is not None and wp_a2 is not None:

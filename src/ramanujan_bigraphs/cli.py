@@ -6,8 +6,11 @@ codes 0 (pass), 1 (fail), 2 (precondition violated / inconclusive), and
 --seed so runs are reproducible.  Numeric claims in reports carry method
 tags: exact | enumerated | formula | floating(tolerance).
 
-The enumeration ceiling for finite-group commands can be overridden with
-the environment variable RAMANUJAN_BIGRAPHS_ENUM_CEILING.
+The brute-force commands (expansion, tree, finite-group) take their scan
+ceiling as --ceiling, and the report's inputs record the ceiling that
+applied.  Options that do not apply to the chosen command
+(--a with --kind nongalois, --b with --kind galois, --paper-suite with a
+subcommand) are usage errors, not ignored.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import argparse
 import ast
 import json
-import os
 import random
 import sys
 import time
@@ -23,13 +25,7 @@ import time
 import numpy as np
 
 from . import algebra, graphs, lattices, trees
-from .numberfield import (
-    PrecisionCapError,
-    QuadElem,
-    ZETA3_E,
-    local_norm_obstruction,
-    quad_from_sqrt3_basis,
-)
+from .numberfield import QuadElem, ZETA3_E, local_norm_obstruction, quad_from_sqrt3_basis
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -38,8 +34,6 @@ EXIT_USAGE = 64
 STATUS = {EXIT_PASS: "pass", EXIT_FAIL: "fail", EXIT_PRECONDITION: "inconclusive"}
 # exit code of a check that holds (True), fails (False) or is undecided (None)
 VERDICT = {True: EXIT_PASS, False: EXIT_FAIL, None: EXIT_PRECONDITION}
-
-ENUM_CEILING_ENV = "RAMANUJAN_BIGRAPHS_ENUM_CEILING"
 
 
 class UsageError(Exception):
@@ -88,7 +82,7 @@ def parse_quad(expr: str) -> QuadElem:
     def ev(node):
         if isinstance(node, ast.Expression):
             return ev(node.body)
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
+        if isinstance(node, ast.Constant) and type(node.value) is int:   # not bool
             return QuadElem(node.value)
         if isinstance(node, ast.Name) and node.id in _QUAD_NAMES:
             return _QUAD_NAMES[node.id]
@@ -130,19 +124,23 @@ _INVOLUTION_LAWS = {
 
 def cmd_verify_algebra(args):
     if args.kind == "galois":
+        if args.b is not None:
+            raise UsageError("--b applies to --kind nongalois only")
         if args.a is not None:
             params = algebra.AlgebraParams(algebra.GALOIS, parse_quad(args.a))
         else:
             params = algebra.example_galois_params()
+    elif args.a is not None:
+        raise UsageError("--a applies to --kind galois only")
     elif args.b is not None:
         b = parse_quad(args.b)
         params = algebra.AlgebraParams(algebra.NONGALOIS, b.conj(), b)
     else:
         params = algebra.example_nongalois_params()
-    return _verify_algebra(params, args.samples, args.seed, args.witness_limit, args.precision)
+    return _verify_algebra(params, args.samples, args.seed, args.witness_limit)
 
 
-def _verify_algebra(params, samples: int, seed: int, witness_limit: int, precision: int):
+def _verify_algebra(params, samples: int, seed: int, witness_limit: int):
     failures = algebra.involution_failures(params, samples, random.Random(seed))
     suite = {"samples": exact(samples)}
     suite.update((key, exact(failures[law] == 0)) for key, law in _INVOLUTION_LAWS.items())
@@ -151,11 +149,7 @@ def _verify_algebra(params, samples: int, seed: int, witness_limit: int, precisi
     notes = [f"involution laws that fail: {', '.join(failed)}"] if failed else []
     code = VERDICT[not failed]
     if params.kind == algebra.GALOIS:
-        try:
-            rep = algebra.check_theorem_conditions(params, witness_limit, precision)
-        except PrecisionCapError as exc:
-            notes.append(f"condition (i) inconclusive at --precision {precision}: {exc}")
-            return results, combine(code, EXIT_PRECONDITION), notes
+        rep = algebra.check_theorem_conditions(params, witness_limit)
         results["conditions"] = {
             "division_condition": exact(rep.division_condition),
             "unit_norm_condition": exact(rep.unit_norm_condition),
@@ -167,7 +161,7 @@ def _verify_algebra(params, samples: int, seed: int, witness_limit: int, precisi
             "searched_below": exact(rep.searched_below),
         }
         if rep.witness_prime_a is not None:
-            obs = local_norm_obstruction(params.a, rep.witness_prime_a, precision)
+            obs = local_norm_obstruction(params.a, rep.witness_prime_a)
             results["obstruction_at_witness"] = {
                 "prime": exact(obs.prime),
                 "valuations": exact(list(obs.valuations)),
@@ -275,8 +269,7 @@ def cmd_primes(args):
 
 
 def cmd_finite_group(args):
-    ceiling = int(os.environ.get(ENUM_CEILING_ENV, args.ceiling))
-    rep = lattices.enumerate_su3(args.q, args.n, ceiling)
+    rep = lattices.enumerate_su3(args.q, args.n, args.ceiling)
     results = rep.as_dict()
     results["formula_order_level1"] = tag(lattices.su3_order_formula(args.q), "formula")
     return results, EXIT_PASS, []
@@ -311,7 +304,7 @@ def cmd_paper_suite(args):
         ("galois_example", algebra.example_galois_params(), args.seed),
         ("nongalois_example", algebra.example_nongalois_params(), args.seed + 1),
     ):
-        res, code, n = _verify_algebra(params, 100, seed, 200, 8)
+        res, code, n = _verify_algebra(params, 100, seed, 200)
         battery[name] = {"status": STATUS[code], **res}
         notes.extend(n)
         codes.append(code)
@@ -382,6 +375,7 @@ def build_parser() -> _Parser:
                         help="run the condensed verification battery")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the paper suite")
+    parser.set_defaults(func=cmd_paper_suite)    # each subcommand sets its own
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("verify-algebra", help="construction conditions + involution suite")
@@ -391,7 +385,6 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--witness-limit", type=int, default=200)
-    p.add_argument("--precision", type=int, default=8)
     p.set_defaults(func=cmd_verify_algebra)
 
     p = sub.add_parser("certify", help="Ramanujan certification of a graph file")
@@ -444,25 +437,27 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     start = time.perf_counter()
+    inputs = {}
     try:
         args = parser.parse_args(argv)
-        if args.paper_suite:
-            command = "paper-suite"
-            results, code, notes = cmd_paper_suite(args)
-        elif getattr(args, "command", None):
-            command = args.command
-            results, code, notes = args.func(args)
-        else:
+        if args.paper_suite and args.command:
+            raise UsageError("--paper-suite takes no subcommand")
+        if not (args.paper_suite or args.command):
             raise UsageError("a subcommand or --paper-suite is required")
+        # a precondition-error report keeps the inputs too: they hold the
+        # ceiling that refused the run
         inputs = {
             k: v for k, v in vars(args).items() if k not in ("func", "paper_suite") and v is not None
         }
+        command = args.command or "paper-suite"
+        results, code, notes = args.func(args)
     except UsageError as exc:
         _emit("usage-error", {}, {"error": str(exc)}, EXIT_USAGE, "error", [], start)
         return EXIT_USAGE
     except (graphs.GraphClassError, graphs.SpectralStructureError, trees.GraphClassError,
             lattices.LatticeError) as exc:
-        _emit("precondition-error", {}, {"error": str(exc)}, EXIT_PRECONDITION, "error", [], start)
+        _emit("precondition-error", inputs, {"error": str(exc)}, EXIT_PRECONDITION, "error", [],
+              start)
         return EXIT_PRECONDITION
     except (graphs.GraphError, json.JSONDecodeError, OSError, ValueError) as exc:
         _emit("parse-error", {}, {"error": str(exc)}, EXIT_USAGE, "error", [], start)

@@ -226,13 +226,10 @@ def _drop_value(values: List[float], target: float, tol: float, what: str) -> Li
     return values[:best] + values[best + 1 :]
 
 
-def lambda_of(
-    s: Spectrum,
-    profile: Union[RegularProfile, BiregularProfile],
-    tolerance: Optional[float] = None,
-) -> float:
-    """lambda(X): largest |eigenvalue| after removing the trivial ones."""
-    tol = s.tolerance if tolerance is None else tolerance
+def lambda_of(s: Spectrum, profile: Union[RegularProfile, BiregularProfile]) -> float:
+    """lambda(X): largest |eigenvalue| after removing the trivial ones, which
+    are matched within ``s.tolerance``."""
+    tol = s.tolerance
     values = sorted(s.values, reverse=True)
     if isinstance(profile, RegularProfile):
         lam0 = float(profile.k)
@@ -281,7 +278,7 @@ def certify_ramanujan(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Ramanuj
     if rep.profile is None:
         raise GraphClassError("certification requires a regular or biregular graph")
     s = _spectrum(g, rep.bipartition, tolerance)
-    lam = lambda_of(s, rep.profile, tolerance)
+    lam = lambda_of(s, rep.profile)
     margins: Dict[str, float] = {}
     def21 = def22 = def23 = None
     if isinstance(rep.profile, RegularProfile):
@@ -362,10 +359,11 @@ def expansion_coefficient(
         nbr_mask[u] |= 1 << v
         nbr_mask[v] |= 1 << u
     half = g.n // 2
-    best: Optional[Fraction] = None
-    best_set = 0
+    # the best ratio so far is best_b / best_size, 1/0 standing for infinity;
+    # ratios are compared by integer cross-products
+    best_b, best_size, best_set = 1, 0, 0
     for w in range(1, 1 << g.n):
-        size = bin(w).count("1")
+        size = w.bit_count()
         if size > half:
             continue
         boundary = 0
@@ -374,12 +372,12 @@ def expansion_coefficient(
             v = (rest & -rest).bit_length() - 1
             boundary |= nbr_mask[v]
             rest &= rest - 1
-        ratio = Fraction(bin(boundary & ~w).count("1"), size)
-        if best is None or ratio < best:
-            best, best_set = ratio, w
-            if best == 0:
+        b = (boundary & ~w).bit_count()
+        if b * best_size < best_b * size:
+            best_b, best_size, best_set = b, size, w
+            if b == 0:
                 break
-    assert best is not None
+    best = Fraction(best_b, best_size)
     subset = tuple(v for v in range(g.n) if best_set >> v & 1)
     lam = one_minus = None
     rep = analyze_structure(g)
@@ -403,6 +401,9 @@ def bound_values(l: int, m: int) -> Tuple[float, Optional[float]]:
 # Generators
 # ---------------------------------------------------------------------------
 
+_PAIRING_RETRIES = 500   # restarts of random_biregular's configuration model
+
+
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise GraphError("complete bipartite parts must be non-empty")
@@ -418,9 +419,7 @@ def cycle(n: int) -> Graph:
     return Graph(n, edges, parts)
 
 
-def random_biregular(
-    n1: int, n2: int, l: int, m: int, seed: int, max_retries: int = 500
-) -> Graph:
+def random_biregular(n1: int, n2: int, l: int, m: int, seed: int) -> Graph:
     """Random simple (l, m)-biregular bipartite graph by the configuration
     model with rejection of multi-edges.  Deterministic for a fixed seed.
 
@@ -435,7 +434,7 @@ def random_biregular(
     if l > n2 or m > n1:
         raise GraphClassError("degree exceeds the opposite part: no simple graph")
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(_PAIRING_RETRIES):
         # sequential configuration model: each left vertex draws l distinct
         # right stubs (weighted by remaining degree); restart on a dead end
         remaining = [m] * n2
@@ -463,7 +462,7 @@ def random_biregular(
                 edges.append((u, n1 + v))
         if ok:
             return Graph(n1 + n2, tuple(edges), tuple([0] * n1 + [1] * n2))
-    raise GraphClassError(f"no simple pairing found after {max_retries} retries")
+    raise GraphClassError(f"no simple pairing found after {_PAIRING_RETRIES} retries")
 
 
 # ---------------------------------------------------------------------------

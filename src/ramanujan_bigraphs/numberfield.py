@@ -469,15 +469,8 @@ class ObstructionReport:
     obstructed: bool
 
 
-class PrecisionCapError(ArithmeticError):
-    """A p-adic valuation reached the precision cap, so it is not known."""
-
-
-def _padic_valuation(n: int, p: int, cap: int) -> int:
-    if n % (p ** cap) == 0:
-        raise PrecisionCapError(
-            f"valuation at {p} reached the precision cap {cap}; raise precision"
-        )
+def _padic_valuation(n: int, p: int) -> int:
+    """v_p(n) of a nonzero integer n."""
     v = 0
     while n % p == 0:
         n //= p
@@ -485,16 +478,20 @@ def _padic_valuation(n: int, p: int, cap: int) -> int:
     return v
 
 
-def local_norm_obstruction(a: QuadElem, p: int, precision: int = 8) -> ObstructionReport:
+def local_norm_obstruction(a: QuadElem, p: int) -> ObstructionReport:
     """Valuation-based witness that a is not a relative norm from L.
 
     Requires p split in E with residue degree 3 in L, so that the local cubic
     extension is unramified: units are automatically norms and an element is a
     local norm iff its valuation is divisible by 3.  The two embeddings of E
     into the p-adic field send sqrt(-3) to the two Hensel lifts +-r.
+
+    The valuations are exact.  Write a = (u + v*w) / d with integers u, v, d.
+    The two images s1, s2 of u + v*w in Z_p multiply to its norm
+    N = u^2 + uv + v^2, so neither valuation exceeds v_p(N).  Modulo
+    p^(v_p(N) + 1) both images are therefore nonzero, and their residues
+    carry their valuations.
     """
-    if precision < 2:
-        raise ValueError("precision must be at least 2")
     kind, f = splitting_data(p)
     if kind != "split":
         raise ValueError(f"p={p} is not split in Q(sqrt(-3))")
@@ -502,20 +499,19 @@ def local_norm_obstruction(a: QuadElem, p: int, precision: int = 8) -> Obstructi
         raise ValueError(f"p={p} has residue degree {f} != 3 in Q(zeta_9)")
     if not a:
         raise ValueError("zero has no valuation")
+    x, y = a.coeffs
+    d = math.lcm(x.denominator, y.denominator)
+    u = int(x * d)
+    v = int(y * d)
+    precision = _padic_valuation(u * u + u * v + v * v, p) + 1
     mod = p ** precision
     r = hensel_sqrt_minus3(p, precision)
     inv2 = pow(2, -1, mod)
-    # clear denominators: a = (u + v*w) / d with u, v, d integers
-    x, y = a.coeffs
-    d = x.denominator * y.denominator // math.gcd(x.denominator, y.denominator)
-    u = int(x * d)
-    v = int(y * d)
-    vd = _padic_valuation(d, p, precision)
+    vd = _padic_valuation(d, p)
     vals = []
     for root in (r, (-r) % mod):
         w_img = (1 + root) * inv2 % mod  # w = (1 + sqrt(-3)) / 2
-        num = (u + v * w_img) % mod
-        vals.append(_padic_valuation(num if num else mod, p, precision) - vd)
+        vals.append(_padic_valuation((u + v * w_img) % mod, p) - vd)
     residues = frozenset(v % 3 for v in vals)
     return ObstructionReport(
         element=a,

@@ -45,8 +45,8 @@ def _cli_cases():
         (None, ["verify-algebra", "--a", "import os"]),
         ("verify-algebra --a 7^20 --samples 2",
          ["verify-algebra", "--a", SEVEN_20, "--samples", "2"]),
-        ("verify-algebra --a 7^20 --samples 2 --precision 41",
-         ["verify-algebra", "--a", SEVEN_20, "--samples", "2", "--precision", "41"]),
+        ("verify-algebra --a 7^61 --samples 2",     # v_7(a^2) = 122
+         ["verify-algebra", "--a", str(7 ** 61), "--samples", "2"]),
         (None, ["--paper-suite", "--seed", "0"]),
         (None, ["--paper-suite", "--seed", "3"]),
         (None, ["primes", "--up-to", "300"]),

@@ -10,8 +10,8 @@ explicit coefficient-grid formula satisfies alpha^2 = id and restricts to
 conjugation on E, but it is provably NOT anti-multiplicative (applying
 anti-multiplicativity to the defining relation z*theta = zeta_3*theta*z
 would force conj(zeta_3) = zeta_3).  The test states the criterion as
-given and is expected to fail on that sub-check; see README
-("Known limitation") and the decisions ledger for the full analysis.
+given and is expected to fail on that sub-check; README, "Known
+limitation", gives the full analysis.
 """
 
 import math

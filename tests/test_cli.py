@@ -65,18 +65,29 @@ def test_verify_algebra_nongalois(capsys):
     assert suite["alpha_squared_is_identity"]["value"] is True
 
 
-def test_verify_algebra_precision_cap(capsys):
-    # v_7(a^2) = 40: the witness valuation needs a cap above 40
+def test_verify_algebra_exact_valuations(capsys):
+    # v_7(a^2) = 40: the valuations are exact however large they are
     a = "*".join(["7"] * 20)
     code, rep = run(["verify-algebra", "--a", a, "--samples", "2"], capsys)
     assert (code, rep["status"]) == (1, "fail")       # the involution laws fail
-    assert "conditions" not in rep["results"]
-    assert any("--precision 8" in note for note in rep["notes"])
-    code, rep = run(["verify-algebra", "--a", a, "--samples", "2", "--precision", "41"], capsys)
-    assert code == 1
     conds = rep["results"]["conditions"]
     assert conds["division_condition"]["value"] is True
     assert conds["unit_norm_condition"]["value"] is False
+    assert rep["results"]["obstruction_at_witness"]["valuations"]["value"] == [20, 20]
+    code, _ = run(["verify-algebra", "--a", a, "--precision", "41"], capsys)
+    assert code == 64                                  # no such option
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-algebra", "--kind", "galois", "--b", "2"],
+    ["verify-algebra", "--kind", "nongalois", "--a", "2"],
+    ["verify-algebra", "--a", "True"],                 # a bool is not an integer
+    ["verify-algebra", "--a", "False"],
+    ["--paper-suite", "primes", "--up-to", "10"],
+], ids=["b-with-galois", "a-with-nongalois", "a-True", "a-False", "paper-suite-with-command"])
+def test_ignored_or_non_integer_input_is_usage_error(capsys, argv):
+    code, rep = run(argv, capsys)
+    assert (code, rep["command"]) == (64, "usage-error")
 
 
 def test_verify_algebra_bad_expression(capsys):
@@ -156,13 +167,12 @@ def test_primes(capsys):
     assert rep["results"]["good_primes"]["value"] == [2, 5, 11, 17, 23, 29]
 
 
-def test_finite_group_and_env_ceiling(capsys, monkeypatch):
+def test_finite_group_and_ceiling(capsys):
     code, rep = run(["finite-group", "--q", "2"], capsys)
     assert code == 0 and rep["results"]["order"]["value"] == 216
     assert rep["results"]["order"]["method"] == "enumerated"
-    monkeypatch.setenv(cli.ENUM_CEILING_ENV, "10")
-    code, _ = run(["finite-group", "--q", "2"], capsys)
-    assert code == 2
+    code, rep = run(["finite-group", "--q", "2", "--ceiling", "10"], capsys)
+    assert (code, rep["inputs"]["ceiling"]) == (2, 10)
 
 
 def test_random_bigraph_deterministic(capsys):

@@ -164,6 +164,16 @@ def test_expansion_ceiling():
         expansion_coefficient(complete_bipartite(11, 11), ceiling=20)
 
 
+@pytest.mark.parametrize("g, c, subset", [
+    (cycle(16), Fraction(1, 4), tuple(range(8))),
+    (random_biregular(4, 12, 9, 3, seed=3), Fraction(1, 2), tuple(range(4, 12))),
+], ids=["C16", "biregular-9-3"])
+def test_expansion_pinned_minimiser(g, c, subset):
+    # the first minimiser in scan order (subsets as bitmasks, ascending) wins
+    rep = expansion_coefficient(g)
+    assert (rep.c, rep.minimizing_subset) == (c, subset)
+
+
 # ---------------------------------------------------------------------------
 # Bounds
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Unit tests for exact arithmetic in E = Q(sqrt(-3)) and L = Q(zeta_9)."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -240,6 +241,63 @@ def test_obstruction_example():
 def test_obstruction_inapplicable_prime():
     with pytest.raises(ValueError):
         local_norm_obstruction(QuadElem(1), 5)   # inert, not split
+
+
+# split primes of residue degree 3 in L below 200: where the obstruction applies
+_WITNESSES = [p for p in range(5, 200) if is_prime(p) and splitting_data(p) == ("split", 3)]
+_REFERENCE_PRECISION = 130   # above every valuation the strategy below can reach
+
+
+def _v(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _clear_denominators(a):
+    """(u, v, d) with a = (u + v*w) / d."""
+    x, y = a.coeffs
+    d = math.lcm(x.denominator, y.denominator)
+    return int(x * d), int(y * d), d
+
+
+def _reference_valuations(a, p):
+    """Valuations of both p-adic images of a, from residues mod p^130."""
+    mod = p ** _REFERENCE_PRECISION
+    r = hensel_sqrt_minus3(p, _REFERENCE_PRECISION)
+    u, v, d = _clear_denominators(a)
+    vals = []
+    for root in (r, -r % mod):
+        image = (u + v * (1 + root) * pow(2, -1, mod)) % mod
+        assert image, "valuation at or above the reference precision"
+        vals.append(_v(image, p) - _v(d, p))
+    return tuple(vals)
+
+
+_coords = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=1000)
+_nonzero_elements = st.one_of(
+    st.tuples(_coords, _coords).filter(any).map(lambda xy: QuadElem(*xy)),
+    st.integers(0, 61).map(lambda k: QuadElem(7 ** k)),   # v_7(a^2) up to 122
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_nonzero_elements)
+def test_obstruction_valuation_law(a):
+    """v1 + v2 = v_p(u^2 + uv + v^2) - 2 v_p(d), and both valuations are exact."""
+    u, v, d = _clear_denominators(a)
+    for p in _WITNESSES:
+        vals = local_norm_obstruction(a, p).valuations
+        assert sum(vals) == _v(u * u + u * v + v * v, p) - 2 * _v(d, p)
+        assert vals == _reference_valuations(a, p)
+
+
+def test_obstruction_high_valuation():
+    rep = local_norm_obstruction(QuadElem(7 ** 61), 7)
+    assert rep.valuations == (61, 61) and rep.valuations_mod_3 == frozenset({1})
+    assert local_norm_obstruction(QuadElem(7 ** 122), 7).valuations_mod_3 == frozenset({2})
 
 
 def test_is_prime():
