@@ -7,10 +7,11 @@ codes 0 (pass), 1 (fail), 2 (precondition violated / inconclusive), and
 tags: exact | enumerated | formula | floating(tolerance).
 
 The brute-force commands (expansion, tree, finite-group) take their scan
-ceiling as --ceiling, and the report's inputs record the ceiling that
-applied.  Options that do not apply to the chosen command
-(--a with --kind nongalois, --b with --kind galois, --paper-suite with a
-subcommand) are usage errors, not ignored.
+ceiling as --ceiling, refuse a run above it with exit 2, and the report's
+inputs record the ceiling that applied.  Options that do not apply to the
+chosen command (--a with --kind nongalois, --b with --kind galois,
+--paper-suite or the top-level --seed with a subcommand, --samples below 1)
+are usage errors, not ignored.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def parse_quad(expr: str) -> QuadElem:
 
     try:
         return ev(ast.parse(expr, mode="eval"))
-    except (SyntaxError, ZeroDivisionError) as exc:
+    except (SyntaxError, ZeroDivisionError, RecursionError) as exc:   # too deeply nested
         raise UsageError(f"cannot parse field element {expr!r}: {exc}") from exc
 
 
@@ -123,6 +124,8 @@ _INVOLUTION_LAWS = {
 
 
 def cmd_verify_algebra(args):
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
     if args.kind == "galois":
         if args.b is not None:
             raise UsageError("--b applies to --kind nongalois only")
@@ -209,7 +212,7 @@ def cmd_certify(args):
 def cmd_spectrum(args):
     g = graphs.load_graph(args.graph)
     rep = graphs.analyze_structure(g)
-    s = graphs._spectrum(g, rep.bipartition, args.tolerance)
+    s = graphs.spectrum(g, args.tolerance)
     results = {
         "eigenvalues": floating(list(s.values), s.tolerance),
         "eigenproblem": exact(list(s.eigenproblem)),
@@ -270,7 +273,10 @@ def cmd_primes(args):
 
 def cmd_finite_group(args):
     rep = lattices.enumerate_su3(args.q, args.n, args.ceiling)
-    results = rep.as_dict()
+    results = {"q": rep.q, "n": rep.n, "order": tag(rep.order, rep.order_method)}
+    if rep.n == 2:
+        results.update(level1_order=tag(rep.level1_order, "enumerated"),
+                       kernel_size=tag(rep.kernel_size, "enumerated"), surjective=rep.surjective)
     results["formula_order_level1"] = tag(lattices.su3_order_formula(args.q), "formula")
     return results, EXIT_PASS, []
 
@@ -373,8 +379,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ramanujan-bigraphs", description=__doc__)
     parser.add_argument("--paper-suite", action="store_true",
                         help="run the condensed verification battery")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the paper suite")
+    parser.add_argument("--seed", type=int, dest="suite_seed",
+                        help="seed for the paper suite (default 0); a subcommand "
+                             "takes its own --seed after its name")
     parser.set_defaults(func=cmd_paper_suite)    # each subcommand sets its own
     sub = parser.add_subparsers(dest="command")
 
@@ -439,23 +446,29 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     inputs = {}
     try:
-        args = parser.parse_args(argv)
-        if args.paper_suite and args.command:
-            raise UsageError("--paper-suite takes no subcommand")
-        if not (args.paper_suite or args.command):
+        # "seed" leads the inputs of the commands that take one; the others
+        # leave it None and it is dropped below
+        args = parser.parse_args(argv, argparse.Namespace(seed=None))
+        if args.command:
+            if args.paper_suite:
+                raise UsageError("--paper-suite takes no subcommand")
+            if args.suite_seed is not None:
+                raise UsageError(f"--seed before the subcommand applies to --paper-suite "
+                                 f"only; put it after {args.command}")
+        elif args.paper_suite:
+            args.seed = args.suite_seed or 0
+        else:
             raise UsageError("a subcommand or --paper-suite is required")
         # a precondition-error report keeps the inputs too: they hold the
         # ceiling that refused the run
-        inputs = {
-            k: v for k, v in vars(args).items() if k not in ("func", "paper_suite") and v is not None
-        }
+        inputs = {k: v for k, v in vars(args).items()
+                  if k not in ("func", "paper_suite", "suite_seed") and v is not None}
         command = args.command or "paper-suite"
         results, code, notes = args.func(args)
     except UsageError as exc:
         _emit("usage-error", {}, {"error": str(exc)}, EXIT_USAGE, "error", [], start)
         return EXIT_USAGE
-    except (graphs.GraphClassError, graphs.SpectralStructureError, trees.GraphClassError,
-            lattices.LatticeError) as exc:
+    except (graphs.GraphClassError, graphs.SpectralStructureError, lattices.LatticeError) as exc:
         _emit("precondition-error", inputs, {"error": str(exc)}, EXIT_PRECONDITION, "error", [],
               start)
         return EXIT_PRECONDITION

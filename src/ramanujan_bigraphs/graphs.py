@@ -350,7 +350,7 @@ def expansion_coefficient(
     if g.n < 2:
         raise GraphError("expansion needs at least two vertices")
     if g.n > ceiling:
-        raise GraphError(
+        raise GraphClassError(
             f"n={g.n} exceeds the brute-force ceiling {ceiling}; "
             "use the spectral report instead"
         )

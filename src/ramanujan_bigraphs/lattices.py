@@ -4,7 +4,9 @@ congruence-tower index bookkeeping.
 
 The integral model is O_E = Z[omega] with omega^2 = omega - 1 throughout;
 this is the maximal order, so reduction mod 2 is correct (x^2 - x + 1 is
-irreducible over F_2, unlike x^2 + 3).
+irreducible over F_2, unlike x^2 + 3).  Every residue ring O_E/q^n, inert or
+split q, is written in the same omega basis, with the formulas of
+``numberfield.QuadElem``.
 
 This module computes the finite reduction targets SU_3(O_E / q^n) and the
 indices between congruence levels; it never constructs the S-arithmetic
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -69,32 +71,27 @@ def good_primes_up_to(n: int) -> List[int]:
 # ---------------------------------------------------------------------------
 
 class ResidueRing:
-    """O_E / q^n: pairs (x, y) mod q^n.
+    """O_E / q^n = (Z/q^n)[omega]/(omega^2 - omega + 1) for unramified q.
 
-    inert kind: x + y*omega in (Z/q^n)[omega]/(omega^2 - omega + 1);
-    split kind: the product ring (Z/q^n) x (Z/q^n), conjugation swaps
-    coordinates.
+    Elements are pairs (x, y) mod q^n standing for x + y*omega, for inert
+    and split q alike (for split q the ring is isomorphic to Z/q^n x Z/q^n).
+    The operations are elementwise, so x and y may also be numpy integer
+    arrays.
     """
 
+    one = (1, 0)
+
     def __init__(self, q: int, n: int = 1):
-        cls = classify_prime(q)
-        if cls.cls == RAMIFIED:
+        if classify_prime(q).cls == RAMIFIED:
             raise LatticeError("ramified residue rings (q = 3) are out of scope")
         if n < 1:
             raise LatticeError("exponent must be >= 1")
         self.q = q
         self.n = n
-        self.kind = cls.cls
         self.modulus = q ** n
 
-    # elements are pairs (x, y) with 0 <= x, y < modulus; the operations are
-    # elementwise, so x and y may also be numpy integer arrays
     def element(self, x: int, y: int) -> Tuple[int, int]:
         return (x % self.modulus, y % self.modulus)
-
-    @property
-    def one(self) -> Tuple[int, int]:
-        return (1, 0) if self.kind == INERT else (1, 1)
 
     def add(self, a, b):
         return ((a[0] + b[0]) % self.modulus, (a[1] + b[1]) % self.modulus)
@@ -103,28 +100,24 @@ class ResidueRing:
         return ((a[0] - b[0]) % self.modulus, (a[1] - b[1]) % self.modulus)
 
     def mul(self, a, b):
+        # (x1 + y1 w)(x2 + y2 w) with w^2 = w - 1
         m = self.modulus
-        if self.kind == INERT:
-            # (x1 + y1 w)(x2 + y2 w) with w^2 = w - 1
-            return (
-                (a[0] * b[0] - a[1] * b[1]) % m,
-                (a[0] * b[1] + a[1] * b[0] + a[1] * b[1]) % m,
-            )
-        return ((a[0] * b[0]) % m, (a[1] * b[1]) % m)
+        return (
+            (a[0] * b[0] - a[1] * b[1]) % m,
+            (a[0] * b[1] + a[1] * b[0] + a[1] * b[1]) % m,
+        )
 
     def conj(self, a):
-        m = self.modulus
-        if self.kind == INERT:
-            # conj(x + y w) = x + y - y w
-            return ((a[0] + a[1]) % m, (-a[1]) % m)
-        return (a[1], a[0])
+        # conj(x + y w) = x + y - y w
+        return ((a[0] + a[1]) % self.modulus, (-a[1]) % self.modulus)
 
     def norm(self, a) -> int:
         """Norm to Z/q^n: a * conj(a)."""
-        m = self.modulus
-        if self.kind == INERT:
-            return (a[0] * a[0] + a[0] * a[1] + a[1] * a[1]) % m
-        return (a[0] * a[1]) % m
+        return (a[0] * a[0] + a[0] * a[1] + a[1] * a[1]) % self.modulus
+
+    def hermitian(self, u, v):
+        """Hermitian product sum_i conj(u_i) v_i of two columns."""
+        return reduce(self.add, (self.mul(self.conj(a), b) for a, b in zip(u, v)))
 
     def inv(self, a):
         nrm = self.norm(a)
@@ -134,6 +127,11 @@ class ResidueRing:
             raise LatticeError(f"{a} is a zero divisor in O_E/{self.q}^{self.n}") from exc
         c = self.conj(a)
         return ((c[0] * nrm_inv) % self.modulus, (c[1] * nrm_inv) % self.modulus)
+
+
+def _equal(a, b):
+    """Elementwise equality of two (arrays of) ring elements."""
+    return (a[0] == b[0]) & (a[1] == b[1])
 
 
 # ---------------------------------------------------------------------------
@@ -161,35 +159,17 @@ class FiniteGroupReport:
     surjective: Optional[bool] = None
     elements: Optional[Tuple] = None      # enumerated matrices at n = 1
 
-    def as_dict(self) -> Dict:
-        out = {
-            "q": self.q,
-            "n": self.n,
-            "order": {"value": self.order, "method": self.order_method},
-        }
-        if self.level1_order is not None:
-            out["level1_order"] = {"value": self.level1_order, "method": "enumerated"}
-        if self.kernel_size is not None:
-            out["kernel_size"] = {"value": self.kernel_size, "method": "enumerated"}
-        if self.surjective is not None:
-            out["surjective"] = self.surjective
-        return out
-
 
 def _unitary_det_mask(x, y, ring: ResidueRing):
     """Boolean mask of the matrices g = x + y*omega (component arrays of shape
     (k, 3, 3)) with conj-transpose(g) g = I and det(g) = 1 in ``ring``."""
     g = [[(x[:, i, j], y[:, i, j]) for j in range(3)] for i in range(3)]
-    cg = [[ring.conj(e) for e in row] for row in g]
+    cols = list(zip(*g))
     mask = np.ones(len(x), dtype=bool)
     # conj(g)^T g is Hermitian, so its upper triangle decides whether it is I
     for i in range(3):
         for j in range(i, 3):
-            c = ring.mul(cg[0][i], g[0][j])
-            for t in (1, 2):
-                c = ring.add(c, ring.mul(cg[t][i], g[t][j]))
-            want = ring.one if i == j else (0, 0)
-            mask &= (c[0] == want[0]) & (c[1] == want[1])
+            mask &= _equal(ring.hermitian(cols[i], cols[j]), ring.one if i == j else (0, 0))
 
     def minor(i1, j1, i2, j2):
         return ring.sub(ring.mul(g[i1][j1], g[i2][j2]), ring.mul(g[i1][j2], g[i2][j1]))
@@ -199,7 +179,7 @@ def _unitary_det_mask(x, y, ring: ResidueRing):
         ring.sub(ring.mul(g[0][0], minor(1, 1, 2, 2)), ring.mul(g[0][1], minor(1, 0, 2, 2))),
         ring.mul(g[0][2], minor(1, 0, 2, 1)),
     )
-    return mask & (det[0] == ring.one[0]) & (det[1] == ring.one[1])
+    return mask & _equal(det, ring.one)
 
 
 def _su3_fibre(bx, by, s: int, ring: ResidueRing):
@@ -223,18 +203,11 @@ def _su3_fibre(bx, by, s: int, ring: ResidueRing):
         x, y = lifted[j]
         return ((x[b, i, k], y[b, i, k]) for i in range(3))
 
-    def dot(u, v):
-        """Hermitian product sum_i conj(u_i) v_i of two columns."""
-        return reduce(ring.add, (ring.mul(ring.conj(a), b) for a, b in zip(u, v)))
-
-    def equal(a, b):
-        return (a[0] == b[0]) & (a[1] == b[1])
-
-    base, k0 = np.nonzero(equal(dot(column(0), column(0)), ring.one))
-    unit1 = equal(dot(column(1), column(1)), ring.one)
+    base, k0 = np.nonzero(_equal(ring.hermitian(column(0), column(0)), ring.one))
+    unit1 = _equal(ring.hermitian(column(1), column(1)), ring.one)
     pair, k1 = np.nonzero(unit1[base])            # the unit columns 1 of the same base
     base, k0 = base[pair], k0[pair]
-    orth = equal(dot(column(0, base, k0), column(1, base, k1)), (0, 0))
+    orth = _equal(ring.hermitian(column(0, base, k0), column(1, base, k1)), (0, 0))
     base, k0, k1 = base[orth], k0[orth], k1[orth]
     c0, c1 = list(column(0, base, k0)), list(column(1, base, k1))
     c2 = [ring.conj(ring.sub(ring.mul(c0[i1], c1[i2]), ring.mul(c0[i2], c1[i1])))
@@ -306,16 +279,14 @@ class IndexEntry:
     method: str       # enumerated | formula
 
 
-def congruence_tower(
-    q: int, n_max: int, p: int, ceiling: int = DEFAULT_ENUM_CEILING
-) -> List[IndexEntry]:
+def congruence_tower(q: int, n_max: int, p: int) -> List[IndexEntry]:
     """Indices [Gamma(q^k) : Gamma(q^(k+1))] for 0 <= k < n_max.
 
     By strong approximation these equal the kernel sizes of the residue-group
     reductions: the full residue group order at k = 0 and q^8 (the Lie
     algebra dimension of SU_3/SL_3 is 8) for k >= 1.  Enumerated values are
-    used where feasible (inert q = 2), formula values otherwise, each entry
-    method-tagged.  Requires q != p per the construction's hypothesis.
+    used where q^18 is within ``DEFAULT_ENUM_CEILING`` (inert q = 2), formula
+    values otherwise, each entry method-tagged.  Requires q != p per the construction's hypothesis.
     """
     if not is_prime(p):
         raise LatticeError(f"p = {p} is not prime")
@@ -328,8 +299,8 @@ def congruence_tower(
         raise LatticeError("ramified q = 3 towers are out of scope")
     if n_max < 1:
         raise LatticeError("n_max must be >= 1")
-    if cls.cls == INERT and q ** 18 <= ceiling:
-        report = enumerate_su3(q, min(n_max, 2), ceiling)
+    if cls.cls == INERT and q ** 18 <= DEFAULT_ENUM_CEILING:
+        report = enumerate_su3(q, min(n_max, 2))
         first = [report.level1_order, report.kernel_size] if n_max > 1 else [report.order]
         method = "enumerated"
     else:

@@ -83,7 +83,7 @@ def biregular_tree_ball(
     counts = level_counts_closed_form(l, m, radius, root_side)
     total = sum(counts)
     if total > ceiling:
-        raise GraphError(
+        raise GraphClassError(
             f"ball would have {total} vertices, exceeding the ceiling {ceiling}"
         )
     edges: List[Tuple[int, int]] = []

@@ -84,7 +84,13 @@ def test_verify_algebra_exact_valuations(capsys):
     ["verify-algebra", "--a", "True"],                 # a bool is not an integer
     ["verify-algebra", "--a", "False"],
     ["--paper-suite", "primes", "--up-to", "10"],
-], ids=["b-with-galois", "a-with-nongalois", "a-True", "a-False", "paper-suite-with-command"])
+    ["--seed", "5", "verify-algebra", "--samples", "1"],   # the subcommand's --seed follows it
+    ["verify-algebra", "--samples", "0"],
+    ["verify-algebra", "--samples", "-3"],
+    ["verify-algebra", "--a=" + "+".join(["1"] * 3000)],    # nested too deep to evaluate
+    ["verify-algebra", "--a=" + "-" * 3000 + "1"],
+], ids=["b-with-galois", "a-with-nongalois", "a-True", "a-False", "paper-suite-with-command",
+        "seed-before-command", "samples-0", "samples-negative", "deep-sum", "deep-negation"])
 def test_ignored_or_non_integer_input_is_usage_error(capsys, argv):
     code, rep = run(argv, capsys)
     assert (code, rep["command"]) == (64, "usage-error")
@@ -167,12 +173,18 @@ def test_primes(capsys):
     assert rep["results"]["good_primes"]["value"] == [2, 5, 11, 17, 23, 29]
 
 
-def test_finite_group_and_ceiling(capsys):
+def test_finite_group_and_ceiling(tmp_path, capsys):
     code, rep = run(["finite-group", "--q", "2"], capsys)
     assert code == 0 and rep["results"]["order"]["value"] == 216
     assert rep["results"]["order"]["method"] == "enumerated"
-    code, rep = run(["finite-group", "--q", "2", "--ceiling", "10"], capsys)
-    assert (code, rep["inputs"]["ceiling"]) == (2, 10)
+    # every brute-force scan refuses a run above its ceiling the same way
+    c22 = write_graph(tmp_path, graphs.cycle(22))
+    for argv, ceiling in ((["finite-group", "--q", "2", "--ceiling", "10"], 10),
+                          (["tree", "--l", "9", "--m", "3", "--radius", "4", "--ceiling", "5"], 5),
+                          (["expansion", c22], 20)):
+        code, rep = run(argv, capsys)
+        assert (code, rep["command"], rep["inputs"]["ceiling"]) == \
+            (2, "precondition-error", ceiling)
 
 
 def test_random_bigraph_deterministic(capsys):

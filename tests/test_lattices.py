@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramanujan_bigraphs.lattices import (
     INERT,
@@ -21,7 +22,7 @@ from ramanujan_bigraphs.lattices import (
     sl3_order_formula,
     su3_order_formula,
 )
-from ramanujan_bigraphs.numberfield import is_prime
+from ramanujan_bigraphs.numberfield import QuadElem, is_prime
 
 
 def test_classification_examples():
@@ -61,11 +62,30 @@ def test_residue_ring_f4():
 
 
 def test_residue_ring_split():
+    # split q uses the omega basis too: conj(2 + 5w) = 7 - 5w, norm 4 + 10 + 25 = 39
     r = ResidueRing(7, 1)
-    assert r.conj((2, 5)) == (5, 2)
-    assert r.norm((2, 5)) == 10 % 7
+    assert r.conj((2, 5)) == (0, 2)
+    assert r.norm((2, 5)) == 4
+    assert r.norm((4, 1)) == 0     # w - 3: 3 is a square root of -3 mod 7
     with pytest.raises(LatticeError):
-        r.inv((0, 3))        # zero divisor
+        r.inv((4, 1))        # zero divisor
+
+
+@settings(max_examples=50, deadline=None)
+@given(q=st.sampled_from([2, 5, 7, 13]), n=st.sampled_from([1, 2]),
+       a=st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6)),
+       b=st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6)))
+def test_residue_ring_is_quadelem_mod_q_power(q, n, a, b):
+    # O_E/q^n is Z[w] reduced mod q^n, for inert and split q alike
+    r = ResidueRing(q, n)
+    ea, eb = QuadElem(*a), QuadElem(*b)
+
+    def reduced(e):
+        return r.element(int(e.x), int(e.y))
+
+    assert r.mul(r.element(*a), r.element(*b)) == reduced(ea * eb)
+    assert r.conj(r.element(*a)) == reduced(ea.conj())
+    assert r.norm(r.element(*a)) == int(ea.norm()) % r.modulus
 
 
 def test_residue_ring_norm_multiplicative():
@@ -185,7 +205,7 @@ def test_congruence_tower_level1_only():
 
 
 def test_congruence_tower_inert_formula():
-    entries = congruence_tower(5, 2, p=2, ceiling=100)   # too big to enumerate
+    entries = congruence_tower(5, 2, p=2)   # 5^18 candidates: too many to enumerate
     assert [e.index for e in entries] == [su3_order_formula(5), 5 ** 8]
     assert entries[0].method == "formula"
 
