@@ -10,8 +10,9 @@ The brute-force commands (expansion, tree, finite-group) take their scan
 ceiling as --ceiling, refuse a run above it with exit 2, and the report's
 inputs record the ceiling that applied.  Options that do not apply to the
 chosen command (--a with --kind nongalois, --b with --kind galois,
---paper-suite or the top-level --seed with a subcommand, --samples below 1)
-are usage errors, not ignored.
+--paper-suite or the top-level --seed with a subcommand) are usage errors,
+not ignored, and so are numeric options out of range (--samples or
+--witness-limit below 1, --radius below 0, --up-to below 2).
 """
 
 from __future__ import annotations
@@ -126,6 +127,8 @@ _INVOLUTION_LAWS = {
 def cmd_verify_algebra(args):
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
+    if args.witness_limit < 1:
+        raise UsageError("--witness-limit must be at least 1")
     if args.kind == "galois":
         if args.b is not None:
             raise UsageError("--b applies to --kind nongalois only")
@@ -242,6 +245,8 @@ def cmd_expansion(args):
 
 
 def cmd_tree(args):
+    if args.radius < 0:
+        raise UsageError("--radius must be at least 0")
     ball = trees.biregular_tree_ball(args.l, args.m, args.radius, args.root_side, args.ceiling)
     if args.out:
         graphs.save_graph(ball.graph, args.out)
@@ -262,6 +267,8 @@ def cmd_tree(args):
 
 
 def cmd_primes(args):
+    if args.up_to < 2:
+        raise UsageError("--up-to must be at least 2")
     primes = lattices.good_primes_up_to(args.up_to)
     classes = {
         str(p): exact(lattices.classify_prime(p).cls)

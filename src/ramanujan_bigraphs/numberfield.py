@@ -1,8 +1,9 @@
 """Exact arithmetic in Q(sqrt(-3)), Q(zeta_9), and cubic radical extensions.
 
-Everything here is exact: elements carry Fraction coefficients and equality is
-structural, never tolerance-based.  The three fields are polynomial quotients
-sharing one kernel, :class:`PolyElem`:
+Everything here is exact: an element of E or L is a tuple of integer
+numerators over one positive denominator, kept in lowest terms, so equality
+and hashing are structural, never tolerance-based.  The three fields are
+polynomial quotients sharing one kernel, :class:`PolyElem`:
 
 * E = Q(sqrt(-3)) = Q[w]/(w^2 - w + 1), on the integral basis {1, w} with
   w = (1+sqrt(-3))/2, which keeps residue-ring reduction correct even at 2;
@@ -11,6 +12,7 @@ sharing one kernel, :class:`PolyElem`:
 
 Reduction and the Galois actions are precomputed linear maps on coefficient
 vectors; relative norms, traces and inverses follow from the Galois generator.
+``coeffs`` (and ``x``, ``y`` on E) read the coefficients as Fractions.
 """
 
 from __future__ import annotations
@@ -62,8 +64,20 @@ def _powers(top):
     return images
 
 
+def _over_one_denominator(values) -> tuple:
+    """(numerators, den): the rationals ``values`` over their least common
+    denominator, which leaves gcd(den, *numerators) = 1."""
+    qs = [Fraction(v) for v in values]
+    den = math.lcm(*(q.denominator for q in qs))
+    return tuple(q.numerator * (den // q.denominator) for q in qs), den
+
+
 class PolyElem:
-    """c_0 + c_1 t + ... + c_(n-1) t^(n-1) modulo a fixed monic rule.
+    """(n_0 + n_1 t + ... + n_(n-1) t^(n-1)) / den modulo a fixed monic rule.
+
+    Over Q (E and L) the numerators ``num`` are ints and ``den`` is positive
+    with gcd(den, *num) = 1 after every operation, so the form is canonical.
+    Over E (E(theta)) the numerators are elements of E and den is 1.
 
     A subclass fixes the field: ``_reduction`` maps the 2n-1 coefficients of a
     product to n, ``_galois`` is the generator g of Gal(F/base) and
@@ -72,12 +86,27 @@ class PolyElem:
     subclass overrides ``_to_base``.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
+    _zero = 0
 
-    def _new(self, coeffs: tuple) -> "PolyElem":
-        out = object.__new__(type(self))
-        out.coeffs = coeffs
+    @classmethod
+    def _new(cls, num: tuple, den: int = 1) -> "PolyElem":
+        out = object.__new__(cls)
+        out.num = num
+        out.den = den
         return out
+
+    def _canonical(self, num: tuple, den: int) -> "PolyElem":
+        """num / den in lowest terms."""
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
+        return self._new(num, den)
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _coerce(self, other):
         if isinstance(other, type(self)):
@@ -90,7 +119,10 @@ class PolyElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self._new(tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        d, e = self.den, o.den
+        if d == e:
+            return self._canonical(tuple(a + b for a, b in zip(self.num, o.num)), d)
+        return self._canonical(tuple(a * e + b * d for a, b in zip(self.num, o.num)), d * e)
 
     __radd__ = __add__
 
@@ -98,26 +130,29 @@ class PolyElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self._new(tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        d, e = self.den, o.den
+        if d == e:
+            return self._canonical(tuple(a - b for a, b in zip(self.num, o.num)), d)
+        return self._canonical(tuple(a * e - b * d for a, b in zip(self.num, o.num)), d * e)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return self._new(tuple(-a for a in self.coeffs))
+        return self._new(tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        right = [(j, b) for j, b in enumerate(o.coeffs) if b]
-        prod = [None] * (2 * len(self.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        right = [(j, b) for j, b in enumerate(o.num) if b]
+        prod = [None] * (2 * len(self.num) - 1)
+        for i, a in enumerate(self.num):
             if a:
                 for j, b in right:
                     p = prod[i + j]
                     prod[i + j] = a * b if p is None else p + a * b
-        return self._new(_apply(self._reduction, prod, self._zero))
+        return self._canonical(_apply(self._reduction, prod, self._zero), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -146,24 +181,26 @@ class PolyElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def _to_base(self):
         """The element as one of the fixed field of g; raises if it is not."""
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             raise ValueError(f"element {self!r} does not lie in the base field")
         return self.coeffs[0]
 
     def rho(self) -> "PolyElem":
         """The generator g of Gal(F/base): conj on E, zeta_9 -> zeta_9^4 on L,
         theta -> zeta_3 * theta on E(theta)."""
-        return self._new(_apply(self._galois, self.coeffs, self._zero))
+        # g is a ring automorphism of the integral basis, so its matrix is
+        # unimodular and the numerators stay coprime to den
+        return self._new(_apply(self._galois, self.num, self._zero), self.den)
 
     def _conjugates(self) -> list:
         """g(x), ..., g^(order-1)(x)."""
@@ -198,15 +235,15 @@ class QuadElem(PolyElem):
     """Element x + y*w of Q(sqrt(-3)), with w = (1 + sqrt(-3)) / 2."""
 
     __slots__ = ()
-    _order, _zero = 2, Fraction(0)
+    _order = 2
     _reduction = _linear_map(_powers((-1, 1)))       # w^2 = -1 + w
     _galois = _linear_map([(1, 0), (1, -1)])         # w -> 1 - w
 
     def __init__(self, x: Scalar = 0, y: Scalar = 0):
-        self.coeffs = (Fraction(x), Fraction(y))
+        self.num, self.den = _over_one_denominator((x, y))
 
-    x = property(lambda self: self.coeffs[0])
-    y = property(lambda self: self.coeffs[1])
+    x = property(lambda self: Fraction(self.num[0], self.den))
+    y = property(lambda self: Fraction(self.num[1], self.den))
     conj = PolyElem.rho   # the nontrivial automorphism of E/Q
 
     def from_E(self, e) -> "QuadElem":
@@ -214,13 +251,13 @@ class QuadElem(PolyElem):
 
     @property
     def is_rational(self) -> bool:
-        return self.y == 0
+        return not self.num[1]
 
     def __repr__(self):
         return f"QuadElem({self.x!r}, {self.y!r})"
 
     def __str__(self):
-        if self.y == 0:
+        if self.is_rational:
             return str(self.x)
         return f"({self.x} + {self.y}*w)"
 
@@ -250,16 +287,18 @@ class CycloElem(PolyElem):
     """Element of Q(zeta_9) as c0 + c1 z + ... + c5 z^5, z = zeta_9."""
 
     __slots__ = ()
-    _order, _zero = 3, Fraction(0)
+    _order = 3
     _reduction = _linear_map(_ZETA9_POWERS)
     _galois = _linear_map([_ZETA9_POWERS[4 * i % 9] for i in range(6)])  # zeta_9 -> zeta_9^4
     _tau = _linear_map([_ZETA9_POWERS[8 * i % 9] for i in range(6)])     # zeta_9 -> zeta_9^8
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        c = [Fraction(v) for v in coeffs]
+        num, den = _over_one_denominator(coeffs)
+        c = list(num)
         for k in range(len(c) - 1, 8, -1):   # zeta_9^9 = 1
             c[k - 9] += c.pop()
-        self.coeffs = _apply(self._reduction, c + [None] * (11 - len(c)), self._zero)
+        out = self._canonical(_apply(self._reduction, c + [None] * (11 - len(c)), 0), den)
+        self.num, self.den = out.num, out.den
 
     @classmethod
     def zeta9(cls, k: int = 1) -> "CycloElem":
@@ -272,12 +311,13 @@ class CycloElem(PolyElem):
         """Inverse of embed_E_in_L; raises if the element is not in E."""
         if not is_in_E(self):
             raise ValueError(f"element {self!r} does not lie in Q(sqrt(-3))")
-        # l = c0 + c3 zeta_3 = (c0 - c3) + c3 w
-        return QuadElem(self.coeffs[0] - self.coeffs[3], self.coeffs[3])
+        # l = c0 + c3 zeta_3 = (c0 - c3) + c3 w, still in lowest terms
+        c = self.num
+        return QuadElem._new((c[0] - c[3], c[3]), self.den)
 
     def tau(self) -> "CycloElem":
         """Complex conjugation zeta_9 -> zeta_9^8."""
-        return self._new(_apply(self._tau, self.coeffs, self._zero))
+        return self._new(_apply(self._tau, self.num, 0), self.den)
 
     def from_rationals(self, qs) -> "CycloElem":
         """The element of L with coordinates qs on the power basis."""
@@ -302,12 +342,13 @@ def galois_actions_commute() -> bool:
 
 def embed_E_in_L(e: QuadElem) -> CycloElem:
     """Embed x + y*w into L via w = 1 + zeta_3 = 1 + zeta_9^3."""
-    return CycloElem([e.x + e.y, 0, 0, e.y])
+    x, y = e.num    # gcd(den, x + y, y) = gcd(den, x, y) = 1
+    return CycloElem._new((x + y, 0, 0, y, 0, 0), e.den)
 
 
 def is_in_E(l: CycloElem) -> bool:
-    c = l.coeffs
-    return c[1] == 0 and c[2] == 0 and c[4] == 0 and c[5] == 0
+    c = l.num
+    return not (c[1] or c[2] or c[4] or c[5])
 
 
 def norm_trace_L_over_E(l: CycloElem):
@@ -321,22 +362,27 @@ def norm_trace_L_over_E(l: CycloElem):
 
 
 class CubicExtElem(PolyElem):
-    """Element e0 + e1*theta + e2*theta^2 of E(theta) with theta^3 = b."""
+    """Element e0 + e1*theta + e2*theta^2 of E(theta) with theta^3 = b.
+
+    The numerators are the coefficients in E, over den = 1.
+    """
 
     __slots__ = ("b",)
     _order, _zero = 3, QUAD_ZERO
     _galois = _linear_map([(1, 0, 0), (0, ZETA3_E, 0), (0, 0, ZETA3_E * ZETA3_E)])
 
     def __init__(self, e0, e1=QUAD_ZERO, e2=QUAD_ZERO, *, b: QuadElem):
-        self.coeffs = (_as_quad(e0), _as_quad(e1), _as_quad(e2))
+        self.num = (_as_quad(e0), _as_quad(e1), _as_quad(e2))
+        self.den = 1
         self.b = _as_quad(b)
 
-    def _new(self, coeffs: tuple) -> "CubicExtElem":
-        out = PolyElem._new(self, coeffs)
-        out.b = self.b
+    def _new(self, num: tuple, den: int = 1) -> "CubicExtElem":
+        out = object.__new__(CubicExtElem)
+        out.num, out.den, out.b = num, den, self.b
         return out
 
-    e = property(lambda self: self.coeffs)
+    _canonical = _new    # coefficients in E are canonical themselves
+    coeffs = e = property(lambda self: self.num)
 
     @property
     def _reduction(self):
@@ -361,11 +407,11 @@ class CubicExtElem(PolyElem):
 
     def __eq__(self, other):
         if isinstance(other, CubicExtElem):
-            return self.b == other.b and self.coeffs == other.coeffs
+            return self.b == other.b and self.num == other.num
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.coeffs, self.b))
+        return hash((self.num, self.b))
 
     def __repr__(self):
         return f"CubicExtElem({self.e[0]!r}, {self.e[1]!r}, {self.e[2]!r}, b={self.b!r})"
@@ -499,10 +545,7 @@ def local_norm_obstruction(a: QuadElem, p: int) -> ObstructionReport:
         raise ValueError(f"p={p} has residue degree {f} != 3 in Q(zeta_9)")
     if not a:
         raise ValueError("zero has no valuation")
-    x, y = a.coeffs
-    d = math.lcm(x.denominator, y.denominator)
-    u = int(x * d)
-    v = int(y * d)
+    (u, v), d = a.num, a.den
     precision = _padic_valuation(u * u + u * v + v * v, p) + 1
     mod = p ** precision
     r = hensel_sqrt_minus3(p, precision)

@@ -89,8 +89,13 @@ def test_verify_algebra_exact_valuations(capsys):
     ["verify-algebra", "--samples", "-3"],
     ["verify-algebra", "--a=" + "+".join(["1"] * 3000)],    # nested too deep to evaluate
     ["verify-algebra", "--a=" + "-" * 3000 + "1"],
+    ["verify-algebra", "--witness-limit", "0"],
+    ["verify-algebra", "--witness-limit", "-5", "--samples", "1"],
+    ["tree", "--l", "9", "--m", "3", "--radius", "-1"],
+    ["primes", "--up-to", "1"],
 ], ids=["b-with-galois", "a-with-nongalois", "a-True", "a-False", "paper-suite-with-command",
-        "seed-before-command", "samples-0", "samples-negative", "deep-sum", "deep-negation"])
+        "seed-before-command", "samples-0", "samples-negative", "deep-sum", "deep-negation",
+        "witness-limit-0", "witness-limit-negative", "radius-negative", "up-to-1"])
 def test_ignored_or_non_integer_input_is_usage_error(capsys, argv):
     code, rep = run(argv, capsys)
     assert (code, rep["command"]) == (64, "usage-error")

@@ -1,6 +1,7 @@
 """Unit tests for exact arithmetic in E = Q(sqrt(-3)) and L = Q(zeta_9)."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -140,6 +141,119 @@ def test_tau_laws(x, y):
     assert galois_tau(galois_tau(x)) == x
     assert galois_tau(galois_rho(x)) == galois_rho(galois_tau(x))
     assert galois_tau(x * y) == galois_tau(x) * galois_tau(y)
+
+
+# ---------------------------------------------------------------------------
+# The canonical integer form against a Fraction reference
+# ---------------------------------------------------------------------------
+
+def _poly_mul(a, b, top, mul, add, zero):
+    """a * b modulo the monic rule t^n = sum(top[i] t^i), over any ring."""
+    n = len(a)
+    prod = [zero] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = add(prod[i + j], mul(x, y))
+    for k in range(2 * n - 2, n - 1, -1):
+        c = prod.pop()
+        for i, r in enumerate(top):
+            prod[k - n + i] = add(prod[k - n + i], mul(c, r))
+    return prod
+
+
+def _zip(f, a, b):
+    """f applied coefficientwise, into nested coefficient lists."""
+    return [_zip(f, x, y) if isinstance(x, list) else f(x, y) for x, y in zip(a, b)]
+
+
+def _e_mul(a, b):
+    return _poly_mul(a, b, (-1, 1), operator.mul, operator.add, 0)         # w^2 = -1 + w
+
+
+def _l_mul(a, b):
+    return _poly_mul(a, b, (-1, 0, 0, -1, 0, 0), operator.mul, operator.add, 0)
+
+
+def _t_mul(a, b):
+    radicand = [NONGALOIS_B.x, NONGALOIS_B.y]                            # theta^3 = b
+    e_add = lambda u, v: _zip(operator.add, u, v)
+    return _poly_mul(a, b, (radicand, [0, 0], [0, 0]), _e_mul, e_add, [0, 0])
+
+
+_ZETA9 = [[1, 0, 0, 0, 0, 0]]
+while len(_ZETA9) < 9:
+    _ZETA9.append(_l_mul(_ZETA9[-1], [0, 1, 0, 0, 0, 0]))
+
+
+def _l_map(exponent):
+    """zeta_9 -> zeta_9^exponent on a coefficient list of L."""
+    def image(v):
+        return [sum(c * _ZETA9[exponent * i % 9][j] for i, c in enumerate(v)) for j in range(6)]
+    return image
+
+
+def _t_rho(v):   # theta -> zeta_3 theta, zeta_3 = -1 + w
+    return [v[0], _e_mul(v[1], [-1, 1]), _e_mul(v[2], [0, -1])]
+
+
+# per field: product, Galois generator, and an element of the fixed field as a list
+REFERENCE = {
+    "E": (_e_mul, lambda v: [v[0] + v[1], -v[1]], lambda n: [n, 0]),
+    "L": (_l_mul, _l_map(4), lambda n: [n.x + n.y, 0, 0, n.y, 0, 0]),
+    "E(theta)": (_t_mul, _t_rho, lambda n: [[n.x, n.y], [0, 0], [0, 0]]),
+}
+
+
+def _vec(x):
+    """The coefficients as Fractions, E coefficients as [x, y] lists."""
+    return [[c.x, c.y] if isinstance(c, QuadElem) else c for c in x.coeffs]
+
+
+def _assert_canonical(z):
+    if isinstance(z, Fraction):          # the norm and trace of E lie in Q
+        return
+    if isinstance(z, CubicExtElem):      # coefficients in E, over 1
+        assert z.den == 1
+        for c in z.num:
+            _assert_canonical(c)
+        return
+    assert all(type(c) is int for c in z.num)
+    assert z.den > 0 and math.gcd(z.den, *z.num) == 1
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@given(data=st.data())
+@field_laws
+def test_canonical_form_matches_fraction_reference(field, data):
+    x, y = data.draw(FIELDS[field]), data.draw(FIELDS[field])
+    mul, rho, from_base = REFERENCE[field]
+    X, Y = _vec(x), _vec(y)
+    conjugates = [rho(X)]
+    while len(conjugates) < ORDERS[field] - 1:
+        conjugates.append(rho(conjugates[-1]))
+    norm, trace = X, X
+    for c in conjugates:
+        norm, trace = mul(norm, c), _zip(operator.add, trace, c)
+    checks = [
+        (x + y, _zip(operator.add, X, Y)),
+        (x - y, _zip(operator.sub, X, Y)),
+        (x * y, mul(X, Y)),
+        (x.rho(), conjugates[0]),
+    ]
+    if field == "L":
+        checks.append((galois_tau(x), _l_map(8)(X)))
+    for z, expected in checks:
+        _assert_canonical(z)
+        assert _vec(z) == expected
+    for z, expected in ((x.norm(), norm), (x.trace(), trace)):
+        _assert_canonical(z)
+        assert from_base(z) == expected
+    if x:
+        inv = x.inverse()
+        _assert_canonical(inv)
+        assert mul(X, _vec(inv)) == from_base(1 if field == "E" else QuadElem(1))
+    assert x * y == y * x and hash(x * y) == hash(y * x)
+    assert (x + y) - y == x and hash((x + y) - y) == hash(x)
 
 
 # ---------------------------------------------------------------------------
