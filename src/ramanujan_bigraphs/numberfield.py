@@ -218,12 +218,12 @@ class PolyElem:
         return sum(self._conjugates(), self)._to_base()
 
     def inverse(self) -> "PolyElem":
-        """x^-1 = g(x) ... g^(order-1)(x) / N(x)."""
+        """x^-1 = g(x) ... g^(order-1)(x) / N(x), with N(x) inverted in E."""
         if not self:
             raise ZeroDivisionError(f"inversion of zero in {type(self).__name__}")
         first, *rest = self._conjugates()
         others = math.prod(rest, start=first)
-        return others * (1 / (self * others)._to_base())
+        return others * (self * others)._to_base().inverse()
 
 
 # --------------------------------------------------------------------------
@@ -252,6 +252,14 @@ class QuadElem(PolyElem):
     @property
     def is_rational(self) -> bool:
         return not self.num[1]
+
+    def inverse(self) -> "QuadElem":
+        """x^-1 = conj(x) / N(x): for x = (u + v w)/d, N(x) = (u^2 + uv + v^2)/d^2,
+        and u^2 + uv + v^2 > 0 unless x = 0."""
+        if not self:
+            raise ZeroDivisionError("inversion of zero in QuadElem")
+        (u, v), d = self.num, self.den
+        return self._canonical((d * (u + v), -d * v), u * u + u * v + v * v)
 
     def __repr__(self):
         return f"QuadElem({self.x!r}, {self.y!r})"
