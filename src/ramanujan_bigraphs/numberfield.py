@@ -72,6 +72,15 @@ def _over_one_denominator(values) -> tuple:
     return tuple(q.numerator * (den // q.denominator) for q in qs), den
 
 
+def _lowest_terms(num: tuple, den: int) -> tuple:
+    """(num, den) divided by gcd(den, *num)."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = tuple(c // g for c in num)
+        den //= g
+    return num, den
+
+
 class PolyElem:
     """(n_0 + n_1 t + ... + n_(n-1) t^(n-1)) / den modulo a fixed monic rule.
 
@@ -98,11 +107,7 @@ class PolyElem:
 
     def _canonical(self, num: tuple, den: int) -> "PolyElem":
         """num / den in lowest terms."""
-        g = math.gcd(den, *num)
-        if g != 1:
-            num = tuple(c // g for c in num)
-            den //= g
-        return self._new(num, den)
+        return self._new(*_lowest_terms(num, den))
 
     @property
     def coeffs(self) -> tuple:
@@ -305,8 +310,8 @@ class CycloElem(PolyElem):
         c = list(num)
         for k in range(len(c) - 1, 8, -1):   # zeta_9^9 = 1
             c[k - 9] += c.pop()
-        out = self._canonical(_apply(self._reduction, c + [None] * (11 - len(c)), 0), den)
-        self.num, self.den = out.num, out.den
+        c = _apply(self._reduction, c + [None] * (11 - len(c)), 0)
+        self.num, self.den = _lowest_terms(c, den)
 
     @classmethod
     def zeta9(cls, k: int = 1) -> "CycloElem":
