@@ -125,7 +125,7 @@ class PolyElem:
         if o is NotImplemented:
             return NotImplemented
         d, e = self.den, o.den
-        if d == e:
+        if d == e:    # every E(theta) sum and most L sums; saves 2n products
             return self._canonical(tuple(a + b for a, b in zip(self.num, o.num)), d)
         return self._canonical(tuple(a * e + b * d for a, b in zip(self.num, o.num)), d * e)
 
