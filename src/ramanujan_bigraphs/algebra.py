@@ -226,13 +226,10 @@ def involution(d: AlgebraElem) -> AlgebraElem:
             p.ta_l * t(r(l2)),
             p.ta_l * t(r(r(l1))),
         )
-    # non-Galois kind: transpose the theta/z coefficient grid and conjugate
-    e = [lj.coeffs for lj in d.l]  # e[j][k]: theta^k coefficient of l_j
-    tilde = [
-        CubicExtElem(e[0][j].conj(), e[1][j].conj(), e[2][j].conj(), b=p.b)
-        for j in range(3)
-    ]
-    return AlgebraElem(p, *tilde)
+    # non-Galois kind: transpose the theta/z coefficient grid and conjugate,
+    # so the theta^k coefficient of l_j becomes the theta^j one of entry k
+    grid = zip(*(lj.coeffs for lj in d.l))
+    return AlgebraElem(p, *(CubicExtElem(*(e.conj() for e in col), b=p.b) for col in grid))
 
 
 def involution_failures(params: AlgebraParams, samples: int, rng: random.Random) -> dict:
@@ -266,23 +263,14 @@ def inverse(d: AlgebraElem) -> AlgebraElem:
         raise ZeroDivisionError("element has reduced norm zero")
     m = to_matrix(d)
     inv_n = d.params.l_scalar(n.inverse())
-
-    def cof(i, j):
-        rows = [r for r in range(3) if r != i]
-        cols = [c for c in range(3) if c != j]
-        minor = (
-            m[rows[0]][cols[0]] * m[rows[1]][cols[1]]
-            - m[rows[0]][cols[1]] * m[rows[1]][cols[0]]
-        )
-        return minor if (i + j) % 2 == 0 else -minor
-
-    # row 0 of A^{-1} carries the triple of d^{-1}
-    return AlgebraElem(
-        d.params,
-        inv_n * cof(0, 0),
-        inv_n * cof(1, 0),
-        inv_n * cof(2, 0),
+    # row 0 of A^{-1} = adj(A) / N carries the triple of d^{-1}; it holds the
+    # cofactors of column 0 of A
+    adj = (
+        m[1][1] * m[2][2] - m[1][2] * m[2][1],
+        m[0][2] * m[2][1] - m[0][1] * m[2][2],
+        m[0][1] * m[1][2] - m[0][2] * m[1][1],
     )
+    return AlgebraElem(d.params, *(inv_n * c for c in adj))
 
 
 def is_special_unitary(d: AlgebraElem) -> bool:

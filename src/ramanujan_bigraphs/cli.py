@@ -12,7 +12,8 @@ inputs record the ceiling that applied.  Options that do not apply to the
 chosen command (--a with --kind nongalois, --b with --kind galois,
 --paper-suite or the top-level --seed with a subcommand) are usage errors,
 not ignored, and so are numeric options out of range (--samples or
---witness-limit below 1, --radius below 0, --up-to below 2).
+--witness-limit below 1, --radius below 0, --up-to below 2, a --tolerance
+below 0 or not finite).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 import random
 import sys
 import time
@@ -202,9 +204,15 @@ def _certificate_dict(cert: graphs.RamanujanCertificate):
     return d
 
 
+def _tolerance(args) -> float:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise UsageError("--tolerance must be finite and at least 0")
+    return args.tolerance
+
+
 def cmd_certify(args):
     g = graphs.load_graph(args.graph)
-    cert = graphs.certify_ramanujan(g, args.tolerance)
+    cert = graphs.certify_ramanujan(g, _tolerance(args))
     results = {"certificate": _certificate_dict(cert),
                "eigenproblem": exact(list(cert.eigenproblem))}
     if args.format == "dot":
@@ -215,7 +223,7 @@ def cmd_certify(args):
 def cmd_spectrum(args):
     g = graphs.load_graph(args.graph)
     rep = graphs.analyze_structure(g)
-    s = graphs.spectrum(g, args.tolerance)
+    s = graphs.spectrum(g, _tolerance(args))
     results = {
         "eigenvalues": floating(list(s.values), s.tolerance),
         "eigenproblem": exact(list(s.eigenproblem)),
@@ -280,7 +288,7 @@ def cmd_primes(args):
 
 def cmd_finite_group(args):
     rep = lattices.enumerate_su3(args.q, args.n, args.ceiling)
-    results = {"q": rep.q, "n": rep.n, "order": tag(rep.order, rep.order_method)}
+    results = {"q": rep.q, "n": rep.n, "order": tag(rep.order, "enumerated")}
     if rep.n == 2:
         results.update(level1_order=tag(rep.level1_order, "enumerated"),
                        kernel_size=tag(rep.kernel_size, "enumerated"), surjective=rep.surjective)

@@ -481,8 +481,9 @@ def graph_from_json(doc: dict) -> Graph:
         n = doc["n"]
         edges = tuple(tuple(e) for e in doc["edges"])
         parts = tuple(doc["parts"]) if "parts" in doc and doc["parts"] is not None else None
-        if not isinstance(n, int) or any(len(e) != 2 for e in edges):
-            raise GraphError("malformed graph document")
+        ints = (n, *(v for e in edges for v in e), *(parts or ()))   # bools excluded
+        if any(len(e) != 2 for e in edges) or any(type(v) is not int for v in ints):
+            raise GraphError("malformed graph document: n, edges or parts not integers")
         return Graph(n, edges, parts)
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph document: {exc}") from exc

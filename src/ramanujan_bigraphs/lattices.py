@@ -153,7 +153,6 @@ class FiniteGroupReport:
     q: int
     n: int
     order: int
-    order_method: str                     # enumerated | formula
     level1_order: Optional[int] = None
     kernel_size: Optional[int] = None     # kernel of reduction to level n-1
     surjective: Optional[bool] = None
@@ -252,18 +251,14 @@ def enumerate_su3(
             tuple(tuple(zip(xr, yr)) for xr, yr in zip(xm, ym))
             for xm, ym in zip(x[order].tolist(), y[order].tolist())
         )
-        return FiniteGroupReport(
-            q=q, n=1, order=len(elements), order_method="enumerated", elements=elements,
-        )
+        return FiniteGroupReport(q=q, n=1, order=len(elements), elements=elements)
 
     ring2 = ResidueRing(q, 2)
     eye = np.eye(3, dtype=np.int64)[None]
     kernel_size = len(_su3_fibre(eye, np.zeros_like(eye), q, ring2)[2])
     base = _su3_fibre(x, y, q, ring2)[2]
     return FiniteGroupReport(
-        q=q, n=2, order=len(base), order_method="enumerated",
-        level1_order=len(x),
-        kernel_size=kernel_size,
+        q=q, n=2, order=len(base), level1_order=len(x), kernel_size=kernel_size,
         surjective=bool(np.bincount(base, minlength=len(x)).all()),
     )
 

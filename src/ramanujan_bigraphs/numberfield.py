@@ -1,22 +1,23 @@
 """Exact arithmetic in Q(sqrt(-3)), Q(zeta_9), and cubic radical extensions.
 
-Everything here is exact: an element of E or L is a tuple of integer
-numerators over one positive denominator, kept in lowest terms, so equality
-and hashing are structural, never tolerance-based.  The three fields are
-polynomial quotients sharing one kernel, :class:`PolyElem`:
+Everything here is exact: an element is a tuple of integer numerators over
+one positive denominator, kept in lowest terms, so equality and hashing are
+structural, never tolerance-based.  The three fields are polynomial quotients
+sharing one kernel, :class:`PolyElem`:
 
 * E = Q(sqrt(-3)) = Q[w]/(w^2 - w + 1), on the integral basis {1, w} with
   w = (1+sqrt(-3))/2, which keeps residue-ring reduction correct even at 2;
 * L = Q(zeta_9) = Q[x]/(x^6 + x^3 + 1), on the power basis of zeta_9;
-* E(theta) = E[theta]/(theta^3 - b), with coefficients in E.
+* E(theta) = E[theta]/(theta^3 - b), on the Q-basis theta^k w^j.
 
 Reduction and the Galois actions are precomputed linear maps on coefficient
 vectors; relative norms, traces and inverses follow from the Galois generator.
-``coeffs`` (and ``x``, ``y`` on E) read the coefficients as Fractions.
+``coeffs`` reads the coefficients: Fractions on E and L, elements of E on E(theta).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,20 +37,17 @@ def _linear_map(images):
     return tuple(rows)
 
 
-def _apply(rows, vec, zero):
-    """The linear map ``rows`` applied to vec, in which None stands for 0.
-    Entries +-1 are applied as additions and subtractions."""
+def _apply(rows, vec):
+    """The linear map ``rows`` applied to the integer vector vec.  Entries +-1
+    are applied as additions and subtractions."""
     out = []
     for row in rows:
-        acc = None
+        acc = 0
         for i, s, m in row:
             v = vec[i]
             if v:
-                if acc is None:
-                    acc = v if s > 0 else -v if s < 0 else m * v
-                else:
-                    acc = acc + v if s > 0 else acc - v if s < 0 else acc + m * v
-        out.append(zero if acc is None else acc)
+                acc = acc + v if s > 0 else acc - v if s < 0 else acc + m * v
+        out.append(acc)
     return tuple(out)
 
 
@@ -84,19 +82,18 @@ def _lowest_terms(num: tuple, den: int) -> tuple:
 class PolyElem:
     """(n_0 + n_1 t + ... + n_(n-1) t^(n-1)) / den modulo a fixed monic rule.
 
-    Over Q (E and L) the numerators ``num`` are ints and ``den`` is positive
-    with gcd(den, *num) = 1 after every operation, so the form is canonical.
-    Over E (E(theta)) the numerators are elements of E and den is 1.
+    The numerators ``num`` are ints and ``den`` is positive with
+    gcd(den, *num) = 1 after every operation, so the form is canonical.
 
     A subclass fixes the field: ``_reduction`` maps the 2n-1 coefficients of a
-    product to n, ``_galois`` is the generator g of Gal(F/base) and
-    ``_order`` its order, ``_zero`` is the zero coefficient and ``from_E``
-    embeds E.  The fixed field of g is the coefficient field unless the
-    subclass overrides ``_to_base``.
+    product to n numerators over ``_reduction_den``, ``_galois`` is the
+    generator g of Gal(F/base) and ``_order`` its order, and ``from_E`` embeds
+    E.  The fixed field of g is the coefficient field unless the subclass
+    overrides ``_to_base``.
     """
 
     __slots__ = ("num", "den")
-    _zero = 0
+    _reduction_den = 1
 
     @classmethod
     def _new(cls, num: tuple, den: int = 1) -> "PolyElem":
@@ -125,7 +122,7 @@ class PolyElem:
         if o is NotImplemented:
             return NotImplemented
         d, e = self.den, o.den
-        if d == e:    # every E(theta) sum and most L sums; saves 2n products
+        if d == e:    # most L sums; saves 2n products
             return self._canonical(tuple(a + b for a, b in zip(self.num, o.num)), d)
         return self._canonical(tuple(a * e + b * d for a, b in zip(self.num, o.num)), d * e)
 
@@ -151,13 +148,13 @@ class PolyElem:
         if o is NotImplemented:
             return NotImplemented
         right = [(j, b) for j, b in enumerate(o.num) if b]
-        prod = [None] * (2 * len(self.num) - 1)
+        prod = [0] * (2 * len(self.num) - 1)
         for i, a in enumerate(self.num):
             if a:
                 for j, b in right:
-                    p = prod[i + j]
-                    prod[i + j] = a * b if p is None else p + a * b
-        return self._canonical(_apply(self._reduction, prod, self._zero), self.den * o.den)
+                    prod[i + j] += a * b
+        return self._canonical(_apply(self._reduction, prod),
+                               self.den * o.den * self._reduction_den)
 
     __rmul__ = __mul__
 
@@ -205,7 +202,7 @@ class PolyElem:
         theta -> zeta_3 * theta on E(theta)."""
         # g is a ring automorphism of the integral basis, so its matrix is
         # unimodular and the numerators stay coprime to den
-        return self._new(_apply(self._galois, self.num, self._zero), self.den)
+        return self._new(_apply(self._galois, self.num), self.den)
 
     def _conjugates(self) -> list:
         """g(x), ..., g^(order-1)(x)."""
@@ -310,7 +307,7 @@ class CycloElem(PolyElem):
         c = list(num)
         for k in range(len(c) - 1, 8, -1):   # zeta_9^9 = 1
             c[k - 9] += c.pop()
-        c = _apply(self._reduction, c + [None] * (11 - len(c)), 0)
+        c = _apply(self._reduction, c + [0] * (11 - len(c)))
         self.num, self.den = _lowest_terms(c, den)
 
     @classmethod
@@ -330,7 +327,7 @@ class CycloElem(PolyElem):
 
     def tau(self) -> "CycloElem":
         """Complex conjugation zeta_9 -> zeta_9^8."""
-        return self._new(_apply(self._tau, self.num, 0), self.den)
+        return self._new(_apply(self._tau, self.num), self.den)
 
     def from_rationals(self, qs) -> "CycloElem":
         """The element of L with coordinates qs on the power basis."""
@@ -377,57 +374,72 @@ def norm_trace_L_over_E(l: CycloElem):
 class CubicExtElem(PolyElem):
     """Element e0 + e1*theta + e2*theta^2 of E(theta) with theta^3 = b.
 
-    The numerators are the coefficients in E, over den = 1.
+    The numerators sit on the Q-basis theta^k w^j at slot 3k + j.  Slot 3k + 2
+    stays 0, so the w^2 terms of a product land in slots of their own, not in
+    theta^(k+1).  Each radicand b has its own subclass, made by _cubic_field.
     """
 
-    __slots__ = ("b",)
-    _order, _zero = 3, QUAD_ZERO
-    _galois = _linear_map([(1, 0, 0), (0, ZETA3_E, 0), (0, 0, ZETA3_E * ZETA3_E)])
+    __slots__ = ()
+    _order = 3
 
-    def __init__(self, e0, e1=QUAD_ZERO, e2=QUAD_ZERO, *, b: QuadElem):
-        self.num = (_as_quad(e0), _as_quad(e1), _as_quad(e2))
-        self.den = 1
-        self.b = _as_quad(b)
+    def __new__(cls, *coeffs, b):
+        return object.__new__(_cubic_field(_as_quad(b)))
 
-    def _new(self, num: tuple, den: int = 1) -> "CubicExtElem":
-        out = object.__new__(CubicExtElem)
-        out.num, out.den, out.b = num, den, self.b
-        return out
+    def __init__(self, e0, e1=QUAD_ZERO, e2=QUAD_ZERO, *, b):
+        es = [_as_quad(e) for e in (e0, e1, e2)]
+        self.den = math.lcm(*(e.den for e in es))    # in lowest terms, as each e is
+        self.num = tuple(c * (self.den // e.den) for e in es for c in (*e.num, 0))
 
-    _canonical = _new    # coefficients in E are canonical themselves
-    coeffs = e = property(lambda self: self.num)
-
-    @property
-    def _reduction(self):
-        b = self.b    # theta^3 = b, theta^4 = b * theta
-        return (((0, 1, 1), (3, 0, b)), ((1, 1, 1), (4, 0, b)), ((2, 1, 1),))
+    coeffs = e = property(lambda self: tuple(
+        QuadElem._new(*_lowest_terms(self.num[k:k + 2], self.den)) for k in (0, 3, 6)))
 
     @classmethod
     def scalar(cls, v, b: QuadElem) -> "CubicExtElem":
-        return cls(v, QUAD_ZERO, QUAD_ZERO, b=b)
+        return cls(v, b=b)
 
     def from_E(self, e) -> "CubicExtElem":
-        return CubicExtElem.scalar(e, self.b)
+        e = _as_quad(e)
+        return self._new(e.num + (0,) * 7, e.den)
 
     def from_rationals(self, qs) -> "CubicExtElem":
         """The element with coordinates qs on the basis theta^k, theta^k w."""
-        return CubicExtElem(*(QuadElem(x, y) for x, y in zip(qs[::2], qs[1::2])), b=self.b)
+        n, den = _over_one_denominator(qs)
+        return self._new((n[0], n[1], 0, n[2], n[3], 0, n[4], n[5], 0), den)
+
+    def _to_base(self) -> QuadElem:
+        if any(self.num[2:]):
+            raise ValueError(f"element {self!r} does not lie in Q(sqrt(-3))")
+        return QuadElem._new(self.num[:2], self.den)
 
     def _coerce(self, other):
-        if isinstance(other, CubicExtElem) and other.b is not self.b and other.b != self.b:
+        if isinstance(other, CubicExtElem) and type(other) is not type(self):
             raise ValueError("mixing cubic extensions with different radicands")
         return PolyElem._coerce(self, other)
 
-    def __eq__(self, other):
-        if isinstance(other, CubicExtElem):
-            return self.b == other.b and self.num == other.num
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.b))
+    def __reduce__(self):    # copy and pickle rebuild it in its radicand's subclass
+        return functools.partial(CubicExtElem, b=self.b), self.coeffs
 
     def __repr__(self):
         return f"CubicExtElem({self.e[0]!r}, {self.e[1]!r}, {self.e[2]!r}, b={self.b!r})"
+
+
+@functools.cache
+def _cubic_field(b: QuadElem) -> type:
+    """The subclass of CubicExtElem for theta^3 = b = (x + y w)/d, made once per
+    radicand.  Its maps send slot 3k + j to factor(k) w^j at theta^(k mod 3):
+    the Galois generator theta -> zeta_3 theta, and the reduction over d, which
+    sends theta^k to d theta^k for k < 3 and to (x + y w) theta^(k-3) beyond."""
+    def theta_map(slots, factor):
+        images = [[0] * 9 for _ in range(slots)]
+        for s, image in enumerate(images):
+            k, j = divmod(s, 3)
+            image[3 * (k % 3):3 * (k % 3) + 2] = (factor(k) * QuadElem(0, 1) ** j).num
+        return _linear_map(images)
+    return type("CubicExtElem", (CubicExtElem,), {
+        "__slots__": (), "b": b, "_reduction_den": b.den,
+        "_reduction": theta_map(17, lambda k: b * b.den if k >= 3 else QuadElem(b.den)),
+        "_galois": theta_map(9, lambda k: ZETA3_E ** k),
+    })
 
 
 cubic_rho = CubicExtElem.rho      # generator of Gal(E(theta)/E): theta -> zeta_3 * theta
@@ -521,8 +533,6 @@ class ObstructionReport:
 
     element: QuadElem
     prime: int
-    split_type_in_E: str
-    residue_degree_in_L: int
     valuations: tuple
     valuations_mod_3: frozenset
     obstructed: bool
@@ -572,8 +582,6 @@ def local_norm_obstruction(a: QuadElem, p: int) -> ObstructionReport:
     return ObstructionReport(
         element=a,
         prime=p,
-        split_type_in_E=kind,
-        residue_degree_in_L=f,
         valuations=tuple(vals),
         valuations_mod_3=residues,
         obstructed=any(res != 0 for res in residues),

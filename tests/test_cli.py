@@ -78,6 +78,9 @@ def test_verify_algebra_exact_valuations(capsys):
     assert code == 64                                  # no such option
 
 
+K33 = "<path of a K_3,3 graph file>"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-algebra", "--kind", "galois", "--b", "2"],
     ["verify-algebra", "--kind", "nongalois", "--a", "2"],
@@ -93,12 +96,27 @@ def test_verify_algebra_exact_valuations(capsys):
     ["verify-algebra", "--witness-limit", "-5", "--samples", "1"],
     ["tree", "--l", "9", "--m", "3", "--radius", "-1"],
     ["primes", "--up-to", "1"],
+    ["certify", K33, "--tolerance", "nan"],    # K_3,3 is Ramanujan: nan must not fail it
+    ["certify", K33, "--tolerance", "inf"],
+    ["certify", K33, "--tolerance", "-1"],
+    ["spectrum", K33, "--tolerance", "nan"],
+    ["spectrum", K33, "--tolerance", "-0.5"],
 ], ids=["b-with-galois", "a-with-nongalois", "a-True", "a-False", "paper-suite-with-command",
         "seed-before-command", "samples-0", "samples-negative", "deep-sum", "deep-negation",
-        "witness-limit-0", "witness-limit-negative", "radius-negative", "up-to-1"])
-def test_ignored_or_non_integer_input_is_usage_error(capsys, argv):
-    code, rep = run(argv, capsys)
+        "witness-limit-0", "witness-limit-negative", "radius-negative", "up-to-1",
+        "certify-tolerance-nan", "certify-tolerance-inf", "certify-tolerance-negative",
+        "spectrum-tolerance-nan", "spectrum-tolerance-negative"])
+def test_ignored_or_non_integer_input_is_usage_error(tmp_path, capsys, argv):
+    k33 = write_graph(tmp_path, graphs.complete_bipartite(3, 3))
+    code, rep = run([k33 if a == K33 else a for a in argv], capsys)
     assert (code, rep["command"]) == (64, "usage-error")
+
+
+def test_tolerance_zero_is_valid(tmp_path, capsys):
+    k33 = write_graph(tmp_path, graphs.complete_bipartite(3, 3))
+    for command in ("certify", "spectrum"):
+        code, rep = run([command, k33, "--tolerance", "0"], capsys)
+        assert (code, rep["command"]) == (0, command)
 
 
 def test_verify_algebra_bad_expression(capsys):
@@ -127,6 +145,10 @@ def test_certify_exit_codes(tmp_path, capsys):
     bad.write_text("{not json")
     code, _ = run(["certify", str(bad)], capsys)
     assert code == 64
+
+    bad.write_text(json.dumps({"n": 3, "edges": [[0, 1.5]]}))   # vertex ids are integers
+    code, rep = run(["certify", str(bad)], capsys)
+    assert (code, rep["command"]) == (64, "parse-error")
 
 
 def test_certify_disagreeing_windows_is_precondition(tmp_path, capsys):

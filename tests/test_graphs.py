@@ -267,6 +267,20 @@ def test_json_roundtrip():
         graph_from_json({"edges": []})
 
 
+@pytest.mark.parametrize("doc", [
+    {"n": 3.0, "edges": [[0, 1]]},
+    {"n": True, "edges": []},
+    {"n": 3, "edges": [[0, 1.5]]},
+    {"n": 3, "edges": [[0, 1.0]]},
+    {"n": 3, "edges": [[False, 1]]},
+    {"n": 2, "edges": [[0, 1]], "parts": [0, 1.0]},
+    {"n": 2, "edges": [[0, 1]], "parts": [False, True]},
+])
+def test_json_ids_must_be_integers(doc):
+    with pytest.raises(GraphError, match="not integers"):
+        graph_from_json(doc)
+
+
 def test_dot_export():
     dot = to_dot(complete_bipartite(2, 2))
     assert dot.startswith("graph G {") and "0 -- 2;" in dot

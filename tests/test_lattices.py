@@ -134,7 +134,6 @@ def test_enumerate_su3_preconditions():
 def test_enumerate_su3_level1():
     rep = enumerate_su3(2, 1)
     assert rep.order == 216 == su3_order_formula(2)
-    assert rep.order_method == "enumerated"
     assert len(rep.elements) == 216
     identity = tuple(
         tuple((1, 0) if i == j else (0, 0) for j in range(3)) for i in range(3)

@@ -1,7 +1,9 @@
-"""Unit tests for exact arithmetic in E = Q(sqrt(-3)) and L = Q(zeta_9)."""
+"""Unit tests for exact arithmetic in E = Q(sqrt(-3)), L = Q(zeta_9) and E(theta)."""
 
+import copy
 import math
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -81,15 +83,18 @@ def test_quad_field_axioms(x1, y1, x2, y2):
 # Field laws over E, L and E(theta)
 # ---------------------------------------------------------------------------
 
-NONGALOIS_B = QuadElem(2) * ZETA3_E
+# theta^3 = b: the radicand of the non-Galois example, and one that is not integral
+RADICANDS = {"E(theta)": QuadElem(2) * ZETA3_E,
+             "E(theta), b=3/2+w/5": QuadElem(Fraction(3, 2), Fraction(1, 5))}
 six_fractions = st.lists(small_fractions, min_size=6, max_size=6)
 
 FIELDS = {
     "E": st.tuples(small_fractions, small_fractions).map(lambda t: QuadElem(*t)),
     "L": six_fractions.map(CycloElem),
-    "E(theta)": six_fractions.map(CubicExtElem.scalar(1, NONGALOIS_B).from_rationals),
+    **{name: six_fractions.map(CubicExtElem.scalar(1, b).from_rationals)
+       for name, b in RADICANDS.items()},
 }
-ORDERS = {"E": 2, "L": 3, "E(theta)": 3}   # of the Galois generator rho (conj on E)
+ORDERS = {field: 2 if field == "E" else 3 for field in FIELDS}   # of the Galois generator rho
 # Exact arithmetic in L takes milliseconds per law on a loaded host: no deadline.
 field_laws = settings(max_examples=50, deadline=None)
 
@@ -107,7 +112,7 @@ def test_ring_laws(field, data):
     assert not x - x and -(-x) == x
 
 
-@pytest.mark.parametrize("field", ["E", "L"])
+@pytest.mark.parametrize("field", ["E", "L", "E(theta)"])
 @given(data=st.data())
 @field_laws
 def test_inverse_law(field, data):
@@ -174,10 +179,11 @@ def _l_mul(a, b):
     return _poly_mul(a, b, (-1, 0, 0, -1, 0, 0), operator.mul, operator.add, 0)
 
 
-def _t_mul(a, b):
-    radicand = [NONGALOIS_B.x, NONGALOIS_B.y]                            # theta^3 = b
+def _t_mul(b):
+    """The product of E(theta) with theta^3 = b."""
+    top = ([b.x, b.y], [0, 0], [0, 0])
     e_add = lambda u, v: _zip(operator.add, u, v)
-    return _poly_mul(a, b, (radicand, [0, 0], [0, 0]), _e_mul, e_add, [0, 0])
+    return lambda x, y: _poly_mul(x, y, top, _e_mul, e_add, [0, 0])
 
 
 _ZETA9 = [[1, 0, 0, 0, 0, 0]]
@@ -200,7 +206,8 @@ def _t_rho(v):   # theta -> zeta_3 theta, zeta_3 = -1 + w
 REFERENCE = {
     "E": (_e_mul, lambda v: [v[0] + v[1], -v[1]], lambda n: [n, 0]),
     "L": (_l_mul, _l_map(4), lambda n: [n.x + n.y, 0, 0, n.y, 0, 0]),
-    "E(theta)": (_t_mul, _t_rho, lambda n: [[n.x, n.y], [0, 0], [0, 0]]),
+    **{name: (_t_mul(b), _t_rho, lambda n: [[n.x, n.y], [0, 0], [0, 0]])
+       for name, b in RADICANDS.items()},
 }
 
 
@@ -212,13 +219,10 @@ def _vec(x):
 def _assert_canonical(z):
     if isinstance(z, Fraction):          # the norm and trace of E lie in Q
         return
-    if isinstance(z, CubicExtElem):      # coefficients in E, over 1
-        assert z.den == 1
-        for c in z.num:
-            _assert_canonical(c)
-        return
     assert all(type(c) is int for c in z.num)
     assert z.den > 0 and math.gcd(z.den, *z.num) == 1
+    if isinstance(z, CubicExtElem):      # slot 3k + 2 of theta^k w^j stays empty
+        assert not any(z.num[2::3])
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -318,6 +322,15 @@ def test_cubic_reduction_and_norm():
     assert cubic_norm(theta) == b
     assert cubic_trace(theta) == QuadElem(0)
     assert cubic_rho(cubic_rho(cubic_rho(theta))) == theta
+    assert copy.deepcopy(theta) == pickle.loads(pickle.dumps(theta)) == theta
+
+
+def test_mixing_radicands_raises():
+    x = CubicExtElem(1, 1, b=QuadElem(2) * ZETA3_E)
+    y = CubicExtElem(1, 1, b=QuadElem(2))
+    for op in (operator.add, operator.mul, operator.eq):
+        with pytest.raises(ValueError, match="different radicands"):
+            op(x, y)
 
 
 # ---------------------------------------------------------------------------
