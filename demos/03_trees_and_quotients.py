@@ -3,7 +3,9 @@
 The p-adic special unitary group acts on a (p^3+1, p+1)-biregular tree.
 We can build finite balls of that tree deterministically, check their level
 counts against the closed form, and validate externally supplied quotient
-data: a covering-map check and the bidegree handshake.
+data: a covering-map check and a bidegree check.  A graph of bidegree
+(p^3+1, p+1) satisfies the handshake n1 (p^3+1) = n2 (p+1) = |E| by counting
+degrees, so the bidegree is all there is to check.
 
 Run:  python demos/03_trees_and_quotients.py
 """

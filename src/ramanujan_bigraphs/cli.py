@@ -23,6 +23,7 @@ import ast
 import json
 import math
 import random
+import re
 import sys
 import time
 
@@ -45,6 +46,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes -1 and -.5 for numbers but -1e-9 for an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # exit 64, not argparse's default 2
         raise UsageError(message)
 
@@ -258,20 +264,18 @@ def cmd_tree(args):
     ball = trees.biregular_tree_ball(args.l, args.m, args.radius, args.root_side, args.ceiling)
     if args.out:
         graphs.save_graph(ball.graph, args.out)
+    closed_form = trees.level_counts_closed_form(args.l, args.m, args.radius, args.root_side)
+    covering = trees.check_local_covering(
+        trees.CoveringCandidate(ball, ball.graph, {v: v for v in range(ball.graph.n)})
+    )
     results = {
         "vertices": exact(ball.graph.n),
         "edges": exact(len(ball.graph.edges)),
         "level_counts": exact(list(ball.level_counts)),
-        "closed_form_counts": exact(
-            trees.level_counts_closed_form(args.l, args.m, args.radius, args.root_side)
-        ),
-        "identity_covering": exact(
-            trees.check_local_covering(
-                trees.CoveringCandidate(ball, ball.graph, {v: v for v in range(ball.graph.n)})
-            )
-        ),
+        "closed_form_counts": exact(closed_form),
+        "identity_covering": exact(covering),
     }
-    return results, EXIT_PASS, []
+    return results, combine(VERDICT[list(ball.level_counts) == closed_form], VERDICT[covering]), []
 
 
 def cmd_primes(args):
@@ -289,11 +293,14 @@ def cmd_primes(args):
 def cmd_finite_group(args):
     rep = lattices.enumerate_su3(args.q, args.n, args.ceiling)
     results = {"q": rep.q, "n": rep.n, "order": tag(rep.order, "enumerated")}
+    level1, code = rep.order, EXIT_PASS
     if rep.n == 2:
         results.update(level1_order=tag(rep.level1_order, "enumerated"),
                        kernel_size=tag(rep.kernel_size, "enumerated"), surjective=rep.surjective)
-    results["formula_order_level1"] = tag(lattices.su3_order_formula(args.q), "formula")
-    return results, EXIT_PASS, []
+        level1, code = rep.level1_order, VERDICT[rep.surjective]
+    formula = lattices.su3_order_formula(args.q)
+    results["formula_order_level1"] = tag(formula, "formula")
+    return results, combine(code, VERDICT[level1 == formula]), []
 
 
 def cmd_random_bigraph(args):

@@ -3,7 +3,9 @@ expansion coefficients, generators, and JSON/DOT interchange.
 
 Conventions
 -----------
-* Graphs are simple and undirected; vertices are 0..n-1.
+* Graphs are simple and undirected; vertices are 0..n-1.  A Graph is
+  frozen, so its neighbour tuples and its structure report are computed at
+  most once per instance and shared by every caller.
 * ``lambda_of`` follows the trivial-eigenvalue convention: for a connected
   k-regular graph drop one copy of k (and one copy of -k when bipartite);
   for a connected (l, m)-bigraph drop one copy of each of +-sqrt(lm).
@@ -27,7 +29,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -83,18 +85,11 @@ class Graph:
             object.__setattr__(self, "parts", parts)
 
     def degrees(self) -> List[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return [len(a) for a in self.neighbors()]
 
-    def neighbors(self) -> List[List[int]]:
-        nbr: List[List[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbr[u].append(v)
-            nbr[v].append(u)
-        return nbr
+    def neighbors(self) -> Tuple[Tuple[int, ...], ...]:
+        """The neighbours of every vertex, built once per graph and shared."""
+        return _once(self, "_neighbors", _neighbor_lists)
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -130,8 +125,29 @@ class StructureReport:
     profile: Optional[Union[RegularProfile, BiregularProfile]]
 
 
-def _two_color(g: Graph) -> Tuple[bool, Optional[List[int]], bool]:
-    """BFS two-coloring. Returns (connected, coloring-or-None, bipartite)."""
+def _once(g: Graph, key: str, build):
+    """build(g), kept in g's instance dict: a frozen Graph's facts never go stale."""
+    if key not in g.__dict__:
+        g.__dict__[key] = build(g)
+    return g.__dict__[key]
+
+
+def _neighbor_lists(g: Graph) -> Tuple[Tuple[int, ...], ...]:
+    nbr: List[List[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbr[u].append(v)
+        nbr[v].append(u)
+    return tuple(map(tuple, nbr))
+
+
+def analyze_structure(g: Graph) -> StructureReport:
+    """Connectivity, bipartition (if any), and the most specific degree
+    profile, from one BFS per graph: every later call returns the same report."""
+    return _once(g, "_structure", _structure)
+
+
+def _structure(g: Graph) -> StructureReport:
+    """BFS 2-colouring of every component, then the degree profile."""
     color = [-1] * g.n
     nbr = g.neighbors()
     bipartite = True
@@ -150,29 +166,20 @@ def _two_color(g: Graph) -> Tuple[bool, Optional[List[int]], bool]:
                     queue.append(v)
                 elif color[v] == color[u]:
                     bipartite = False
-    connected = components <= 1
-    return connected, (color if bipartite else None), bipartite
-
-
-def analyze_structure(g: Graph) -> StructureReport:
-    """Connectivity, bipartition (if any), and the most specific degree profile."""
-    connected, coloring, bipartite = _two_color(g)
-    if g.parts is not None and bipartite:
-        coloring = list(g.parts)
+    bipartition = None
+    if bipartite:                      # declared parts win over the BFS colouring
+        bipartition = g.parts if g.parts is not None else tuple(color)
     deg = g.degrees()
-    bipartition = tuple(coloring) if coloring is not None else None
     profile: Optional[Union[RegularProfile, BiregularProfile]] = None
     if g.n > 0 and len(set(deg)) == 1:
         profile = RegularProfile(deg[0], bipartite)
     elif bipartition is not None:
-        side = [{deg[v] for v in range(g.n) if bipartition[v] == c} for c in (0, 1)]
+        side = [{d for d, c in zip(deg, bipartition) if c == s} for s in (0, 1)]
         if all(len(s) == 1 for s in side):
-            d0, d1 = side[0].pop(), side[1].pop()
-            c_l = 0 if d0 >= d1 else 1
-            l, m = max(d0, d1), min(d0, d1)
-            n1 = sum(1 for v in range(g.n) if bipartition[v] == c_l)
-            profile = BiregularProfile(n1, g.n - n1, l, m)
-    return StructureReport(connected, bipartition, profile)
+            (d0,), (d1,) = side
+            n1 = bipartition.count(0 if d0 >= d1 else 1)
+            profile = BiregularProfile(n1, g.n - n1, max(d0, d1), min(d0, d1))
+    return StructureReport(components <= 1, bipartition, profile)
 
 
 @dataclass(frozen=True)
@@ -186,15 +193,12 @@ class Spectrum:
 
 
 def spectrum(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Spectrum:
-    coloring = g.parts if g.parts is not None else _two_color(g)[1]
-    return _spectrum(g, coloring, tolerance)
-
-
-def _spectrum(g: Graph, coloring: Optional[Sequence[int]], tolerance: float) -> Spectrum:
-    """Spectrum of g from the SVD of its biadjacency matrix when ``coloring``
-    is a 2-coloring of g, else from the eigenvalues of its adjacency matrix."""
+    """Spectrum of g from the SVD of its biadjacency matrix when g is
+    bipartite (declared ``parts``, else the BFS colouring), else from the
+    eigenvalues of its adjacency matrix."""
     if g.n < 1:
         raise GraphError("spectrum requires at least one vertex")
+    coloring = analyze_structure(g).bipartition
     if coloring is None:
         vals = np.linalg.eigvalsh(g.adjacency_matrix())
         shape = (g.n, g.n)
@@ -238,7 +242,7 @@ def lambda_of(s: Spectrum, profile: Union[RegularProfile, BiregularProfile]) -> 
         lam0 = math.sqrt(profile.l * profile.m)
         bipartite = True
     rest = _drop_value(values, lam0, tol, "lambda_0")
-    if bipartite:
+    if bipartite and lam0:                 # K_1's one eigenvalue is 0 = -0
         rest = _drop_value(rest, -lam0, tol, "-lambda_0")
     if any(abs(v) >= lam0 - tol for v in rest):
         raise SpectralStructureError(
@@ -277,7 +281,9 @@ def certify_ramanujan(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Ramanuj
         raise GraphClassError("certification requires a connected graph")
     if rep.profile is None:
         raise GraphClassError("certification requires a regular or biregular graph")
-    s = _spectrum(g, rep.bipartition, tolerance)
+    if isinstance(rep.profile, RegularProfile) and rep.profile.k == 0:
+        raise GraphClassError("certification requires degree at least 1")
+    s = spectrum(g, tolerance)
     lam = lambda_of(s, rep.profile)
     margins: Dict[str, float] = {}
     def21 = def22 = def23 = None
@@ -285,19 +291,14 @@ def certify_ramanujan(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Ramanuj
         graph_class = "regular"
         k = rep.profile.k
         degrees: Tuple[int, ...] = (k,)
-        lower, upper = 0.0, 2.0 * math.sqrt(max(k - 1, 0))
+        lower, upper = 0.0, 2.0 * math.sqrt(k - 1)
         def21 = lam <= upper + tolerance
         margins["def21_upper"] = upper - lam
-        verdicts = [def21]
-        if rep.profile.bipartite:
-            l = m = k
-        else:
-            l = m = None
+        l = m = k if rep.profile.bipartite else None
     else:
         graph_class = "bigraph"
         l, m = rep.profile.l, rep.profile.m
         degrees = (l, m)
-        verdicts = []
     if l is not None:
         sl, sm = math.sqrt(l - 1), math.sqrt(m - 1)
         lower, upper = abs(sl - sm), sl + sm
@@ -311,7 +312,6 @@ def certify_ramanujan(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Ramanuj
             raise SpectralStructureError(
                 "def22 and def23 verdicts disagree at the tolerance margin"
             )
-        verdicts.append(def22)
     return RamanujanCertificate(
         graph_class=graph_class,
         degrees=degrees,
@@ -321,7 +321,7 @@ def certify_ramanujan(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Ramanuj
         def21=def21,
         def22=def22,
         def23=def23,
-        is_ramanujan=all(verdicts),
+        is_ramanujan=all(v for v in (def21, def22) if v is not None),
         tolerance=tolerance,
         eigenproblem=s.eigenproblem,
         margins=margins,
@@ -354,10 +354,7 @@ def expansion_coefficient(
             f"n={g.n} exceeds the brute-force ceiling {ceiling}; "
             "use the spectral report instead"
         )
-    nbr_mask = [0] * g.n
-    for u, v in g.edges:
-        nbr_mask[u] |= 1 << v
-        nbr_mask[v] |= 1 << u
+    nbr_mask = [sum(1 << v for v in a) for a in g.neighbors()]
     half = g.n // 2
     # the best ratio so far is best_b / best_size, 1/0 standing for infinity;
     # ratios are compared by integer cross-products
@@ -382,7 +379,7 @@ def expansion_coefficient(
     lam = one_minus = None
     rep = analyze_structure(g)
     if rep.connected and rep.profile is not None:
-        lam = lambda_of(_spectrum(g, rep.bipartition, DEFAULT_TOLERANCE), rep.profile)
+        lam = lambda_of(spectrum(g), rep.profile)
         if isinstance(rep.profile, RegularProfile):
             one_minus = 1.0 - lam / rep.profile.k
     return ExpansionReport(best, subset, 2 * best, lam, one_minus)

@@ -4,17 +4,17 @@ The tree of interest is the (q^3+1, q+1)-biregular tree on which the p-adic
 special unitary group acts; this module builds finite radius-r balls of any
 (l, m)-biregular tree deterministically (breadth-first, children appended in
 order), checks the closed-form level counts, and validates externally
-supplied quotient data via a local covering-map check and the bidegree
-handshake n1 (p^3+1) = n2 (p+1) = |E|.
+supplied quotient data via a local covering-map check and a bidegree check
+(the handshake n1 (p^3+1) = n2 (p+1) = |E| then holds by the degree count).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Tuple, Union
 
-from .graphs import Graph, GraphClassError, GraphError, analyze_structure
+from .graphs import BiregularProfile, Graph, GraphClassError, GraphError, analyze_structure
 from .numberfield import is_prime
 
 DEFAULT_TREE_CEILING = 200_000
@@ -22,7 +22,9 @@ DEFAULT_TREE_CEILING = 200_000
 
 @dataclass(frozen=True)
 class TreeBall:
-    """Radius-r ball of the (l, m)-biregular tree, rooted at vertex 0."""
+    """Radius-r ball of the (l, m)-biregular tree, rooted at vertex 0.
+    Construction validates it by one BFS from the root and keeps the depths:
+    ``level_counts``, ``depth_of()`` and ``interior_vertices()`` read them."""
 
     graph: Graph
     root: int
@@ -30,27 +32,20 @@ class TreeBall:
     l: int
     m: int
     root_side: str                    # "l" (root has degree l) or "m"
-    level_counts: Tuple[int, ...]     # vertices at each BFS depth, as built
+    level_counts: Tuple[int, ...] = field(init=False)   # vertices at each BFS depth
+    _depth: Tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_depth", _validate_ball(self))
+        counts = Counter(self._depth)
+        object.__setattr__(self, "level_counts", tuple(counts[k] for k in range(self.radius + 1)))
 
     def depth_of(self) -> List[int]:
-        """Distance from the root for every vertex (BFS)."""
-        nbr = self.graph.neighbors()
-        depth = [-1] * self.graph.n
-        depth[self.root] = 0
-        queue = [self.root]
-        while queue:
-            nxt = []
-            for u in queue:
-                for v in nbr[u]:
-                    if depth[v] == -1:
-                        depth[v] = depth[u] + 1
-                        nxt.append(v)
-            queue = nxt
-        return depth
+        """Distance from the root for every vertex."""
+        return list(self._depth)
 
     def interior_vertices(self) -> List[int]:
-        depth = self.depth_of()
-        return [v for v in range(self.graph.n) if 0 <= depth[v] < self.radius]
+        return [v for v, d in enumerate(self._depth) if d < self.radius]
 
 
 def level_counts_closed_form(l: int, m: int, r: int, root_side: str = "l") -> List[int]:
@@ -100,28 +95,32 @@ def biregular_tree_ball(
                 new_frontier.append(next_vertex)
                 next_vertex += 1
         frontier = new_frontier
-    graph = Graph(total, tuple(edges), tuple(parts))
-    ball = TreeBall(graph, 0, radius, l, m, root_side, ())
-    depth = Counter(_validate_ball(ball))
-    return replace(ball, level_counts=tuple(depth[k] for k in range(radius + 1)))
+    return TreeBall(Graph(total, tuple(edges), tuple(parts)), 0, radius, l, m, root_side)
 
 
-def _validate_ball(ball: TreeBall) -> List[int]:
+def _validate_ball(ball: TreeBall) -> Tuple[int, ...]:
     """Check that the ball is a tree with the biregular interior degrees;
     return the BFS depth of every vertex."""
     g = ball.graph
     if len(g.edges) != g.n - 1:
         raise GraphError("tree ball is not acyclic")
-    depth = ball.depth_of()
-    if any(d == -1 for d in depth):
+    nbr = g.neighbors()
+    depth = [-1] * g.n
+    depth[ball.root] = 0
+    queue = [ball.root]
+    for u in queue:                   # the queue grows while it is read
+        for v in nbr[u]:
+            if depth[v] == -1:
+                depth[v] = depth[u] + 1
+                queue.append(v)
+    if -1 in depth:
         raise GraphError("tree ball is not connected")
-    deg = g.degrees()
     d_root, d_other = (ball.l, ball.m) if ball.root_side == "l" else (ball.m, ball.l)
-    for v in range(g.n):
-        want = d_root if depth[v] % 2 == 0 else d_other
-        if depth[v] < ball.radius and deg[v] != want:
-            raise GraphError(f"interior vertex {v} has degree {deg[v]}, expected {want}")
-    return depth
+    for v, d in enumerate(depth):
+        want = d_root if d % 2 == 0 else d_other
+        if d < ball.radius and len(nbr[v]) != want:
+            raise GraphError(f"interior vertex {v} has degree {len(nbr[v])}, expected {want}")
+    return tuple(depth)
 
 
 @dataclass(frozen=True)
@@ -162,10 +161,7 @@ def check_local_covering(c: CoveringCandidate) -> bool:
             return False
     dom_nbr = dom.neighbors()
     cod_nbr = [set(s) for s in cod.neighbors()]
-    if isinstance(c.domain, TreeBall):
-        interior = c.domain.interior_vertices()
-    else:
-        interior = list(range(dom.n))
+    interior = c.domain.interior_vertices() if isinstance(c.domain, TreeBall) else range(dom.n)
     for v in interior:
         images = [fmap[u] for u in dom_nbr[v]]
         if len(set(images)) != len(images):
@@ -173,23 +169,16 @@ def check_local_covering(c: CoveringCandidate) -> bool:
         if set(images) != cod_nbr[fmap[v]]:
             return False                      # not onto the image's neighbors
     # edges must map to edges everywhere, boundary included
-    for u, v in dom.edges:
-        fu, fv = fmap[u], fmap[v]
-        if fv not in cod_nbr[fu]:
-            return False
-    return True
+    return all(fmap[v] in cod_nbr[fmap[u]] for u, v in dom.edges)
 
 
 def quotient_handshake_check(g: Graph, p: int) -> bool:
-    """True iff g is a bigraph of bidegree (p^3+1, p+1) with a consistent
-    handshake n1 (p^3+1) = n2 (p+1) = |E|."""
+    """True iff g is a bigraph of bidegree (p^3+1, p+1).
+
+    Only the bidegree is checked.  The handshake n1 (p^3+1) = n2 (p+1) = |E|
+    holds for every biregular profile by the degree count, and
+    ``BiregularProfile`` enforces n1 l = n2 m when it is built."""
     if not is_prime(p):
         raise GraphError(f"{p} is not prime")
-    rep = analyze_structure(g)
-    profile = rep.profile
-    if profile is None or not hasattr(profile, "l"):
-        return False
-    l, m = p ** 3 + 1, p + 1
-    if (profile.l, profile.m) != (l, m):
-        return False
-    return profile.n1 * l == profile.n2 * m == len(g.edges)
+    profile = analyze_structure(g).profile
+    return isinstance(profile, BiregularProfile) and (profile.l, profile.m) == (p ** 3 + 1, p + 1)

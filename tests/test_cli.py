@@ -1,12 +1,13 @@
 """CLI contract tests: exit codes, report schema, determinism."""
 
+import dataclasses
 import json
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from ramanujan_bigraphs import cli, graphs
+from ramanujan_bigraphs import cli, graphs, lattices, trees
 
 _SCHEMAS = resources.files("ramanujan_bigraphs") / "schemas"
 REPORT_SCHEMA = json.loads((_SCHEMAS / "report.schema.json").read_text())
@@ -99,17 +100,21 @@ K33 = "<path of a K_3,3 graph file>"
     ["certify", K33, "--tolerance", "nan"],    # K_3,3 is Ramanujan: nan must not fail it
     ["certify", K33, "--tolerance", "inf"],
     ["certify", K33, "--tolerance", "-1"],
+    ["certify", K33, "--tolerance", "-1e-9"],  # argparse took an exponent for an option
     ["spectrum", K33, "--tolerance", "nan"],
     ["spectrum", K33, "--tolerance", "-0.5"],
 ], ids=["b-with-galois", "a-with-nongalois", "a-True", "a-False", "paper-suite-with-command",
         "seed-before-command", "samples-0", "samples-negative", "deep-sum", "deep-negation",
         "witness-limit-0", "witness-limit-negative", "radius-negative", "up-to-1",
         "certify-tolerance-nan", "certify-tolerance-inf", "certify-tolerance-negative",
+        "certify-tolerance-negative-exponent",
         "spectrum-tolerance-nan", "spectrum-tolerance-negative"])
 def test_ignored_or_non_integer_input_is_usage_error(tmp_path, capsys, argv):
     k33 = write_graph(tmp_path, graphs.complete_bipartite(3, 3))
     code, rep = run([k33 if a == K33 else a for a in argv], capsys)
     assert (code, rep["command"]) == (64, "usage-error")
+    if "--tolerance" in argv:
+        assert rep["results"]["error"] == "--tolerance must be finite and at least 0"
 
 
 def test_tolerance_zero_is_valid(tmp_path, capsys):
@@ -149,6 +154,14 @@ def test_certify_exit_codes(tmp_path, capsys):
     bad.write_text(json.dumps({"n": 3, "edges": [[0, 1.5]]}))   # vertex ids are integers
     code, rep = run(["certify", str(bad)], capsys)
     assert (code, rep["command"]) == (64, "parse-error")
+
+
+def test_single_vertex_graph(tmp_path, capsys):
+    k1 = write_graph(tmp_path, graphs.Graph(1, ()))
+    code, rep = run(["spectrum", k1], capsys)
+    assert (code, rep["results"]["lambda"]["value"]) == (0, 0.0)
+    code, rep = run(["certify", k1], capsys)       # the degree-0 window is undefined
+    assert (code, rep["command"]) == (2, "precondition-error")
 
 
 def test_certify_disagreeing_windows_is_precondition(tmp_path, capsys):
@@ -192,6 +205,22 @@ def test_tree(capsys):
     assert code == 0
     assert rep["results"]["vertices"]["value"] == 28
     assert rep["results"]["level_counts"]["value"] == [1, 9, 18]
+
+
+def test_tree_and_finite_group_exit_on_their_checks(capsys, monkeypatch):
+    monkeypatch.setattr(trees, "check_local_covering", lambda candidate: False)
+    code, rep = run(["tree", "--l", "9", "--m", "3", "--radius", "2"], capsys)
+    assert (code, rep["status"], rep["results"]["identity_covering"]["value"]) == \
+        (1, "fail", False)
+    level2 = dataclasses.replace(lattices.enumerate_su3(2, 2), surjective=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(lattices, "enumerate_su3", lambda q, n, ceiling: level2)
+        code, rep = run(["finite-group", "--q", "2", "--n", "2"], capsys)
+        assert (code, rep["results"]["surjective"]) == (1, False)
+    monkeypatch.setattr(lattices, "su3_order_formula", lambda q: 0)
+    for n in ("1", "2"):
+        code, rep = run(["finite-group", "--q", "2", "--n", n], capsys)
+        assert (code, rep["status"]) == (1, "fail")
 
 
 def test_primes(capsys):

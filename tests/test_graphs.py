@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ramanujan_bigraphs import graphs, trees
 from ramanujan_bigraphs.graphs import (
     BiregularProfile,
     Graph,
@@ -59,6 +60,21 @@ def test_analyze_examples():
 
     rep = analyze_structure(cycle(5))
     assert rep.profile == RegularProfile(2, False) and rep.bipartition is None
+
+
+def test_each_graph_is_analysed_once(count_calls):
+    calls = count_calls(graphs, "_neighbor_lists", "_structure")
+    g = Graph(6, tuple((i, (i + 1) % 6) for i in range(6)))      # C_6, no declared parts
+    rep = analyze_structure(g)
+    spectrum(g)
+    certify_ramanujan(g)
+    expansion_coefficient(g)
+    identity = trees.CoveringCandidate(g, g, {v: v for v in range(g.n)})
+    assert trees.check_local_covering(identity)
+    assert not trees.quotient_handshake_check(g, 2)
+    assert analyze_structure(g) is rep and g.degrees() == [2] * 6
+    assert calls == {"_neighbor_lists": 1, "_structure": 1}
+    assert all(isinstance(a, tuple) for a in g.neighbors())     # shared, so immutable
 
 
 def test_handshake_enforced():
@@ -135,6 +151,8 @@ def test_certify_preconditions():
     irregular = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
     with pytest.raises(GraphClassError):
         certify_ramanujan(irregular)
+    with pytest.raises(GraphClassError, match="degree"):
+        certify_ramanujan(Graph(1, ()))                   # K_1: no window at degree 0
 
 
 # ---------------------------------------------------------------------------

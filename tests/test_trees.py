@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ramanujan_bigraphs import graphs, trees
 from ramanujan_bigraphs.graphs import Graph, GraphError, complete_bipartite, cycle, random_biregular, spectrum
 from ramanujan_bigraphs.trees import (
     CoveringCandidate,
@@ -51,6 +52,19 @@ def test_level_counts_are_measured_depths(side):
     ball = biregular_tree_ball(4, 3, 4, side)
     depth = ball.depth_of()
     assert list(ball.level_counts) == [depth.count(k) for k in range(ball.radius + 1)]
+
+
+def test_each_ball_is_searched_once(count_calls):
+    count_calls(graphs, "_neighbor_lists", "_structure")
+    calls = count_calls(trees, "_validate_ball")
+    ball = biregular_tree_ball(9, 3, 3)
+    ident = CoveringCandidate(ball, ball.graph, {v: v for v in range(ball.graph.n)})
+    assert check_local_covering(ident)
+    depth = ball.depth_of()
+    assert ball.level_counts == (1, 9, 18, 144) == tuple(depth.count(k) for k in range(4))
+    assert ball.interior_vertices() == [v for v in range(ball.graph.n) if depth[v] < 3]
+    # _validate_ball holds the only BFS from the root
+    assert calls == {"_validate_ball": 1, "_neighbor_lists": 1, "_structure": 1}
 
 
 def test_ball_spectrum_symmetric():
