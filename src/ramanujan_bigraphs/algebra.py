@@ -66,8 +66,6 @@ class AlgebraParams:
                 raise ValueError("non-Galois kind requires a = tau(b)")
             one = CubicExtElem.scalar(1, self.b)
         else:
-            if not galois_actions_commute():
-                raise ValueError("Galois actions do not commute")
             one = CycloElem([1])
         object.__setattr__(self, "one", one)
         object.__setattr__(self, "a_l", one.from_E(self.a))
@@ -347,29 +345,24 @@ def check_theorem_conditions(params: AlgebraParams, witness_limit: int = 200) ->
     a = params.a
     unit_norm = a * a.conj() == QuadElem(1)
     commuting = galois_actions_commute()
-    a2 = a * a
-    if _obvious_norm(a) or _obvious_norm(a2):
+    # not symmetric: a = 3 sqrt(-3) is caught only through a^2 = -27
+    if _obvious_norm(a) or _obvious_norm(a * a):
         return ConditionReport(False, unit_norm, commuting, searched_below=witness_limit)
-    wp_a = wp_a2 = None
-    res_a = res_a2 = None
+    wp_a = res_a = res_a2 = None
     for p in witness_primes(witness_limit):
-        if wp_a is None:
-            rep = local_norm_obstruction(a, p)
-            if rep.obstructed:
-                wp_a, res_a = p, rep.valuations_mod_3
-        if wp_a2 is None:
-            rep2 = local_norm_obstruction(a2, p)
-            if rep2.obstructed:
-                wp_a2, res_a2 = p, rep2.valuations_mod_3
-        if wp_a is not None and wp_a2 is not None:
+        rep = local_norm_obstruction(a, p)
+        if rep.obstructed:
+            wp_a, res_a = p, rep.valuations_mod_3
+            # v(a^2) = 2 v(a) exactly and 2 is invertible mod 3, so a^2 is
+            # obstructed at the same first prime, with the residues doubled
+            res_a2 = frozenset(2 * r % 3 for r in res_a)
             break
-    division = True if (wp_a is not None and wp_a2 is not None) else None
     return ConditionReport(
-        division_condition=division,
+        division_condition=True if wp_a is not None else None,
         unit_norm_condition=unit_norm,
         commuting_condition=commuting,
         witness_prime_a=wp_a,
-        witness_prime_a2=wp_a2,
+        witness_prime_a2=wp_a,
         residues_a=res_a,
         residues_a2=res_a2,
         searched_below=witness_limit,

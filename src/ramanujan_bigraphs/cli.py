@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import math
 import random
@@ -360,9 +361,11 @@ def cmd_paper_suite(args):
     codes.append(VERDICT[arch_ok and torus_ok])
 
     # 4. good primes
+    # against a root search: p is inert iff w^2 - w + 1 has no root mod p
+    # (at p = 3 it has the double root 2)
     primes_ok = lattices.good_primes_up_to(100) == [
         p for p in range(2, 101)
-        if lattices.is_prime(p) and (p == 2 or (p != 3 and p % 12 in (5, 11)))
+        if lattices.is_prime(p) and all((x * x - x + 1) % p for x in range(p))
     ]
     battery["good_primes"] = {"mod12_agreement": exact(primes_ok)}
     codes.append(VERDICT[primes_ok])
@@ -463,8 +466,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser = functools.cache(build_parser)    # parse_args leaves the parser unchanged
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     start = time.perf_counter()
     inputs = {}
     try:

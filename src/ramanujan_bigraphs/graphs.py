@@ -61,19 +61,22 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise GraphError("vertex count must be non-negative")
-        seen = set()
+        n = self.n
         canon = []
         for e in self.edges:
             u, v = e
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge {e} references an invalid vertex")
-            if u == v:
+            if u < v:
+                canon.append((u, v))
+            elif v < u:
+                canon.append((v, u))
+            else:
                 raise GraphError(f"loop at vertex {u} not allowed")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise GraphError(f"duplicate edge {key}")
-            seen.add(key)
-            canon.append(key)
+        if len(set(canon)) < len(canon):
+            seen = set()    # name the first repeat in input order
+            key = next(k for k in canon if k in seen or seen.add(k))
+            raise GraphError(f"duplicate edge {key}")
         object.__setattr__(self, "edges", tuple(sorted(canon)))
         if self.parts is not None:
             parts = tuple(self.parts)

@@ -21,13 +21,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .numberfield import is_prime, splitting_data
+# the splitting kinds are defined in numberfield and re-exported here
+from .numberfield import INERT, RAMIFIED, SPLIT, _splitting_of_prime, is_prime, splitting_data
 
 DEFAULT_ENUM_CEILING = 10_000_000
-
-RAMIFIED = "ramified"
-SPLIT = "split"
-INERT = "inert"
 
 
 class LatticeError(Exception):
@@ -42,20 +39,12 @@ class PrimeClass:
 
 
 def classify_prime(p: int) -> PrimeClass:
-    """Ramified (p = 3), split (-3 a square mod p), or inert.
-
-    The class comes from ``splitting_data`` (a brute-force square-root
-    search); for p > 3 it is cross-checked against the mod-12 rule (split
-    iff p = 1, 7 mod 12).
-    """
-    if not is_prime(p):
-        raise LatticeError(f"{p} is not prime")
-    cls, _ = splitting_data(p)
-    rule = SPLIT if p % 12 in (1, 7) else INERT
-    if p > 3 and cls != rule:
-        raise LatticeError(
-            f"internal inconsistency: oracle says {cls}, mod-12 rule says {rule} for p={p}"
-        )
+    """Ramified (p = 3), split (p = 1 mod 3) or inert (p = 2 mod 3), as
+    ``numberfield.splitting_data`` decides it; good means inert."""
+    try:
+        cls, _ = splitting_data(p)
+    except ValueError as exc:    # p is not prime
+        raise LatticeError(str(exc)) from None
     return PrimeClass(p, cls, cls == INERT)
 
 
@@ -63,7 +52,7 @@ def good_primes_up_to(n: int) -> List[int]:
     """Ascending inert ('good') primes <= n."""
     if n < 2:
         raise LatticeError("bound must be >= 2")
-    return [p for p in range(2, n + 1) if is_prime(p) and classify_prime(p).good]
+    return [p for p in range(2, n + 1) if is_prime(p) and _splitting_of_prime(p)[0] == INERT]
 
 
 # ---------------------------------------------------------------------------

@@ -485,26 +485,33 @@ def _sqrt_minus3_mod(p: int) -> Optional[int]:
     return next((x for x in range(p // 2 + 1) if x * x % p == target), None)
 
 
+RAMIFIED, SPLIT, INERT = "ramified", "split", "inert"
+
+
+def _splitting_of_prime(p: int):
+    """``splitting_data`` of a number already known to be prime."""
+    if p == 3:
+        return RAMIFIED, None
+    # the order of p mod 9 divides phi(9) = 6
+    return (SPLIT if p % 3 == 1 else INERT), next(k for k in (1, 2, 3, 6) if pow(p, k, 9) == 1)
+
+
 def splitting_data(p: int):
     """Splitting type of p in E and residue degree of p in L = Q(zeta_9).
 
     Returns (kind, residue_degree) with kind in {"ramified", "split",
-    "inert"}; the residue degree is None for p = 3.
+    "inert"}; the residue degree, the order of p mod 9, is None for p = 3.
+    Raises ValueError if p is not prime.
+
+    Congruences decide the kind.  p = 3 divides the discriminant -3 of
+    w^2 - w + 1 and ramifies; any other p splits iff that polynomial has a
+    root mod p.  For odd p that means (-3/p) = 1, and by quadratic
+    reciprocity (-3/p) = (p/3), so p splits iff p = 1 mod 3.  At p = 2, which
+    is 2 mod 3, there is no root, so the same rule holds with no special case.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p == 3:
-        return "ramified", None
-    # residue degree in L = multiplicative order of p mod 9
-    f = 1
-    x = p % 9
-    while x != 1:
-        x = x * p % 9
-        f += 1
-    if p == 2:
-        # w^2 - w + 1 is irreducible mod 2, so 2 is inert
-        return "inert", f
-    return ("inert" if _sqrt_minus3_mod(p) is None else "split"), f
+    return _splitting_of_prime(p)
 
 
 def hensel_sqrt_minus3(p: int, precision: int) -> int:

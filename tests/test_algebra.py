@@ -14,6 +14,7 @@ from ramanujan_bigraphs.numberfield import (
     embed_E_in_L,
     galois_rho,
     galois_tau,
+    local_norm_obstruction,
     quad_from_sqrt3_basis,
 )
 from ramanujan_bigraphs.algebra import (
@@ -38,6 +39,7 @@ from ramanujan_bigraphs.algebra import (
     torus_point,
     triple_is_unitary_norm_one,
     verify_noncompact_torus,
+    witness_primes,
 )
 
 GAL = example_galois_params()
@@ -216,6 +218,29 @@ def test_conditions_a_one():
 def test_conditions_a_sqrt_m3():
     rep = check_theorem_conditions(AlgebraParams(GALOIS, quad_from_sqrt3_basis(0, 1)))
     assert not rep.unit_norm_condition
+
+
+def _second_search(a, limit=200):
+    """witness_prime_a2 and residues_a2 by a search of their own over a^2."""
+    for p in witness_primes(limit):
+        rep = local_norm_obstruction(a * a, p)
+        if rep.obstructed:
+            return p, rep.valuations_mod_3
+    return None, None
+
+
+@pytest.mark.parametrize("a", [
+    quad_from_sqrt3_basis(2, 1) / quad_from_sqrt3_basis(2, -1),
+    QuadElem(10) ** 400,                          # no witness below 200
+    QuadElem(7) ** 61,
+    QuadElem(Fraction(2, 7), 3) ** 5,
+    QuadElem(1, 1) / QuadElem(13),
+    QuadElem(19, -4),
+], ids=["example", "10^400", "7^61", "(2/7+3w)^5", "(1+w)/13", "19-4w"])
+def test_conditions_a2_fields_match_a_second_search(a):
+    rep = check_theorem_conditions(AlgebraParams(GALOIS, a))
+    assert (rep.witness_prime_a2, rep.residues_a2) == _second_search(a)
+    assert rep.division_condition is (True if rep.witness_prime_a else None)
 
 
 def test_conditions_require_galois_kind():

@@ -279,6 +279,13 @@ def test_paper_suite(capsys):
     assert nongalois["status"] == "fail"
 
 
+def test_paper_suite_good_primes_can_fail(capsys, monkeypatch):
+    monkeypatch.setattr(lattices, "good_primes_up_to", lambda n: [2, 5, 11, 13])
+    code, rep = run(["--paper-suite"], capsys)
+    assert code == 1
+    assert rep["results"]["battery"]["good_primes"]["mod12_agreement"]["value"] is False
+
+
 def test_no_subcommand_is_usage_error(capsys):
     code, _ = run([], capsys)
     assert code == 64

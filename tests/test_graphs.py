@@ -39,8 +39,10 @@ from ramanujan_bigraphs.trees import biregular_tree_ball
 def test_graph_validation():
     with pytest.raises(GraphError):
         Graph(2, ((0, 0),))                 # loop
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"duplicate edge \(0, 1\)"):
         Graph(2, ((0, 1), (1, 0)))          # duplicate
+    with pytest.raises(GraphError, match=r"duplicate edge \(1, 2\)"):
+        Graph(3, ((1, 2), (0, 1), (2, 1), (1, 0)))   # the first repeat in input order
     with pytest.raises(GraphError):
         Graph(2, ((0, 2),))                 # out of range
     with pytest.raises(GraphError):

@@ -345,6 +345,17 @@ def test_splitting_examples():
         splitting_data(6)
 
 
+def test_splitting_against_root_count():
+    """Every prime below 2,000, 2 and 3 included: the kind is read off the
+    number of roots of w^2 - w + 1 mod p, the residue degree is the least k
+    with p^k = 1 mod 9."""
+    kinds = {0: "inert", 1: "ramified", 2: "split"}
+    for p in filter(is_prime, range(2000)):
+        roots = sum((x * x - x + 1) % p == 0 for x in range(p))
+        degree = None if p == 3 else next(k for k in range(1, 7) if pow(p, k, 9) == 1)
+        assert splitting_data(p) == (kinds[roots], degree), p
+
+
 def test_hensel_lift():
     for p in (7, 13, 19):
         for prec in (2, 5, 8):
