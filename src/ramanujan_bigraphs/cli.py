@@ -1,10 +1,12 @@
 """Command-line surface.
 
 Every command emits a single JSON Report on stdout and uses the stable exit
-codes 0 (pass), 1 (fail), 2 (precondition violated / inconclusive), and
-64 (usage or parse error).  All randomized commands require an explicit
---seed so runs are reproducible.  Numeric claims in reports carry method
-tags: exact | enumerated | formula | floating(tolerance).
+codes 0 (pass), 1 (fail), 2 (precondition violated / inconclusive),
+64 (usage or parse error), and 70 (internal error: an unexpected exception,
+reported as an internal-error report, its traceback on stderr).  All
+randomized commands require an explicit --seed so runs are reproducible.
+Numeric claims in reports carry method tags: exact | enumerated | formula |
+floating(tolerance).
 
 The brute-force commands (expansion, tree, finite-group) take their scan
 ceiling as --ceiling, refuse a run above it with exit 2, and the report's
@@ -27,6 +29,7 @@ import random
 import re
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -37,6 +40,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_PRECONDITION = 2
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70      # sysexits EX_SOFTWARE: a bug, never a verdict
 STATUS = {EXIT_PASS: "pass", EXIT_FAIL: "fail", EXIT_PRECONDITION: "inconclusive"}
 # exit code of a check that holds (True), fails (False) or is undecided (None)
 VERDICT = {True: EXIT_PASS, False: EXIT_FAIL, None: EXIT_PRECONDITION}
@@ -473,6 +477,7 @@ def main(argv=None) -> int:
     parser = _parser()
     start = time.perf_counter()
     inputs = {}
+    command = None
     try:
         # "seed" leads the inputs of the commands that take one; the others
         # leave it None and it is dropped below
@@ -493,6 +498,8 @@ def main(argv=None) -> int:
                   if k not in ("func", "paper_suite", "suite_seed") and v is not None}
         command = args.command or "paper-suite"
         results, code, notes = args.func(args)
+        _emit(command, inputs, results, code, STATUS[code], notes, start)
+        return code
     except UsageError as exc:
         _emit("usage-error", {}, {"error": str(exc)}, EXIT_USAGE, "error", [], start)
         return EXIT_USAGE
@@ -503,8 +510,12 @@ def main(argv=None) -> int:
     except (graphs.GraphError, json.JSONDecodeError, OSError, ValueError) as exc:
         _emit("parse-error", {}, {"error": str(exc)}, EXIT_USAGE, "error", [], start)
         return EXIT_USAGE
-    _emit(command, inputs, results, code, STATUS[code], notes, start)
-    return code
+    except Exception as exc:
+        traceback.print_exc()
+        _emit("internal-error", inputs,
+              {"command": command, "error": f"{type(exc).__name__}: {exc}"},
+              EXIT_INTERNAL, "error", [], start)
+        return EXIT_INTERNAL
 
 
 def _emit(command, inputs, results, code, status, notes, start) -> None:
@@ -519,8 +530,8 @@ def _emit(command, inputs, results, code, status, notes, start) -> None:
     }
     if notes:
         report["notes"] = notes
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    text = json.dumps(report, indent=2)     # nothing is written if this raises
+    sys.stdout.write(text + "\n")
 
 
 def console_main() -> None:

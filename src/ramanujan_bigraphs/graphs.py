@@ -13,6 +13,8 @@ Conventions
   ``SpectralStructureError``.
 * Floating tolerances default to 1e-9 absolute; exact quantities (expansion
   coefficient) are ``Fraction``s.
+* The expansion coefficient is a word-parallel exact scan of all 2^n vertex
+  subsets as uint64 bitmasks, so it takes n <= min(ceiling, 64).
 * Spectra of bipartite graphs come from the biadjacency matrix.  With sides
   of sizes r <= c and B the r x c matrix of edges from the smaller side to
   the larger, the adjacency spectrum is {+-sigma_i(B)} plus c - r zeros, for
@@ -340,45 +342,70 @@ class ExpansionReport:
     one_minus_lambda_over_k: Optional[float]
 
 
+_WORD = 64                          # subsets are uint64 bitmasks, so n <= 64
+_BLOCK_BITS = 13                    # 2^13-word blocks: 64 KB temporaries stay in cache
+_RATIO_SCALE = math.lcm(*range(1, _WORD // 2 + 1))   # every |W| <= 32 divides it
+_NO_RATIO = np.iinfo(np.int64).max  # key of a subset of size 0 or above n/2
+
+
 def expansion_coefficient(
     g: Graph, ceiling: int = DEFAULT_EXPANSION_CEILING
 ) -> ExpansionReport:
     """Exact expansion coefficient by exhaustive subset scan.
 
     c = min |dW| / |W| over 0 < |W| <= n/2, where dW is the set of vertices
-    outside W adjacent to W.  Also reports lambda(X) and, for regular graphs,
+    outside W adjacent to W; the first minimiser in ascending bitmask order
+    is reported.  Also reports lambda(X) and, for regular graphs,
     1 - lambda(X)/k; the relation between 2c and 1 - lambda/k is reported,
     never asserted.
+
+    The scan is word-parallel, so n <= 64: subsets are uint64 bitmasks,
+    taken in blocks that share their high bits.  The neighbourhood unions of
+    the low subsets are tabulated once, by doubling, and each block ORs in
+    the union of its high bits.  The ratio b / |W| is compared as the
+    integer key b * (L / |W|), with L the lcm of 1..32, so no rounding enters.
     """
-    if g.n < 2:
+    n = g.n
+    if n < 2:
         raise GraphError("expansion needs at least two vertices")
-    if g.n > ceiling:
+    if n > _WORD:
         raise GraphClassError(
-            f"n={g.n} exceeds the brute-force ceiling {ceiling}; "
+            f"n={n} exceeds the {_WORD}-vertex limit of the subset scan; "
+            "use the spectral report instead"
+        )
+    if n > ceiling:
+        raise GraphClassError(
+            f"n={n} exceeds the brute-force ceiling {ceiling}; "
             "use the spectral report instead"
         )
     nbr_mask = [sum(1 << v for v in a) for a in g.neighbors()]
-    half = g.n // 2
-    # the best ratio so far is best_b / best_size, 1/0 standing for infinity;
-    # ratios are compared by integer cross-products
-    best_b, best_size, best_set = 1, 0, 0
-    for w in range(1, 1 << g.n):
-        size = w.bit_count()
-        if size > half:
-            continue
-        boundary = 0
-        rest = w
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            boundary |= nbr_mask[v]
-            rest &= rest - 1
-        b = (boundary & ~w).bit_count()
-        if b * best_size < best_b * size:
-            best_b, best_size, best_set = b, size, w
-            if b == 0:
+    k = min(n, _BLOCK_BITS)
+    low_w = np.arange(1 << k, dtype=np.uint64)
+    low_nbr = np.zeros(1 << k, dtype=np.uint64)
+    for v in range(k):
+        low_nbr[1 << v : 2 << v] = low_nbr[: 1 << v] | np.uint64(nbr_mask[v])
+    not_low_w = ~low_w
+    # key of (|W|, b) at |W| * (n + 1) + b
+    keys = np.array([b * (_RATIO_SCALE // s) if 0 < 2 * s <= n else _NO_RATIO
+                     for s in range(n + 1) for b in range(n + 1)])
+    low_row = np.bitwise_count(low_w).astype(np.intp) * (n + 1)
+    best_key, best_w = _NO_RATIO, 0    # a singleton beats it in the first block
+    for high in range(1 << (n - k)):
+        high_nbr = 0
+        for j in range(n - k):
+            if high >> j & 1:
+                high_nbr |= nbr_mask[k + j]
+        boundary = low_nbr | np.uint64(high_nbr)
+        boundary &= not_low_w
+        boundary &= np.uint64(~(high << k) & ((1 << _WORD) - 1))
+        key = keys[high.bit_count() * (n + 1) :][low_row + np.bitwise_count(boundary)]
+        i = int(np.argmin(key))
+        if key[i] < best_key:
+            best_key, best_w = int(key[i]), i | high << k
+            if best_key == 0:
                 break
-    best = Fraction(best_b, best_size)
-    subset = tuple(v for v in range(g.n) if best_set >> v & 1)
+    best = Fraction(best_key, _RATIO_SCALE)
+    subset = tuple(v for v in range(n) if best_w >> v & 1)
     lam = one_minus = None
     rep = analyze_structure(g)
     if rep.connected and rep.profile is not None:

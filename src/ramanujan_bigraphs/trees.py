@@ -144,8 +144,9 @@ def check_local_covering(c: CoveringCandidate) -> bool:
     neighbors is a bijection onto the neighbors of its image."""
     dom = c.domain_graph()
     cod = c.codomain
-    rep = analyze_structure(cod)
-    if not rep.connected:
+    # a tree ball's own graph needs no structure pass: _validate_ball proved it connected
+    own_ball = isinstance(c.domain, TreeBall) and cod is c.domain.graph
+    if not own_ball and not analyze_structure(cod).connected:
         raise GraphClassError("covering codomain must be connected")
     fmap = c.vertex_map
     missing = [v for v in range(dom.n) if v not in fmap]

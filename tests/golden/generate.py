@@ -21,7 +21,7 @@ import json
 import random
 from pathlib import Path
 
-from ramanujan_bigraphs import algebra, cli, lattices, trees
+from ramanujan_bigraphs import algebra, cli, graphs, lattices, trees
 
 HERE = Path(__file__).resolve().parent
 CLI_FILE = HERE / "cli_reports.json"
@@ -108,7 +108,23 @@ def exact_digest() -> dict:
     balls = [trees.biregular_tree_ball(l, m, r, side)
              for l, m, r, side in ((9, 3, 4, "l"), (9, 3, 3, "m"), (2, 2, 5, "l"), (4, 5, 3, "m"))]
     digest["tree_balls"] = _sha((b.level_counts, b.graph.edges, b.graph.parts) for b in balls)
+    digest["expansion"] = _sha((r.c, r.two_c, r.minimizing_subset)
+                               for r in map(graphs.expansion_coefficient, _expansion_graphs()))
     return digest
+
+
+def _expansion_graphs():
+    """Cycles, complete bipartite graphs, a disconnected graph, a (9, 3)
+    bigraph and a dozen seeded G(n, 1/2) graphs with 10 <= n <= 18."""
+    gs = [graphs.cycle(16), graphs.cycle(18), graphs.cycle(20),
+          graphs.complete_bipartite(9, 9), graphs.complete_bipartite(2, 3),
+          graphs.Graph(4, ((0, 1), (2, 3))),
+          graphs.random_biregular(4, 12, 9, 3, seed=3)]
+    rng = random.Random("golden-expansion")
+    for n in (*range(10, 19), 12, 16, 18):
+        gs.append(graphs.Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)
+                                        if rng.random() < 0.5)))
+    return gs
 
 
 def _dump(obj) -> str:

@@ -235,12 +235,28 @@ def test_finite_group_and_ceiling(tmp_path, capsys):
     assert rep["results"]["order"]["method"] == "enumerated"
     # every brute-force scan refuses a run above its ceiling the same way
     c22 = write_graph(tmp_path, graphs.cycle(22))
+    c65 = write_graph(tmp_path, graphs.cycle(65), "c65.json")   # above the scan's 64-bit word
     for argv, ceiling in ((["finite-group", "--q", "2", "--ceiling", "10"], 10),
                           (["tree", "--l", "9", "--m", "3", "--radius", "4", "--ceiling", "5"], 5),
-                          (["expansion", c22], 20)):
+                          (["expansion", c22], 20),
+                          (["expansion", c65, "--ceiling", "100"], 100)):
         code, rep = run(argv, capsys)
         assert (code, rep["command"], rep["inputs"]["ceiling"]) == \
             (2, "precondition-error", ceiling)
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def crash(bound):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(lattices, "good_primes_up_to", crash)
+    code = cli.main(["primes", "--up-to", "30"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)                  # exactly one document
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert (code, report["exit_code"], report["status"], report["command"]) == \
+        (70, 70, "error", "internal-error")
+    assert report["results"] == {"command": "primes", "error": "RuntimeError: boom"}
+    assert "RuntimeError: boom" in captured.err
 
 
 def test_random_bigraph_deterministic(capsys):

@@ -3,9 +3,11 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramanujan_bigraphs import graphs, trees
 from ramanujan_bigraphs.graphs import (
@@ -182,6 +184,8 @@ def test_expansion_k4():
 def test_expansion_ceiling():
     with pytest.raises(GraphError):
         expansion_coefficient(complete_bipartite(11, 11), ceiling=20)
+    with pytest.raises(GraphClassError, match="64-vertex limit"):   # whatever the ceiling
+        expansion_coefficient(cycle(65), ceiling=100)
 
 
 @pytest.mark.parametrize("g, c, subset", [
@@ -192,6 +196,58 @@ def test_expansion_pinned_minimiser(g, c, subset):
     # the first minimiser in scan order (subsets as bitmasks, ascending) wins
     rep = expansion_coefficient(g)
     assert (rep.c, rep.minimizing_subset) == (c, subset)
+
+
+def _reference_expansion(g):
+    """(c, 2c, minimising subset) by the one-subset-at-a-time scan that the
+    word-parallel scan replaced: the first minimiser in ascending bitmask
+    order wins, and ratios are compared by integer cross-products."""
+    nbr_mask = [sum(1 << v for v in a) for a in g.neighbors()]
+    half = g.n // 2
+    best_b, best_size, best_set = 1, 0, 0     # 1/0 stands for infinity
+    for w in range(1, 1 << g.n):
+        size = w.bit_count()
+        if size > half:
+            continue
+        boundary = 0
+        rest = w
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            boundary |= nbr_mask[v]
+            rest &= rest - 1
+        b = (boundary & ~w).bit_count()
+        if b * best_size < best_b * size:
+            best_b, best_size, best_set = b, size, w
+            if b == 0:
+                break
+    best = Fraction(best_b, best_size)
+    return best, 2 * best, tuple(v for v in range(g.n) if best_set >> v & 1)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(2, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, tuple(e for e, k in zip(pairs, keep) if k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(), st.integers(1, graphs._BLOCK_BITS))
+def test_expansion_matches_reference(g, block_bits):
+    # every block size gives the same answer, so small graphs also take
+    # the multi-block path
+    with mock.patch.object(graphs, "_BLOCK_BITS", block_bits):
+        rep = expansion_coefficient(g)
+    assert (rep.c, rep.two_c, rep.minimizing_subset) == _reference_expansion(g)
+
+
+def test_expansion_multi_block_matches_reference():
+    rng = random.Random(3)
+    g = Graph(18, tuple((u, v) for u in range(18) for v in range(u + 1, 18) if rng.random() < 0.5))
+    rep = expansion_coefficient(g)
+    assert (rep.c, rep.two_c, rep.minimizing_subset) == _reference_expansion(g)
+    assert max(rep.minimizing_subset) >= graphs._BLOCK_BITS   # found in a later block
 
 
 # ---------------------------------------------------------------------------

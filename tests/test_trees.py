@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ramanujan_bigraphs import graphs, trees
-from ramanujan_bigraphs.graphs import Graph, GraphError, complete_bipartite, cycle, random_biregular, spectrum
+from ramanujan_bigraphs.graphs import Graph, GraphClassError, GraphError, complete_bipartite, cycle, random_biregular, spectrum
 from ramanujan_bigraphs.trees import (
     CoveringCandidate,
     biregular_tree_ball,
@@ -63,8 +63,8 @@ def test_each_ball_is_searched_once(count_calls):
     depth = ball.depth_of()
     assert ball.level_counts == (1, 9, 18, 144) == tuple(depth.count(k) for k in range(4))
     assert ball.interior_vertices() == [v for v in range(ball.graph.n) if depth[v] < 3]
-    # _validate_ball holds the only BFS from the root
-    assert calls == {"_validate_ball": 1, "_neighbor_lists": 1, "_structure": 1}
+    # _validate_ball holds the only BFS, and its connectivity serves the covering check
+    assert calls == {"_validate_ball": 1, "_neighbor_lists": 1}
 
 
 def test_ball_spectrum_symmetric():
@@ -92,6 +92,18 @@ def test_c6_to_c3_double_cover():
 def test_collapsed_neighbors_rejected():
     cand = CoveringCandidate(cycle(6), cycle(3), {0: 0, 1: 1, 2: 2, 3: 0, 4: 1, 5: 0})
     assert not check_local_covering(cand)
+
+
+def test_disconnected_codomain_refused():
+    # only a ball's own graph skips the connectivity pass
+    two_triangles = Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+    ball = biregular_tree_ball(2, 2, 2)                   # the path 3 - 1 - 0 - 2 - 4
+    ident = {v: v for v in range(5)}
+    assert check_local_covering(CoveringCandidate(ball, Graph(5, ball.graph.edges), ident))
+    for domain, codomain in ((cycle(6), two_triangles), (ball, Graph(5, ball.graph.edges[:-1]))):
+        ident = {v: v for v in range(codomain.n)}
+        with pytest.raises(GraphClassError, match="connected"):
+            check_local_covering(CoveringCandidate(domain, codomain, ident))
 
 
 def test_undefined_map_errors():
