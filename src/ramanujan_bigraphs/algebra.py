@@ -71,17 +71,11 @@ class AlgebraParams:
         object.__setattr__(self, "a_l", one.from_E(self.a))
         object.__setattr__(self, "ta_l", one.from_E(self.a.conj()))
 
-    def l_zero(self):
-        return self.one.from_E(0)
-
-    def l_one(self):
-        return self.one
-
-    def l_scalar(self, e: QuadElem):
-        return self.one.from_E(e)
-
-    def rho(self, l):
-        return l.rho()
+    def times_z(self, m) -> tuple:
+        """Triple of z (m0 + m1 z + m2 z^2) = a rho(m2) + rho(m0) z + rho(m1) z^2: the
+        one place where D's relations z l = rho(l) z and z^3 = a are written."""
+        m0, m1, m2 = m
+        return (self.a_l * m2.rho(), m0.rho(), m1.rho())
 
 
 def example_galois_params() -> AlgebraParams:
@@ -104,19 +98,19 @@ class AlgebraElem:
     def __init__(self, params: AlgebraParams, l0, l1=None, l2=None):
         self.params = params
         if l1 is None or l2 is None:
-            z = params.l_zero()
+            z = params.one.from_E(0)
             l1, l2 = (z if c is None else c for c in (l1, l2))
         self.l = (l0, l1, l2)
 
     @classmethod
     def scalar(cls, params: AlgebraParams, e) -> "AlgebraElem":
         if isinstance(e, (int, Fraction, QuadElem)):
-            e = params.l_scalar(e)
+            e = params.one.from_E(e)
         return cls(params, e)
 
     @classmethod
     def gen_z(cls, params: AlgebraParams) -> "AlgebraElem":
-        return cls(params, params.l_zero(), params.l_one())
+        return cls(params, params.one.from_E(0), params.one)
 
     def _check(self, other: "AlgebraElem"):
         if self.params != other.params:
@@ -135,19 +129,10 @@ class AlgebraElem:
 
     def __mul__(self, other: "AlgebraElem"):
         self._check(other)
-        p = self.params
-        rho = p.rho
-        a = p.a_l
+        # row k of A(e) is z^k e, so d e = sum of l_k (z^k e), column by column
         l0, l1, l2 = self.l
-        m0, m1, m2 = other.l
-        rm0, rm1, rm2 = rho(m0), rho(m1), rho(m2)
-        rrm0, rrm1, rrm2 = rho(rm0), rho(rm1), rho(rm2)
-        return AlgebraElem(
-            p,
-            l0 * m0 + a * (l1 * rm2 + l2 * rrm1),
-            l0 * m1 + l1 * rm0 + a * (l2 * rrm2),
-            l0 * m2 + l1 * rm1 + l2 * rrm0,
-        )
+        cols = zip(*to_matrix(other))
+        return AlgebraElem(self.params, *(l0 * c0 + l1 * c1 + l2 * c2 for c0, c1, c2 in cols))
 
     def __eq__(self, other):
         if isinstance(other, AlgebraElem):
@@ -165,18 +150,9 @@ class AlgebraElem:
 
 
 def to_matrix(d: AlgebraElem) -> List[list]:
-    """Regular-representation image A(l0, l1, l2) in M_3(L)."""
-    p = d.params
-    rho = p.rho
-    a = p.a_l
-    l0, l1, l2 = d.l
-    r0, r1, r2 = rho(l0), rho(l1), rho(l2)
-    rr0, rr1, rr2 = rho(r0), rho(r1), rho(r2)
-    return [
-        [l0, l1, l2],
-        [a * r2, r0, r1],
-        [a * rr1, a * rr2, rr0],
-    ]
+    """Regular-representation image A(l0, l1, l2) in M_3(L): the rows d, z d, z^2 d."""
+    r1 = d.params.times_z(d.l)
+    return [list(d.l), list(r1), list(d.params.times_z(r1))]
 
 
 def matrix_mul(m1: Sequence, m2: Sequence) -> List[list]:
@@ -233,24 +209,26 @@ def involution(d: AlgebraElem) -> AlgebraElem:
 def involution_failures(params: AlgebraParams, samples: int, rng: random.Random) -> dict:
     """Failure counts of the involution laws on seeded random elements d_i.
 
-    alpha_sq: alpha(alpha(d)) = d.  anti: alpha(d e) = alpha(e) alpha(d), with
-    e the next sample cyclically.  tau: alpha restricts to tau on E, checked on
-    the scalars (i % 11 - 5) + (i % 7 - 3) w.  norm_conj: Nrd(alpha(d)) =
-    tau(Nrd(d)).  norm_det: det of the matrix image = Nrd(d).
+    alpha_squared_is_identity: alpha(alpha(d)) = d.  restricts_to_tau_on_E:
+    checked on the scalars (i % 11 - 5) + (i % 7 - 3) w.  anti_automorphism:
+    alpha(d e) = alpha(e) alpha(d), with e the next sample cyclically.
+    norm_conjugation: Nrd(alpha(d)) = tau(Nrd(d)).  norm_equals_det: det of the
+    matrix image = Nrd(d).
     """
-    failures = dict.fromkeys(("alpha_sq", "anti", "tau", "norm_conj", "norm_det"), 0)
+    failures = dict.fromkeys(("alpha_squared_is_identity", "restricts_to_tau_on_E",
+                              "anti_automorphism", "norm_conjugation", "norm_equals_det"), 0)
     elems = [random_element(params, rng) for _ in range(samples)]
     images = [involution(d) for d in elems]
     for i, (d, ad) in enumerate(zip(elems, images)):
         j = (i + 1) % samples
         nd = reduced_norm(d)
         s = QuadElem(i % 11 - 5, i % 7 - 3)
-        failures["alpha_sq"] += involution(ad) != d
-        failures["anti"] += involution(d * elems[j]) != images[j] * ad
-        failures["tau"] += involution(AlgebraElem.scalar(params, s)) != \
+        failures["alpha_squared_is_identity"] += involution(ad) != d
+        failures["restricts_to_tau_on_E"] += involution(AlgebraElem.scalar(params, s)) != \
             AlgebraElem.scalar(params, s.conj())
-        failures["norm_conj"] += reduced_norm(ad) != nd.conj()
-        failures["norm_det"] += matrix_det(to_matrix(d)) != params.l_scalar(nd)
+        failures["anti_automorphism"] += involution(d * elems[j]) != images[j] * ad
+        failures["norm_conjugation"] += reduced_norm(ad) != nd.conj()
+        failures["norm_equals_det"] += matrix_det(to_matrix(d)) != params.one.from_E(nd)
     return failures
 
 
@@ -260,7 +238,7 @@ def inverse(d: AlgebraElem) -> AlgebraElem:
     if not n:
         raise ZeroDivisionError("element has reduced norm zero")
     m = to_matrix(d)
-    inv_n = d.params.l_scalar(n.inverse())
+    inv_n = d.params.one.from_E(n.inverse())
     # row 0 of A^{-1} = adj(A) / N carries the triple of d^{-1}; it holds the
     # cofactors of column 0 of A
     adj = (
@@ -396,13 +374,14 @@ def _random_real_subfield_element(rng: random.Random) -> CycloElem:
 
 
 def random_hermitian(params: AlgebraParams, rng: random.Random) -> AlgebraElem:
-    """Random alpha-fixed element of the Galois-kind algebra."""
+    """Random alpha-fixed element of the Galois-kind algebra: d + alpha(d) for
+    d = l0/2 + l1 z, with l0 in the real subfield that alpha fixes."""
     if params.kind != GALOIS:
         raise ValueError("hermitian sampling implemented for the Galois kind")
     l0 = _random_real_subfield_element(rng)
     l1 = CycloElem([_random_fraction(rng) for _ in range(6)])
-    l2 = params.ta_l * galois_tau(galois_rho(galois_rho(l1)))
-    return AlgebraElem(params, l0, l1, l2)
+    d = AlgebraElem(params, l0 / 2, l1)
+    return d + involution(d)
 
 
 def random_special_unitary(params: AlgebraParams, rng: random.Random) -> AlgebraElem:

@@ -53,11 +53,11 @@ NONGAL = example_nongalois_params()
 @pytest.mark.parametrize("params", [GAL, NONGAL], ids=["galois", "nongalois"])
 def test_z_relations(params):
     z = AlgebraElem.gen_z(params)
-    l = AlgebraElem(params, params.l_one())
-    if params.kind == GALOIS:
-        lval = CycloElem.zeta9(1)
-        l = AlgebraElem(params, lval)
-        assert (z * l).l == (params.l_zero(), params.rho(lval), params.l_zero())
+    zero = params.one.from_E(0)
+    # z l = rho(l) z on the Q-basis of L: zeta_9^j (galois), theta^k w^j (nongalois)
+    for i in range(6):
+        lval = params.one.from_rationals([int(i == k) for k in range(6)])
+        assert (z * AlgebraElem(params, lval)).l == (zero, lval.rho(), zero)
     assert z * z * z == AlgebraElem.scalar(params, params.a)
 
 
@@ -75,15 +75,15 @@ def test_identity_matrix():
     m = to_matrix(one)
     for i in range(3):
         for j in range(3):
-            expected = GAL.l_one() if i == j else GAL.l_zero()
+            expected = GAL.one if i == j else GAL.one.from_E(0)
             assert m[i][j] == expected
 
 
 def test_z_matrix_shape():
     m = to_matrix(AlgebraElem.gen_z(GAL))
-    assert m[0][1] == GAL.l_one() and m[1][2] == GAL.l_one()
-    assert m[2][0] == GAL.l_scalar(GAL.a)
-    assert m[0][0] == GAL.l_zero()
+    assert m[0][1] == GAL.one and m[1][2] == GAL.one
+    assert m[2][0] == GAL.one.from_E(GAL.a)
+    assert m[0][0] == GAL.one.from_E(0)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +98,7 @@ def test_reduced_norm(params):
     for _ in range(20):
         d, e = random_element(params, rng), random_element(params, rng)
         assert reduced_norm(d * e) == reduced_norm(d) * reduced_norm(e)
-        assert matrix_det(to_matrix(d)) == params.l_scalar(reduced_norm(d))
+        assert matrix_det(to_matrix(d)) == params.one.from_E(reduced_norm(d))
 
 
 def test_inverse():

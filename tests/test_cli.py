@@ -1,11 +1,14 @@
 """CLI contract tests: exit codes, report schema, determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramanujan_bigraphs import cli, graphs, lattices, trees
 
@@ -96,6 +99,9 @@ K33 = "<path of a K_3,3 graph file>"
     ["verify-algebra", "--witness-limit", "0"],
     ["verify-algebra", "--witness-limit", "-5", "--samples", "1"],
     ["tree", "--l", "9", "--m", "3", "--radius", "-1"],
+    ["tree", "--l", "1", "--m", "3", "--radius", "2"],
+    ["verify-algebra", "--a", "1-1"],
+    ["verify-algebra", "--kind", "nongalois", "--b", "0"],
     ["primes", "--up-to", "1"],
     ["certify", K33, "--tolerance", "nan"],    # K_3,3 is Ramanujan: nan must not fail it
     ["certify", K33, "--tolerance", "inf"],
@@ -105,7 +111,8 @@ K33 = "<path of a K_3,3 graph file>"
     ["spectrum", K33, "--tolerance", "-0.5"],
 ], ids=["b-with-galois", "a-with-nongalois", "a-True", "a-False", "paper-suite-with-command",
         "seed-before-command", "samples-0", "samples-negative", "deep-sum", "deep-negation",
-        "witness-limit-0", "witness-limit-negative", "radius-negative", "up-to-1",
+        "witness-limit-0", "witness-limit-negative", "radius-negative", "tree-degree-1",
+        "a-zero", "b-zero", "up-to-1",
         "certify-tolerance-nan", "certify-tolerance-inf", "certify-tolerance-negative",
         "certify-tolerance-negative-exponent",
         "spectrum-tolerance-nan", "spectrum-tolerance-negative"])
@@ -305,3 +312,37 @@ def test_paper_suite_good_primes_can_fail(capsys, monkeypatch):
 def test_no_subcommand_is_usage_error(capsys):
     code, _ = run([], capsys)
     assert code == 64
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every argument vector gets one schema-valid report and a documented code
+# ---------------------------------------------------------------------------
+
+# tokens parse_quad accepts, then tokens it rejects
+_QUAD_TOKENS = ["0", "1", "2", "7", "w", "omega", "sqrt_m3", "zeta3", "+", "-", "*", "/",
+                "(", ")", "**", "1.5", "True", "x", "%", "[1]"]
+_EXPRESSIONS = st.lists(st.sampled_from(_QUAD_TOKENS), min_size=1, max_size=6).map("".join)
+_ARGVS = st.one_of(
+    st.tuples(st.sampled_from(["galois", "nongalois"]), st.sampled_from(["--a", "--b"]),
+              _EXPRESSIONS, st.integers(-2, 2), st.integers(-3, 300)).map(
+        lambda t: ["verify-algebra", "--kind", t[0], t[1], t[2],
+                   "--samples", str(t[3]), "--witness-limit", str(t[4])]),
+    st.tuples(st.integers(-1, 6), st.integers(-1, 6), st.integers(-2, 3)).map(
+        lambda t: ["tree", "--l", str(t[0]), "--m", str(t[1]), "--radius", str(t[2])]),
+    st.integers(-5, 80).map(lambda n: ["primes", "--up-to", str(n)]),
+    # level n = 2 is left out: its enumeration is the slow one
+    st.tuples(st.integers(-2, 8), st.sampled_from([-1, 0, 1, 3])).map(
+        lambda t: ["finite-group", "--q", str(t[0]), "--n", str(t[1])]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ARGVS)
+def test_fuzzed_arguments_get_one_report(argv):
+    out = io.StringIO()     # capsys is function-scoped, which hypothesis refuses
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    report = json.loads(out.getvalue())     # raises unless stdout is one document
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert report["exit_code"] == code and code in (0, 1, 2, 64)
+    assert report["command"] != "parse-error", argv   # nothing here was read from a file
