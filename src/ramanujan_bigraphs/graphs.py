@@ -18,10 +18,18 @@ Conventions
 * Spectra of bipartite graphs come from the biadjacency matrix.  With sides
   of sizes r <= c and B the r x c matrix of edges from the smaller side to
   the larger, the adjacency spectrum is {+-sigma_i(B)} plus c - r zeros, for
-  every bipartite graph, connected or not.  So a bipartite graph costs one
-  r x c SVD; any other graph costs the n x n symmetric eigenproblem of its
-  adjacency matrix A.  Both are backward stable, with absolute error
-  O(eps ||A||).  ``Spectrum.eigenproblem`` records which shape was decomposed.
+  every bipartite graph, connected or not.  So ``spectrum`` of a bipartite
+  graph costs one r x c SVD; any other graph costs the n x n symmetric
+  eigenproblem of its adjacency matrix A.  Both are backward stable, with
+  absolute error O(eps ||A||).
+* ``certify_ramanujan`` never matches a trivial eigenvalue.  It removes the
+  trivial eigenvector exactly, in integers, and decomposes r x r
+  M = r BB^T - lm J for a bipartite graph, n x n M = n A - k J otherwise.
+  The bipartite M is positive semidefinite with ||M|| = r lambda^2, so
+  lambda^2 comes with relative error O(eps), where the SVD gave lambda with
+  absolute error O(eps sqrt(lm)); K_{a,b} gives M = 0 and lambda = 0.0.
+  ``Spectrum.eigenproblem`` and ``RamanujanCertificate.eigenproblem`` record
+  which shape was decomposed.
 """
 
 from __future__ import annotations
@@ -197,28 +205,38 @@ class Spectrum:
     eigenproblem: Tuple[int, int] = field(kw_only=True)
 
 
+def _biadjacency_index(
+    g: Graph, coloring: Tuple[int, ...]
+) -> Tuple[int, np.ndarray, np.ndarray]:
+    """(r, i, j) for the biadjacency matrix B of a bipartite g: r is the size
+    of the smaller side (the rows of B), and edge e joins row i[e] of B to
+    column j[e]."""
+    rows = np.asarray(coloring, dtype=bool)
+    if 2 * np.count_nonzero(rows) > g.n:
+        rows = ~rows
+    r = int(np.count_nonzero(rows))
+    index = np.empty(g.n, dtype=np.intp)   # position of each vertex in its side
+    index[rows] = np.arange(r)
+    index[~rows] = np.arange(g.n - r)
+    u, v = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2).T
+    u, v = np.where(rows[u], u, v), np.where(rows[u], v, u)
+    return r, index[u], index[v]
+
+
 def spectrum(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Spectrum:
     """Spectrum of g from the SVD of its biadjacency matrix when g is
     bipartite (declared ``parts``, else the BFS colouring), else from the
     eigenvalues of its adjacency matrix."""
     if g.n < 1:
-        raise GraphError("spectrum requires at least one vertex")
+        raise GraphClassError("spectrum requires at least one vertex")
     coloring = analyze_structure(g).bipartition
     if coloring is None:
         vals = np.linalg.eigvalsh(g.adjacency_matrix())
         shape = (g.n, g.n)
     else:
-        rows = np.asarray(coloring, dtype=bool)
-        if 2 * np.count_nonzero(rows) > g.n:
-            rows = ~rows                       # rows of B: the smaller side
-        r = int(np.count_nonzero(rows))
-        index = np.empty(g.n, dtype=np.intp)   # position of each vertex in its side
-        index[rows] = np.arange(r)
-        index[~rows] = np.arange(g.n - r)
-        u, v = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2).T
-        u, v = np.where(rows[u], u, v), np.where(rows[u], v, u)
+        r, i, j = _biadjacency_index(g, coloring)
         b = np.zeros((r, g.n - r))
-        b[index[u], index[v]] = 1.0
+        b[i, j] = 1.0
         sigma = np.linalg.svd(b, compute_uv=False)
         vals = np.concatenate([sigma, -sigma, np.zeros(g.n - 2 * r)])
         shape = (r, g.n - r)
@@ -269,8 +287,32 @@ class RamanujanCertificate:
     def23: Optional[bool]                  # bigraphs only
     is_ramanujan: bool
     tolerance: float
-    eigenproblem: Tuple[int, int]          # shape of the matrix decomposed
+    eigenproblem: Tuple[int, int]          # (r, r) if bipartite, else (n, n): the deflated matrix
     margins: Dict[str, float] = field(default_factory=dict)
+
+
+def _deflated_lambda(
+    g: Graph, coloring: Optional[Tuple[int, ...]], l: int, m: int
+) -> Tuple[float, Tuple[int, int]]:
+    """lambda(X) of a connected (l, m)-biregular g with bipartition
+    ``coloring``, or of a connected l-regular non-bipartite g (coloring
+    None), and the shape of the matrix decomposed for it.
+
+    Bipartite: G = BB^T counts common neighbours, one m x m block of row
+    pairs per column of B, and G 1 = lm 1.  So M = r G - lm J has eigenvalue
+    0 on 1 and r sigma_i^2 on its complement.  Otherwise M = n A - l J, with
+    eigenvalue 0 on 1 and n theta_i on its complement.
+    """
+    if coloring is None:
+        n = g.n
+        theta = np.linalg.eigvalsh(n * g.adjacency_matrix() - l)
+        return float(max(-theta[0], theta[-1]) / n), (n, n)
+    r, i, j = _biadjacency_index(g, coloring)
+    column_rows = i[np.argsort(j)].reshape(-1, m)
+    pairs = (column_rows[:, :, None] * r + column_rows[:, None, :]).ravel()
+    gram = np.bincount(pairs, minlength=r * r).reshape(r, r)
+    top = np.linalg.eigvalsh((r * gram - l * m).astype(float))[-1]
+    return math.sqrt(top / r), (r, r)
 
 
 def certify_ramanujan(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> RamanujanCertificate:
@@ -288,23 +330,21 @@ def certify_ramanujan(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Ramanuj
         raise GraphClassError("certification requires a regular or biregular graph")
     if isinstance(rep.profile, RegularProfile) and rep.profile.k == 0:
         raise GraphClassError("certification requires degree at least 1")
-    s = spectrum(g, tolerance)
-    lam = lambda_of(s, rep.profile)
+    regular = isinstance(rep.profile, RegularProfile)
+    l, m = (rep.profile.k,) * 2 if regular else (rep.profile.l, rep.profile.m)
+    lam, shape = _deflated_lambda(g, rep.bipartition, l, m)
     margins: Dict[str, float] = {}
     def21 = def22 = def23 = None
-    if isinstance(rep.profile, RegularProfile):
+    if regular:
         graph_class = "regular"
-        k = rep.profile.k
-        degrees: Tuple[int, ...] = (k,)
-        lower, upper = 0.0, 2.0 * math.sqrt(k - 1)
+        degrees: Tuple[int, ...] = (l,)
+        lower, upper = 0.0, 2.0 * math.sqrt(l - 1)
         def21 = lam <= upper + tolerance
         margins["def21_upper"] = upper - lam
-        l = m = k if rep.profile.bipartite else None
     else:
         graph_class = "bigraph"
-        l, m = rep.profile.l, rep.profile.m
         degrees = (l, m)
-    if l is not None:
+    if rep.bipartition is not None:
         sl, sm = math.sqrt(l - 1), math.sqrt(m - 1)
         lower, upper = abs(sl - sm), sl + sm
         def22 = (lower - tolerance <= lam) and (lam <= upper + tolerance)
@@ -328,7 +368,7 @@ def certify_ramanujan(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Ramanuj
         def23=def23,
         is_ramanujan=all(v for v in (def21, def22) if v is not None),
         tolerance=tolerance,
-        eigenproblem=s.eigenproblem,
+        eigenproblem=shape,
         margins=margins,
     )
 
@@ -367,7 +407,7 @@ def expansion_coefficient(
     """
     n = g.n
     if n < 2:
-        raise GraphError("expansion needs at least two vertices")
+        raise GraphClassError("expansion needs at least two vertices")
     if n > _WORD:
         raise GraphClassError(
             f"n={n} exceeds the {_WORD}-vertex limit of the subset scan; "

@@ -3,7 +3,10 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
+import os
+import tempfile
 from importlib import resources
 
 import jsonschema
@@ -179,14 +182,31 @@ def test_certify_disagreeing_windows_is_precondition(tmp_path, capsys):
     assert "def22 and def23" in rep["results"]["error"]
 
 
+def test_certify_tolerance_zero_gets_a_verdict(tmp_path, capsys):
+    # the SVD route exited 2 on both: a trivial eigenvalue "not found" by rounding
+    for g in (graphs.random_biregular(60, 180, 9, 3, seed=0), graphs.cycle(7)):
+        code, rep = run(["certify", write_graph(tmp_path, g), "--tolerance", "0"], capsys)
+        assert (code, rep["command"]) in ((0, "certify"), (1, "certify"))
+
+
+def test_certify_large_tolerance_gets_a_verdict(tmp_path, capsys):
+    k33 = write_graph(tmp_path, graphs.complete_bipartite(3, 3), "k33.json")
+    code, rep = run(["certify", k33, "--tolerance", "5"], capsys)
+    assert (code, rep["command"]) == (0, "certify")
+    disc = write_graph(tmp_path, graphs.Graph(4, ((0, 1), (2, 3))), "disc.json")
+    code, rep = run(["certify", disc, "--tolerance", "5"], capsys)
+    assert (code, rep["command"]) == (2, "precondition-error")
+
+
 def test_reports_name_the_eigenproblem(tmp_path, capsys):
     bigraph = write_graph(tmp_path, graphs.random_biregular(60, 180, 9, 3, seed=7), "b.json")
     odd = write_graph(tmp_path, graphs.cycle(7), "c7.json")
-    for path, shape in ((bigraph, [60, 180]), (odd, [7, 7])):
-        for command in ("certify", "spectrum"):
-            code, rep = run([command, path], capsys)
-            assert code in (0, 1)
-            assert rep["results"]["eigenproblem"] == {"value": shape, "method": "exact"}
+    # certify decomposes the deflated r x r Gram matrix, spectrum the r x c biadjacency
+    for path, command, shape in ((bigraph, "certify", [60, 60]), (bigraph, "spectrum", [60, 180]),
+                                 (odd, "certify", [7, 7]), (odd, "spectrum", [7, 7])):
+        code, rep = run([command, path], capsys)
+        assert code in (0, 1)
+        assert rep["results"]["eigenproblem"] == {"value": shape, "method": "exact"}
 
 
 def test_certify_dot_format(tmp_path, capsys):
@@ -336,13 +356,91 @@ _ARGVS = st.one_of(
 )
 
 
-@settings(max_examples=100, deadline=None)
-@given(_ARGVS)
-def test_fuzzed_arguments_get_one_report(argv):
+def run_quietly(argv):
+    """cli.main(argv) -> (code, report), the report validated against the schema."""
     out = io.StringIO()     # capsys is function-scoped, which hypothesis refuses
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     report = json.loads(out.getvalue())     # raises unless stdout is one document
     jsonschema.validate(report, REPORT_SCHEMA)
-    assert report["exit_code"] == code and code in (0, 1, 2, 64)
+    assert report["exit_code"] == code and code in (0, 1, 2, 64), argv
+    return code, report
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ARGVS)
+def test_fuzzed_arguments_get_one_report(argv):
+    _, report = run_quietly(argv)
     assert report["command"] != "parse-error", argv   # nothing here was read from a file
+
+
+# small well-formed graphs: stars, K_1, isolated vertices, disconnected and
+# complete bipartite graphs, and any simple graph on up to 7 vertices
+_VALID_GRAPHS = st.one_of(
+    st.integers(1, 6).map(lambda c: graphs.complete_bipartite(1, c)),
+    st.integers(0, 4).map(lambda n: graphs.Graph(n, ())),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).map(lambda t: graphs.complete_bipartite(*t)),
+    st.integers(3, 6).map(lambda n: graphs.Graph(
+        2 * n, tuple((i, (i + 1) % n) for i in range(n))
+        + tuple((n + i, n + (i + 1) % n) for i in range(n)))),
+    st.integers(2, 7).flatmap(lambda n: st.sets(
+        st.sampled_from(list(itertools.combinations(range(n), 2))), max_size=12).map(
+        lambda es: graphs.Graph(n, tuple(es)))),
+)
+
+
+def _with_parts(g):
+    """g's document, with parts from its BFS colouring when g is bipartite."""
+    doc = graphs.graph_to_json(g)
+    coloring = graphs.analyze_structure(g).bipartition
+    if coloring is not None:
+        doc["parts"] = list(coloring)
+    return doc
+
+
+# each turns a well-formed document into a malformed one
+_CORRUPTIONS = {
+    "n-float": lambda d: {**d, "n": d["n"] + 0.5},
+    "n-negative": lambda d: {**d, "n": -1},
+    "n-missing": lambda d: {"edges": d["edges"]},
+    "edge-float": lambda d: {**d, "edges": d["edges"] + [[0, 1.5]]},
+    "edge-bool": lambda d: {**d, "edges": d["edges"] + [[True, 0]]},
+    "edge-string": lambda d: {**d, "edges": d["edges"] + [["0", 1]]},
+    "edge-arity": lambda d: {**d, "edges": d["edges"] + [[0, 1, 2]]},
+    "loop": lambda d: {**d, "edges": d["edges"] + [[d["n"] - 1, d["n"] - 1]]},
+    "duplicate": lambda d: {**d, "edges": d["edges"] + [[0, 1], [1, 0]]},
+    "out-of-range": lambda d: {**d, "edges": d["edges"] + [[0, d["n"]]]},
+    "negative-vertex": lambda d: {**d, "edges": d["edges"] + [[-1, 0]]},
+    "parts-length": lambda d: {**d, "parts": [0] * (d["n"] + 1)},
+    "parts-value": lambda d: {**d, "parts": [2] * (d["n"] or 1)},
+    "parts-string": lambda d: {**d, "parts": "01"},
+    "not-an-object": lambda d: [d["n"], d["edges"]],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_VALID_GRAPHS.map(_with_parts) | _VALID_GRAPHS.map(graphs.graph_to_json),
+       st.sampled_from([None, "not-json", *_CORRUPTIONS]),
+       st.sampled_from(["certify", "spectrum", "expansion"]))
+def test_fuzzed_graph_files_get_one_report(doc, corruption, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            if corruption == "not-json":
+                fh.write(json.dumps(doc)[:-1])
+            else:
+                json.dump(_CORRUPTIONS[corruption](doc) if corruption else doc, fh)
+        _, report = run_quietly([command, path])
+    if corruption is None:
+        jsonschema.validate(doc, GRAPH_SCHEMA)
+    assert (report["command"] == "parse-error") == (corruption is not None), (doc, corruption)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(-1, 12)] * 4, st.integers(-2, 5)))
+def test_fuzzed_random_bigraph_sizes_get_one_report(values):
+    argv = ["random-bigraph"]
+    for name, v in zip(("--n1", "--n2", "--l", "--m", "--seed"), values):
+        argv += [name, str(v)]
+    _, report = run_quietly(argv)
+    assert report["command"] in ("random-bigraph", "precondition-error"), argv

@@ -159,6 +159,59 @@ def test_certify_preconditions():
         certify_ramanujan(Graph(1, ()))                   # K_1: no window at degree 0
 
 
+def test_complete_bipartite_lambda_is_exactly_zero():
+    for a in range(1, 10):
+        for b in range(a, 10):
+            cert = certify_ramanujan(complete_bipartite(a, b), 0.0)
+            assert cert.lam == 0.0 and cert.eigenproblem == (a, a)
+
+
+# (6, 9, 3, 2)-biregular and connected, from random_biregular(6, 9, 3, 2, seed=0):
+# its 6 x 9 biadjacency matrix has rank 5, so it has a zero singular value
+_SINGULAR_BIGRAPH = Graph(15, (
+    (0, 6), (0, 12), (0, 13), (1, 8), (1, 11), (1, 12), (2, 9), (2, 10), (2, 14),
+    (3, 8), (3, 10), (3, 11), (4, 6), (4, 7), (4, 13), (5, 7), (5, 9), (5, 14)),
+    (0,) * 6 + (1,) * 9)
+
+
+def _random_regular(n, k, rng):
+    """A connected non-bipartite simple k-regular graph on n vertices, by
+    rejection from the configuration model."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(k)]
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(p)) for p in zip(stubs[::2], stubs[1::2])}
+        if len(pairs) == n * k // 2 and all(u != v for u, v in pairs):
+            rep = analyze_structure(g := Graph(n, tuple(pairs)))
+            if rep.connected and rep.bipartition is None:
+                return g
+
+
+def _agreement_graphs():
+    rng = random.Random(19)
+    for seed in range(4):
+        yield random_biregular(60, 180, 9, 3, seed)
+        yield random_biregular(8, 56, 28, 4, seed)
+        yield random_biregular(15, 20, 4, 3, seed)
+        yield random_biregular(20, 20, 3, 3, seed)
+        yield _random_regular(2 * rng.randint(5, 40), 3, rng)
+    yield from (cycle(n) for n in range(3, 40))
+    yield _SINGULAR_BIGRAPH
+
+
+def test_certify_agrees_with_the_spectrum():
+    b = np.zeros((6, 9), dtype=int)
+    for u, v in _SINGULAR_BIGRAPH.edges:
+        b[u, v - 6] = 1
+    assert not (np.array([1, -1, -1, 1, -1, 1]) @ b).any()     # a zero singular value
+    for g in _agreement_graphs():
+        rep = analyze_structure(g)
+        assert rep.connected
+        want = lambda_of(spectrum(g), rep.profile)
+        assert abs(certify_ramanujan(g).lam - want) < 1e-12
+    assert certify_ramanujan(_SINGULAR_BIGRAPH).lam > 2
+
+
 # ---------------------------------------------------------------------------
 # Expansion coefficient
 # ---------------------------------------------------------------------------
