@@ -323,9 +323,10 @@ def certify_ramanujan(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Ramanuj
     |sqrt(l-1) - sqrt(m-1)| <= lambda <= sqrt(l-1) + sqrt(m-1) and,
     equivalently, |lambda^2 - q1 - q2| <= 2 sqrt(q1 q2) with q_i = degree - 1.
     """
-    rep = analyze_structure(g)
-    if not rep.connected:
+    # fewer than n - 1 edges cannot connect n >= 2 vertices: no per-vertex work for that
+    if (g.n >= 2 and len(g.edges) < g.n - 1) or not analyze_structure(g).connected:
         raise GraphClassError("certification requires a connected graph")
+    rep = analyze_structure(g)
     if rep.profile is None:
         raise GraphClassError("certification requires a regular or biregular graph")
     if isinstance(rep.profile, RegularProfile) and rep.profile.k == 0:

@@ -15,6 +15,7 @@ lattices themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import List, Optional, Tuple
@@ -22,7 +23,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 # the splitting kinds are defined in numberfield and re-exported here
-from .numberfield import INERT, RAMIFIED, SPLIT, _splitting_of_prime, is_prime, splitting_data
+from .numberfield import INERT, RAMIFIED, SPLIT, is_prime, splitting_data
 
 DEFAULT_ENUM_CEILING = 10_000_000
 
@@ -49,10 +50,15 @@ def classify_prime(p: int) -> PrimeClass:
 
 
 def good_primes_up_to(n: int) -> List[int]:
-    """Ascending inert ('good') primes <= n."""
+    """Ascending inert ('good') primes <= n, from a sieve of Eratosthenes: by
+    ``numberfield.splitting_data`` they are 2 and the primes = 2 mod 3."""
     if n < 2:
         raise LatticeError("bound must be >= 2")
-    return [p for p in range(2, n + 1) if is_prime(p) and _splitting_of_prime(p)[0] == INERT]
+    composite = bytearray(n + 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if not composite[p]:
+            composite[p * p::p] = b"\x01" * len(range(p * p, n + 1, p))
+    return [p for p in range(2, n + 1, 3) if not composite[p]]
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +124,6 @@ class ResidueRing:
         return ((c[0] * nrm_inv) % self.modulus, (c[1] * nrm_inv) % self.modulus)
 
 
-def _equal(a, b):
-    """Elementwise equality of two (arrays of) ring elements."""
-    return (a[0] == b[0]) & (a[1] == b[1])
-
-
 # ---------------------------------------------------------------------------
 # Finite special unitary groups by exhaustive enumeration
 # ---------------------------------------------------------------------------
@@ -148,26 +149,71 @@ class FiniteGroupReport:
     elements: Optional[Tuple] = None      # enumerated matrices at n = 1
 
 
+class _CodeTables:
+    """``ring``'s operations as lookup tables on codes c = x + m*y < m^2 of
+    the elements x + y*omega of O_E/m, built once by applying ``ResidueRing``'s
+    own formulas to every pair of codes.  Codes are uint8 when m^2 <= 256,
+    else uint16; a binary op is one ``take`` at index a*m^2 + b."""
+
+    def __init__(self, ring: ResidueRing):
+        m = self.m = ring.modulus
+        self.size = m * m
+        self.code_dtype = np.uint8 if self.size <= 256 else np.uint16
+        self.index_dtype = np.uint16 if self.size ** 2 <= 65536 else np.uint32
+        a = self.decode(np.arange(self.size, dtype=np.int32))   # products < 3 m^2 < 2^31
+        pair = (a[0][:, None], a[1][:, None]), (a[0][None], a[1][None])
+        self.mul, self.add, self.sub, self.herm = (
+            self.encode(*op(*pair)).ravel()
+            for op in (ring.mul, ring.add, ring.sub, lambda u, v: ring.mul(ring.conj(u), v)))
+        self.conj, self.norm = self.encode(*ring.conj(a)), self.encode(ring.norm(a), 0)
+
+    def encode(self, x, y):
+        return (x % self.m + self.m * (y % self.m)).astype(self.code_dtype)
+
+    def decode(self, c):
+        return c % self.m, c // self.m
+
+    def op(self, table, a, b):
+        index = a.astype(self.index_dtype)    # then in place: one temporary, not three
+        index *= self.size
+        index += b
+        return table.take(index)
+
+    def total(self, terms):
+        """The ring sum of the three entries along the last axis of terms."""
+        return self.op(self.add, self.op(self.add, terms[..., 0], terms[..., 1]), terms[..., 2])
+
+    def cross(self, a, b, c, d):
+        """a b - c d"""
+        return self.op(self.sub, self.op(self.mul, a, b), self.op(self.mul, c, d))
+
+    def hermitian(self, u, v):
+        """sum_i conj(u_i) v_i over the last axis of the columns u and v."""
+        return self.total(self.op(self.herm, u, v))
+
+    def unitary_det_mask(self, g):
+        """``_unitary_det_mask`` of the code matrices g of shape (k, 3, 3)."""
+        mask = np.ones(len(g), dtype=bool)
+        # conj(g)^T g is Hermitian, so its upper triangle decides whether it is I
+        for i in range(3):
+            for j in range(i, 3):
+                mask &= self.hermitian(g[:, :, i], g[:, :, j]) == int(i == j)
+
+        def minor(i1, j1, i2, j2):
+            return self.cross(g[:, i1, j1], g[:, i2, j2], g[:, i1, j2], g[:, i2, j1])
+
+        # det = a00 (a11 a22 - a12 a21) - a01 (a10 a22 - a12 a20) + a02 (a10 a21 - a11 a20)
+        det = self.op(self.add,
+                      self.cross(g[:, 0, 0], minor(1, 1, 2, 2), g[:, 0, 1], minor(1, 0, 2, 2)),
+                      self.op(self.mul, g[:, 0, 2], minor(1, 0, 2, 1)))
+        return mask & (det == 1)
+
+
 def _unitary_det_mask(x, y, ring: ResidueRing):
     """Boolean mask of the matrices g = x + y*omega (component arrays of shape
     (k, 3, 3)) with conj-transpose(g) g = I and det(g) = 1 in ``ring``."""
-    g = [[(x[:, i, j], y[:, i, j]) for j in range(3)] for i in range(3)]
-    cols = list(zip(*g))
-    mask = np.ones(len(x), dtype=bool)
-    # conj(g)^T g is Hermitian, so its upper triangle decides whether it is I
-    for i in range(3):
-        for j in range(i, 3):
-            mask &= _equal(ring.hermitian(cols[i], cols[j]), ring.one if i == j else (0, 0))
-
-    def minor(i1, j1, i2, j2):
-        return ring.sub(ring.mul(g[i1][j1], g[i2][j2]), ring.mul(g[i1][j2], g[i2][j1]))
-
-    # det = a00 (a11 a22 - a12 a21) - a01 (a10 a22 - a12 a20) + a02 (a10 a21 - a11 a20)
-    det = ring.add(
-        ring.sub(ring.mul(g[0][0], minor(1, 1, 2, 2)), ring.mul(g[0][1], minor(1, 0, 2, 2))),
-        ring.mul(g[0][2], minor(1, 0, 2, 1)),
-    )
-    return mask & _equal(det, ring.one)
+    tables = _CodeTables(ring)
+    return tables.unitary_det_mask(tables.encode(x, y))
 
 
 def _su3_fibre(bx, by, s: int, ring: ResidueRing):
@@ -178,32 +224,26 @@ def _su3_fibre(bx, by, s: int, ring: ResidueRing):
     base each came from.  For g in SU_3, conj(g)^T = g^-1 = adj(g): columns 0
     and 1 are orthonormal and column 2 is conj(c0 x c1), the cofactor column.
     So only orthonormal pairs of lifted columns are completed, and
-    ``_unitary_det_mask`` decides every completed matrix.
+    ``_unitary_det_mask`` decides every completed matrix.  All arithmetic is
+    on the one- or two-byte codes of ``_CodeTables``: the lifted columns are
+    one (B, q^6, 3) code array per column, so a column pair gathers two rows.
     """
-    q, m = ring.q, ring.modulus
-    grid = np.indices((q,) * 6).reshape(2, 3, -1)     # the q^6 columns over O_E/q
-    # column j of every base lifted by s * (each column over O_E/q): shape (B, 3, q^6)
-    lifted = [((bx[:, :, j, None] + s * grid[0]) % m, (by[:, :, j, None] + s * grid[1]) % m)
+    t = _CodeTables(ring)
+    grid = np.indices((ring.q,) * 6).reshape(2, 3, -1).transpose(0, 2, 1)   # the q^6 columns
+    # column j of every base lifted by s * (each column over O_E/q): shape (B, q^6, 3)
+    lifted = [t.encode(bx[:, None, :, j] + s * grid[0], by[:, None, :, j] + s * grid[1])
               for j in (0, 1)]
-
-    def column(j, b=slice(None), k=slice(None)):
-        """The three entries of the lifted columns j at bases b and lifts k, lazily."""
-        x, y = lifted[j]
-        return ((x[b, i, k], y[b, i, k]) for i in range(3))
-
-    base, k0 = np.nonzero(_equal(ring.hermitian(column(0), column(0)), ring.one))
-    unit1 = _equal(ring.hermitian(column(1), column(1)), ring.one)
+    unit0, unit1 = (t.total(t.norm[c]) == 1 for c in lifted)
+    base, k0 = np.nonzero(unit0)
     pair, k1 = np.nonzero(unit1[base])            # the unit columns 1 of the same base
-    base, k0 = base[pair], k0[pair]
-    orth = _equal(ring.hermitian(column(0, base, k0), column(1, base, k1)), (0, 0))
-    base, k0, k1 = base[orth], k0[orth], k1[orth]
-    c0, c1 = list(column(0, base, k0)), list(column(1, base, k1))
-    c2 = [ring.conj(ring.sub(ring.mul(c0[i1], c1[i2]), ring.mul(c0[i2], c1[i1])))
-          for i1, i2 in ((1, 2), (2, 0), (0, 1))]      # conj(c0 x c1)
-    x, y = (np.stack([col[i][part] for i in range(3) for col in (c0, c1, c2)], axis=-1)
-            .reshape(-1, 3, 3) for part in (0, 1))
-    keep = _unitary_det_mask(x, y, ring)
-    return x[keep], y[keep], base[keep]
+    c0, c1 = lifted[0][base, k0][pair], lifted[1][base[pair], k1]
+    orth = np.flatnonzero(t.hermitian(c0, c1) == 0)
+    base, c0, c1 = base[pair[orth]], c0[orth], c1[orth]
+    i1, i2 = [1, 2, 0], [2, 0, 1]                       # conj(c0 x c1), all rows at once
+    c2 = t.conj[t.cross(c0[:, i1], c1[:, i2], c0[:, i2], c1[:, i1])]
+    g = np.stack([c0, c1, c2], axis=-1)
+    keep = t.unitary_det_mask(g)
+    return (*t.decode(g[keep].astype(np.int64)), base[keep])
 
 
 def enumerate_su3(

@@ -11,7 +11,7 @@ from importlib import resources
 
 import jsonschema
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ramanujan_bigraphs import cli, graphs, lattices, trees
 
@@ -434,6 +434,25 @@ def test_fuzzed_graph_files_get_one_report(doc, corruption, command):
     if corruption is None:
         jsonschema.validate(doc, GRAPH_SCHEMA)
     assert (report["command"] == "parse-error") == (corruption is not None), (doc, corruption)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(2, 8), st.integers(2, 2 ** 70)),
+       st.sets(st.sampled_from(list(itertools.combinations(range(8), 2))), max_size=6))
+@example(2 ** 63, set())
+@example(3_000_000_000, {(0, 1)})
+def test_certify_refuses_too_few_edges_from_the_counts(n, edges):
+    # fewer than n - 1 edges cannot connect n vertices; a huge n must not be
+    # walked vertex by vertex (it crashed with OverflowError or MemoryError)
+    edges = sorted(e for e in edges if e[1] < n)
+    assume(len(edges) < n - 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"n": n, "edges": edges}, fh)
+        code, report = run_quietly(["certify", path])
+    assert code == 2 and report["command"] == "precondition-error", (n, edges)
+    assert report["results"]["error"] == "certification requires a connected graph"
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,8 @@
 """Unit tests for prime classification, residue rings, and finite groups."""
 
+import bisect
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from ramanujan_bigraphs.lattices import (
     IndexEntry,
     LatticeError,
     ResidueRing,
+    _CodeTables,
     _su3_fibre,
     _unitary_det_mask,
     classify_prime,
@@ -47,6 +50,13 @@ def test_good_primes():
     assert good_primes_up_to(4) == [2]
     with pytest.raises(LatticeError):
         good_primes_up_to(1)
+
+
+def test_good_primes_match_the_primality_test():
+    # the sieve against Miller-Rabin and the congruence rule for inert primes
+    want = [p for p in range(2, 20_001) if is_prime(p) and p % 3 == 2]
+    for n in [*range(2, 3001), 20_000]:
+        assert good_primes_up_to(n) == want[:bisect.bisect_right(want, n)], n
 
 
 def test_residue_ring_f4():
@@ -110,6 +120,44 @@ def test_residue_ring_arrays_match_scalars(q, n):
         for k in range(64):
             scalar = op(*((int(v[0][k]), int(v[1][k])) for v in args))
             assert (int(got[0][k]), int(got[1][k])) == scalar
+
+
+@pytest.mark.parametrize("q, n", [(2, 1), (2, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_code_tables_match_the_ring(q, n):
+    # every entry, on every pair of codes c = x + m*y, against ResidueRing's
+    # array formulas; a seeded sample against its scalar formulas too
+    r = ResidueRing(q, n)
+    m = r.modulus
+    t = _CodeTables(r)
+    assert t.code_dtype == (np.uint8 if m * m <= 256 else np.uint16)
+    assert t.index_dtype == (np.uint16 if m ** 4 <= 65536 else np.uint32)
+    y, x = np.divmod(np.arange(m * m), m)
+
+    def decoded(table):
+        return tuple(np.divmod(table.astype(np.int64), m)[::-1])
+
+    for rows in np.array_split(np.arange(m * m), m):    # m^2 / m rows at a time
+        a, b = (x[rows, None], y[rows, None]), (x[None], y[None])
+        for table, want in ((t.mul, r.mul(a, b)), (t.add, r.add(a, b)),
+                            (t.sub, r.sub(a, b)), (t.herm, r.mul(r.conj(a), b))):
+            got = decoded(table.reshape(m * m, m * m)[rows])
+            assert all((g == w).all() for g, w in zip(got, want))
+    assert all((g == w).all() for g, w in zip(decoded(t.conj), r.conj((x, y))))
+    assert (t.norm == r.norm((x, y))).all()
+
+    def code(e):
+        return e[0] + m * e[1]
+
+    rng = random.Random(m)
+    for _ in range(200):
+        ca, cb = rng.randrange(m * m), rng.randrange(m * m)
+        ea, eb = (ca % m, ca // m), (cb % m, cb // m)
+        pair = np.array([ca], t.code_dtype), np.array([cb], t.code_dtype)
+        for table, want in ((t.mul, r.mul(ea, eb)), (t.add, r.add(ea, eb)),
+                            (t.sub, r.sub(ea, eb)), (t.herm, r.mul(r.conj(ea), eb))):
+            assert int(t.op(table, *pair)[0]) == code(want)
+        assert int(t.conj[ca]) == code(r.conj(ea))
+        assert int(t.norm[ca]) == r.norm(ea)
 
 
 def test_residue_ring_rejects_ramified():
@@ -182,6 +230,65 @@ def test_su3_conj_transpose_is_adjugate(su3_level2_fibres):
         for g in group:
             conj_t = tuple(tuple(ring.conj(g[j][i]) for j in range(3)) for i in range(3))
             assert conj_t == _adjugate(g, ring)
+
+
+def _is_su3(g, ring):
+    """conj(g)^T g = I and det(g) = 1, entry by entry in ResidueRing tuples."""
+    cols = list(zip(*g))
+    for i in range(3):
+        for j in range(3):
+            if ring.hermitian(cols[i], cols[j]) != (ring.one if i == j else (0, 0)):
+                return False
+    adj = _adjugate(g, ring)
+    det = (0, 0)
+    for j in range(3):
+        det = ring.add(det, ring.mul(g[0][j], adj[j][0]))
+    return det == ring.one
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_unitary_det_mask_matches_scalar_reference(q):
+    # over O_E/25 (inert) and O_E/49 (split): 1,000 random matrices and 1,000
+    # products of SU_2 blocks [[a, b], [-conj(b), conj(a)]] (N(a) + N(b) = 1)
+    # and unit diagonals, a column of each scaled by a norm-1 unit half the time
+    ring = ResidueRing(q, 2)
+    m = ring.modulus
+    rng = random.Random(q)
+    elements = [(x, y) for x in range(m) for y in range(m)]
+    by_norm = {}
+    for e in elements:
+        by_norm.setdefault(ring.norm(e), []).append(e)
+    units = by_norm[1]
+
+    def matmul(g, h):
+        return [[reduce(ring.add, (ring.mul(g[i][k], h[k][j]) for k in range(3)))
+                 for j in range(3)] for i in range(3)]
+
+    def built():
+        u, v = rng.choice(units), rng.choice(units)
+        g = [[u, (0, 0), (0, 0)], [(0, 0), v, (0, 0)], [(0, 0), (0, 0), ring.conj(ring.mul(u, v))]]
+        for _ in range(3):
+            a = rng.choice(elements)
+            while (1 - ring.norm(a)) % m not in by_norm:
+                a = rng.choice(elements)
+            b = rng.choice(by_norm[(1 - ring.norm(a)) % m])
+            i, j = rng.sample(range(3), 2)
+            block = [[ring.one if r == c else (0, 0) for c in range(3)] for r in range(3)]
+            block[i][i], block[i][j] = a, b
+            block[j][i], block[j][j] = ring.sub((0, 0), ring.conj(b)), ring.conj(a)
+            g = matmul(g, block)
+        if rng.random() < 0.5:
+            w = rng.choice(units)
+            g = [[ring.mul(row[0], w), row[1], row[2]] for row in g]
+        return g
+
+    mats = [built() for _ in range(1000)]
+    mats += [[[rng.choice(elements) for _ in range(3)] for _ in range(3)] for _ in range(1000)]
+    arr = np.array(mats)
+    mask = _unitary_det_mask(arr[..., 0], arr[..., 1], ring)
+    want = [_is_su3(g, ring) for g in mats]
+    assert mask.tolist() == want
+    assert 300 < sum(want) < 1000
 
 
 def test_su3_level2_fibres_are_kernel_cosets(su3_level2_fibres):
