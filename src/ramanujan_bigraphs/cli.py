@@ -10,7 +10,8 @@ floating(tolerance).
 
 The brute-force commands (expansion, tree, finite-group) take their scan
 ceiling as --ceiling, refuse a run above it with exit 2, and the report's
-inputs record the ceiling that applied.  Options that do not apply to the
+inputs record the ceiling that applied.  spectrum does the same with its
+fixed vertex ceiling, graphs.SPECTRUM_CEILING.  Options that do not apply to the
 chosen command (--a with --kind nongalois, --b with --kind galois,
 --paper-suite or the top-level --seed with a subcommand) are usage errors,
 not ignored, and so are numeric options out of range (--samples or
@@ -230,8 +231,8 @@ def cmd_certify(args):
 
 def cmd_spectrum(args):
     g = graphs.load_graph(args.graph)
+    s = graphs.spectrum(g, _tolerance(args))     # refuses n above its ceiling first
     rep = graphs.analyze_structure(g)
-    s = graphs.spectrum(g, _tolerance(args))
     results = {
         "eigenvalues": floating(list(s.values), s.tolerance),
         "eigenproblem": exact(list(s.eigenproblem)),
@@ -431,7 +432,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("spectrum", help="adjacency spectrum of a graph file")
     p.add_argument("graph")
     p.add_argument("--tolerance", type=float, default=graphs.DEFAULT_TOLERANCE)
-    p.set_defaults(func=cmd_spectrum)
+    p.set_defaults(func=cmd_spectrum, ceiling=graphs.SPECTRUM_CEILING)   # fixed, not an option
 
     p = sub.add_parser("expansion", help="exact expansion coefficient (brute force)")
     p.add_argument("graph")

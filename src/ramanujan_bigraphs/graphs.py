@@ -3,9 +3,15 @@ expansion coefficients, generators, and JSON/DOT interchange.
 
 Conventions
 -----------
-* Graphs are simple and undirected; vertices are 0..n-1.  A Graph is
-  frozen, so its neighbour tuples and its structure report are computed at
-  most once per instance and shared by every caller.
+* Graphs are simple and undirected; vertices are 0..n-1, and a vertex id
+  must fit in int64.  ``edges`` is the sorted tuple of (lo, hi) pairs with
+  lo < hi.  Validation builds the same pairs once as a read-only (E, 2)
+  int64 array, ``edge_array()``, with whole-array checks of range, loops,
+  repeats and the declared parts (a short scan names the first bad edge);
+  no check forms a key lo * n, since n may exceed int64.  A Graph is
+  frozen, so its edge array, its neighbour tuples and its structure report
+  are built at most once per instance and shared by every caller.
+* ``spectrum`` lists n eigenvalues, so it refuses n > SPECTRUM_CEILING.
 * ``lambda_of`` follows the trivial-eigenvalue convention: for a connected
   k-regular graph drop one copy of k (and one copy of -k when bipartite);
   for a connected (l, m)-bigraph drop one copy of each of +-sqrt(lm).
@@ -39,12 +45,14 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_EXPANSION_CEILING = 20
+SPECTRUM_CEILING = 10_000   # vertices: the n x n eigenproblem alone takes 800 MB there
 
 
 class GraphError(Exception):
@@ -71,31 +79,24 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise GraphError("vertex count must be non-negative")
-        n = self.n
-        canon = []
-        for e in self.edges:
-            u, v = e
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge {e} references an invalid vertex")
-            if u < v:
-                canon.append((u, v))
-            elif v < u:
-                canon.append((v, u))
-            else:
-                raise GraphError(f"loop at vertex {u} not allowed")
-        if len(set(canon)) < len(canon):
-            seen = set()    # name the first repeat in input order
-            key = next(k for k in canon if k in seen or seen.add(k))
-            raise GraphError(f"duplicate edge {key}")
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+        ends, edges = _canonical_edges(self.n, self.edges)
+        object.__setattr__(self, "edges", edges)
+        self.__dict__["_edge_array"] = ends
         if self.parts is not None:
             parts = tuple(self.parts)
-            if len(parts) != self.n or any(c not in (0, 1) for c in parts):
+            if len(parts) != self.n or parts.count(0) + parts.count(1) != len(parts):
                 raise GraphError("parts must assign 0/1 to every vertex")
-            for u, v in self.edges:
-                if parts[u] == parts[v]:
-                    raise GraphError(f"edge ({u},{v}) violates the declared parts")
+            side = np.array(parts, dtype=np.int8)
+            clash = np.flatnonzero(side[ends[:, 0]] == side[ends[:, 1]])
+            if clash.size:
+                u, v = ends[clash[0]].tolist()
+                raise GraphError(f"edge ({u},{v}) violates the declared parts")
             object.__setattr__(self, "parts", parts)
+
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (E, 2) int64 array, row i = edges[i]:
+        built once, while the graph is validated, and shared."""
+        return self.__dict__["_edge_array"]
 
     def degrees(self) -> List[int]:
         return [len(a) for a in self.neighbors()]
@@ -106,8 +107,8 @@ class Graph:
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            a[u, v] = a[v, u] = 1.0
+        u, v = self.edge_array().T
+        a[u, v] = a[v, u] = 1.0
         return a
 
 
@@ -143,6 +144,54 @@ def _once(g: Graph, key: str, build):
     if key not in g.__dict__:
         g.__dict__[key] = build(g)
     return g.__dict__[key]
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _canonical_edges(
+    n: int, edges: Tuple[Tuple[int, int], ...]
+) -> Tuple[np.ndarray, Tuple[Tuple[int, int], ...]]:
+    """The edges as sorted (lo, hi) pairs with lo < hi, as an (E, 2) int64
+    array and as a tuple of int pairs; the tuple is ``edges`` itself when it
+    already is that tuple.  Raises GraphError for a vertex outside range(n)
+    or int64, a loop or a repeated edge."""
+    try:
+        if set(map(len, edges)) - {2}:
+            raise ValueError("an edge is not a pair")
+        ends = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges)).reshape(-1, 2)
+    except (TypeError, ValueError, OverflowError):
+        _raise_first_bad_edge(n, edges)
+    u, v = ends.T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    if (lo < 0).any() or (hi >= n).any() or (lo == hi).any():
+        _raise_first_bad_edge(n, edges)
+    ascending = (lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))
+    if type(edges) is tuple and (u < v).all() and ascending.all():   # so no repeats
+        ends.flags.writeable = False
+        return ends, edges
+    order = np.lexsort((hi, lo))
+    ends = np.stack((lo[order], hi[order]), axis=1)
+    if (ends[1:] == ends[:-1]).all(axis=1).any():
+        seen = set()    # name the first repeat in input order
+        key = next(k for k in zip(lo.tolist(), hi.tolist()) if k in seen or seen.add(k))
+        raise GraphError(f"duplicate edge {key}")
+    ends.flags.writeable = False
+    return ends, tuple(zip(*ends.T.tolist()))
+
+
+def _raise_first_bad_edge(n: int, edges) -> None:
+    """Raise the error of the first edge, in input order, that is not a
+    pair of distinct vertices of range(n) that fit in int64."""
+    for e in edges:
+        u, v = e
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge {e} references an invalid vertex")
+        if u == v:
+            raise GraphError(f"loop at vertex {u} not allowed")
+        if max(u, v) > _INT64_MAX:
+            raise GraphError(f"edge {e} names a vertex beyond int64")
+    raise GraphError("edges must be pairs of integer vertex ids")
 
 
 def _neighbor_lists(g: Graph) -> Tuple[Tuple[int, ...], ...]:
@@ -218,7 +267,7 @@ def _biadjacency_index(
     index = np.empty(g.n, dtype=np.intp)   # position of each vertex in its side
     index[rows] = np.arange(r)
     index[~rows] = np.arange(g.n - r)
-    u, v = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2).T
+    u, v = g.edge_array().T
     u, v = np.where(rows[u], u, v), np.where(rows[u], v, u)
     return r, index[u], index[v]
 
@@ -229,6 +278,8 @@ def spectrum(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Spectrum:
     eigenvalues of its adjacency matrix."""
     if g.n < 1:
         raise GraphClassError("spectrum requires at least one vertex")
+    if g.n > SPECTRUM_CEILING:
+        raise GraphClassError(f"n={g.n} exceeds the spectrum ceiling {SPECTRUM_CEILING}")
     coloring = analyze_structure(g).bipartition
     if coloring is None:
         vals = np.linalg.eigvalsh(g.adjacency_matrix())

@@ -6,13 +6,20 @@ special unitary group acts; this module builds finite radius-r balls of any
 order), checks the closed-form level counts, and validates externally
 supplied quotient data via a local covering-map check and a bidegree check
 (the handshake n1 (p^3+1) = n2 (p+1) = |E| then holds by the degree count).
+
+The ball construction, the ball validation and the covering check are
+whole-array work over each graph's (E, 2) edge array (``Graph.edge_array``):
+the parents of each level come from ``np.repeat``, the depths from at most
+``radius`` level steps, the degrees from ``np.bincount``, and a vertex map
+becomes an array of images.  Every quantity stays an integer.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple, Union
+
+import numpy as np
 
 from .graphs import BiregularProfile, Graph, GraphClassError, GraphError, analyze_structure
 from .numberfield import is_prime
@@ -23,8 +30,9 @@ DEFAULT_TREE_CEILING = 200_000
 @dataclass(frozen=True)
 class TreeBall:
     """Radius-r ball of the (l, m)-biregular tree, rooted at vertex 0.
-    Construction validates it by one BFS from the root and keeps the depths:
-    ``level_counts``, ``depth_of()`` and ``interior_vertices()`` read them."""
+    Construction validates it by one level-by-level search from the root and
+    keeps the depths: ``level_counts``, ``depth_of()`` and
+    ``interior_vertices()`` read them."""
 
     graph: Graph
     root: int
@@ -32,20 +40,20 @@ class TreeBall:
     l: int
     m: int
     root_side: str                    # "l" (root has degree l) or "m"
-    level_counts: Tuple[int, ...] = field(init=False)   # vertices at each BFS depth
-    _depth: Tuple[int, ...] = field(init=False, repr=False)
+    level_counts: Tuple[int, ...] = field(init=False)   # vertices at each depth
+    _depth: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_depth", _validate_ball(self))
-        counts = Counter(self._depth)
-        object.__setattr__(self, "level_counts", tuple(counts[k] for k in range(self.radius + 1)))
+        counts = np.bincount(self._depth, minlength=self.radius + 1)
+        object.__setattr__(self, "level_counts", tuple(counts.tolist()))
 
     def depth_of(self) -> List[int]:
         """Distance from the root for every vertex."""
-        return list(self._depth)
+        return self._depth.tolist()
 
     def interior_vertices(self) -> List[int]:
-        return [v for v, d in enumerate(self._depth) if d < self.radius]
+        return np.flatnonzero(self._depth < self.radius).tolist()
 
 
 def level_counts_closed_form(l: int, m: int, r: int, root_side: str = "l") -> List[int]:
@@ -74,53 +82,61 @@ def biregular_tree_ball(
     root_side: str = "l",
     ceiling: int = DEFAULT_TREE_CEILING,
 ) -> TreeBall:
-    """Breadth-first, deterministic construction of the radius-r ball."""
+    """Breadth-first, deterministic construction of the radius-r ball: the
+    vertices of each level are numbered after those of the level above, and
+    each vertex's children after those of the vertex before it."""
     counts = level_counts_closed_form(l, m, radius, root_side)
     total = sum(counts)
     if total > ceiling:
         raise GraphClassError(
             f"ball would have {total} vertices, exceeding the ceiling {ceiling}"
         )
-    edges: List[Tuple[int, int]] = []
-    parts = [0]
-    frontier = [0]
-    next_vertex = 1
-    for level in range(1, radius + 1):
-        branch = counts[level] // counts[level - 1]
-        new_frontier = []
-        for parent in frontier:
-            for _ in range(branch):
-                edges.append((parent, next_vertex))
-                parts.append(level % 2)
-                new_frontier.append(next_vertex)
-                next_vertex += 1
-        frontier = new_frontier
-    return TreeBall(Graph(total, tuple(edges), tuple(parts)), 0, radius, l, m, root_side)
+    branch = np.array([counts[k] // counts[k - 1] for k in range(1, radius + 1)], dtype=np.int64)
+    children = np.repeat(branch, counts[:-1])                # of each vertex above the last level
+    parent = np.repeat(np.arange(children.size), children)   # of vertices 1 .. total - 1
+    parts = np.repeat(np.arange(radius + 1) % 2, counts)
+    edges = tuple(zip(parent.tolist(), range(1, total)))
+    return TreeBall(Graph(total, edges, tuple(parts.tolist())), 0, radius, l, m, root_side)
 
 
-def _validate_ball(ball: TreeBall) -> Tuple[int, ...]:
-    """Check that the ball is a tree with the biregular interior degrees;
-    return the BFS depth of every vertex."""
+def _validate_ball(ball: TreeBall) -> np.ndarray:
+    """Check that the ball is a tree, within ``radius`` of its root, with the
+    biregular interior degrees; return the depth of every vertex.
+
+    The depths are found level by level: level k is the unvisited
+    neighbours of level k - 1, gathered from the adjacency lists in one
+    array step, for at most ``radius`` levels."""
     g = ball.graph
     if len(g.edges) != g.n - 1:
         raise GraphError("tree ball is not acyclic")
-    nbr = g.neighbors()
-    depth = [-1] * g.n
+    if not 0 <= ball.root < g.n:
+        raise GraphError(f"root {ball.root} is not a vertex of the ball")
+    ends = g.edge_array()
+    degree = np.bincount(ends.ravel(), minlength=g.n)
+    first = np.cumsum(degree) - degree                   # of each vertex's adjacency list
+    adjacent = ends[:, ::-1].ravel()[np.argsort(ends.ravel(), kind="stable")]
+    depth = np.full(g.n, -1)
     depth[ball.root] = 0
-    queue = [ball.root]
-    for u in queue:                   # the queue grows while it is read
-        for v in nbr[u]:
-            if depth[v] == -1:
-                depth[v] = depth[u] + 1
-                queue.append(v)
-    if -1 in depth:
-        raise GraphError("tree ball is not connected")
+    level = np.array([ball.root])
+    for k in range(1, ball.radius + 1):
+        sizes = degree[level]
+        starts = np.repeat(first[level] - (np.cumsum(sizes) - sizes), sizes)
+        reached = adjacent[starts + np.arange(starts.size)]
+        level = reached[depth[reached] < 0]
+        depth[level] = k
+    unreached = np.flatnonzero(depth < 0)
+    if unreached.size:
+        raise GraphError(
+            f"tree ball vertex {unreached[0]} is not within radius {ball.radius} of the root"
+        )
     d_root, d_other = (ball.l, ball.m) if ball.root_side == "l" else (ball.m, ball.l)
-    for v, d in enumerate(depth):
-        want = d_root if d % 2 == 0 else d_other
-        if d < ball.radius and len(nbr[v]) != want:
-            raise GraphError(f"interior vertex {v} has degree {len(nbr[v])}, expected {want}")
-    return tuple(depth)
+    want = np.where(depth % 2 == 0, d_root, d_other)
+    bad = np.flatnonzero((depth < ball.radius) & (degree != want))
+    if bad.size:
+        v = bad[0]
+        raise GraphError(f"interior vertex {v} has degree {degree[v]}, expected {want[v]}")
+    depth.flags.writeable = False
+    return depth
 
 
 @dataclass(frozen=True)
@@ -140,37 +156,76 @@ class CoveringCandidate:
 
 
 def check_local_covering(c: CoveringCandidate) -> bool:
-    """True iff, at every interior domain vertex, the map restricted to its
-    neighbors is a bijection onto the neighbors of its image."""
+    """True iff every domain edge maps to a codomain edge (boundary
+    included) and, at every interior domain vertex, the map restricted to
+    its neighbors is a bijection onto the neighbors of its image.
+
+    Given that edges map to edges, the bijection at v is checked as two
+    conditions: the images of v's neighbours are distinct, and
+    deg v = deg f(v).  Proof: each edge vu maps to the edge f(v)f(u), so f
+    maps N(v) into N(f(v)).  Distinct images make that map injective, and
+    an injection between finite sets of equal size is a bijection.
+    Conversely a bijection is injective and forces |N(v)| = |N(f(v))|.
+    """
     dom = c.domain_graph()
     cod = c.codomain
     # a tree ball's own graph needs no structure pass: _validate_ball proved it connected
     own_ball = isinstance(c.domain, TreeBall) and cod is c.domain.graph
     if not own_ball and not analyze_structure(cod).connected:
         raise GraphClassError("covering codomain must be connected")
-    fmap = c.vertex_map
-    missing = [v for v in range(dom.n) if v not in fmap]
-    if missing:
-        raise GraphError(f"vertex map undefined on vertices {missing[:5]}")
-    bad = [v for v, w in fmap.items() if not 0 <= w < cod.n]
-    if bad:
-        raise GraphError(f"vertex map leaves the codomain at {bad[:5]}")
+    image = _image_array(c.vertex_map, dom.n, cod.n)
     if dom.parts is not None and cod.parts is not None and dom.n > 0:
         # the map must respect the bipartitions up to a global color flip
-        flip = cod.parts[fmap[0]] ^ dom.parts[0]
-        if any(cod.parts[fmap[v]] != dom.parts[v] ^ flip for v in range(dom.n)):
+        flip = np.array(cod.parts, dtype=np.int8)[image] ^ np.array(dom.parts, dtype=np.int8)
+        if (flip != flip[0]).any():
             return False
-    dom_nbr = dom.neighbors()
-    cod_nbr = [set(s) for s in cod.neighbors()]
-    interior = c.domain.interior_vertices() if isinstance(c.domain, TreeBall) else range(dom.n)
-    for v in interior:
-        images = [fmap[u] for u in dom_nbr[v]]
-        if len(set(images)) != len(images):
-            return False                      # local injectivity fails
-        if set(images) != cod_nbr[fmap[v]]:
-            return False                      # not onto the image's neighbors
-    # edges must map to edges everywhere, boundary included
-    return all(fmap[v] in cod_nbr[fmap[u]] for u, v in dom.edges)
+    # edges must map to edges everywhere, boundary included.  The codomain is
+    # connected, so n <= |E| + 1: an edge array that fits in memory has
+    # n < 3e9, and the key lo * n + hi < n^2 fits in int64.  Sorted edges
+    # give sorted keys.
+    ends, cod_ends = dom.edge_array(), cod.edge_array()
+    mapped = image[ends]
+    keys = mapped.min(axis=1) * cod.n + mapped.max(axis=1)
+    cod_keys = cod_ends[:, 0] * cod.n + cod_ends[:, 1]
+    found = np.append(cod_keys, -1)[np.searchsorted(cod_keys, keys)] == keys   # -1: no key
+    if not found.all():
+        return False
+    # the images of each interior vertex's neighbours are distinct
+    source, target = ends.ravel(), ends[:, ::-1].ravel()
+    interior = None
+    if isinstance(c.domain, TreeBall):
+        interior = c.domain._depth < c.domain.radius
+        inner = interior[source]
+        source, target = source[inner], target[inner]
+    target = image[target]
+    order = np.lexsort((target, source))
+    source, target = source[order], target[order]
+    if ((source[1:] == source[:-1]) & (target[1:] == target[:-1])).any():
+        return False
+    # and as many as the neighbours of the image
+    dom_degree = np.bincount(ends.ravel(), minlength=dom.n)
+    cod_degree = np.bincount(cod_ends.ravel(), minlength=cod.n)
+    if interior is not None:
+        dom_degree, image = dom_degree[interior], image[interior]
+    return bool((dom_degree == cod_degree[image]).all())
+
+
+def _image_array(fmap: Dict[int, int], n: int, cod_n: int) -> np.ndarray:
+    """The images of vertices 0..n-1 under ``fmap``; GraphError unless every
+    vertex has an image and every image is a vertex of range(cod_n)."""
+    try:
+        image = np.fromiter(map(fmap.__getitem__, range(n)), np.int64, n)
+        if len(fmap) == n and (n == 0 or 0 <= image.min() and image.max() < cod_n):
+            return image
+    except (KeyError, OverflowError):
+        pass
+    missing = [v for v in range(n) if v not in fmap]
+    if missing:
+        raise GraphError(f"vertex map undefined on vertices {missing[:5]}")
+    bad = [v for v, w in fmap.items() if not 0 <= w < cod_n]
+    if bad:
+        raise GraphError(f"vertex map leaves the codomain at {bad[:5]}")
+    return image                      # extra keys beyond the domain, all mapped in range
 
 
 def quotient_handshake_check(g: Graph, p: int) -> bool:

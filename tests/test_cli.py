@@ -456,6 +456,26 @@ def test_certify_refuses_too_few_edges_from_the_counts(n, edges):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.integers(graphs.SPECTRUM_CEILING + 1, 2 ** 70),
+       st.sets(st.sampled_from(list(itertools.combinations(range(8), 2))), max_size=6),
+       st.sampled_from(["spectrum", "expansion"]))
+@example(2 ** 63, set(), "spectrum")
+@example(2 ** 63, set(), "expansion")
+def test_huge_graph_files_are_refused_at_the_ceiling(n, edges, command):
+    # both commands list or scan every vertex, so a huge n is refused before
+    # any per-vertex work, and the report states the ceiling that applied
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"n": n, "edges": sorted(edges)}, fh)
+        code, report = run_quietly([command, path])
+    assert code == 2 and report["command"] == "precondition-error", (n, edges, command)
+    ceiling = graphs.SPECTRUM_CEILING if command == "spectrum" else graphs.DEFAULT_EXPANSION_CEILING
+    assert report["inputs"]["ceiling"] == ceiling
+    assert "exceeds" in report["results"]["error"]
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.tuples(*[st.integers(-1, 12)] * 4, st.integers(-2, 5)))
 def test_fuzzed_random_bigraph_sizes_get_one_report(values):
     argv = ["random-bigraph"]

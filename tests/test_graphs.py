@@ -1,5 +1,6 @@
 """Unit tests for graph structure, spectra, certification, and generation."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -49,6 +50,89 @@ def test_graph_validation():
         Graph(2, ((0, 2),))                 # out of range
     with pytest.raises(GraphError):
         Graph(2, ((0, 1),), (0, 0))         # parts violated
+    with pytest.raises(GraphError, match="beyond int64"):
+        Graph(2 ** 64, ((0, 2 ** 63),))     # in range, but not an int64 vertex id
+    g = Graph(2 ** 63, ((1, 2), (0, 5)))
+    assert g.edges == ((0, 5), (1, 2)) and g.edge_array().tolist() == [[0, 5], [1, 2]]
+
+
+def reference_graph(n, edges, parts):
+    """(edges, parts) of Graph(n, edges, parts), by the edge-by-edge loop
+    the edge array replaced."""
+    if n < 0:
+        raise GraphError("vertex count must be non-negative")
+    canon = []
+    for e in edges:
+        u, v = e
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge {e} references an invalid vertex")
+        if u < v:
+            canon.append((u, v))
+        elif v < u:
+            canon.append((v, u))
+        else:
+            raise GraphError(f"loop at vertex {u} not allowed")
+    if len(set(canon)) < len(canon):
+        seen = set()
+        key = next(k for k in canon if k in seen or seen.add(k))
+        raise GraphError(f"duplicate edge {key}")
+    edges = tuple(sorted(canon))
+    if parts is not None:
+        parts = tuple(parts)
+        if len(parts) != n or any(c not in (0, 1) for c in parts):
+            raise GraphError("parts must assign 0/1 to every vertex")
+        for u, v in edges:
+            if parts[u] == parts[v]:
+                raise GraphError(f"edge ({u},{v}) violates the declared parts")
+    return edges, parts
+
+
+@st.composite
+def graph_arguments(draw):
+    """(n, edges, parts): a simple graph in any edge order and orientation,
+    with up to two defects (a loop, a repeat in either orientation, an id
+    below 0, at or above n or at or above 2^63), and parts of any length
+    and value."""
+    n = draw(st.integers(1, 6) | st.sampled_from([0, 2 ** 63]))
+    pairs = list(itertools.combinations(range(min(n, 6)), 2))
+    edges = [(v, u) if draw(st.booleans()) else (u, v)
+             for u, v in draw(st.lists(st.sampled_from(pairs), unique=True))] if pairs else []
+    for defect in draw(st.lists(st.sampled_from(["loop", "repeat", "reversed", "id"]),
+                                max_size=2)):
+        if defect == "loop":
+            v = draw(st.integers(0, 6))
+            edges.append((v, v))
+        elif defect == "id":
+            bad = draw(st.sampled_from([-1, n, 2 ** 63, 2 ** 64, -2 ** 63 - 1]))
+            edges.append((draw(st.integers(0, 6)), bad)[::draw(st.sampled_from([1, -1]))])
+        elif edges:
+            u, v = draw(st.sampled_from(edges))
+            edges.append((u, v) if defect == "repeat" else (v, u))
+    edges = draw(st.permutations(edges))
+    parts = None
+    if draw(st.booleans()) and n < 2 ** 63:
+        binary = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        wrong = st.lists(st.integers(-1, 2), min_size=max(n - 1, 0), max_size=n + 1)
+        parts = draw(binary | binary | wrong)
+        if draw(st.booleans()):          # keep only the edges the colouring allows
+            edges = [(u, v) for u, v in edges if 0 <= u < len(parts) and 0 <= v < len(parts)
+                     and parts[u] != parts[v]]
+    return n, tuple(edges), parts
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_arguments())
+def test_graph_validation_matches_reference(args):
+    try:
+        want = reference_graph(*args)
+    except GraphError as exc:
+        with pytest.raises(GraphError) as got:
+            Graph(*args)
+        assert str(got.value) == str(exc)
+    else:
+        g = Graph(*args)
+        assert (g.edges, g.parts) == want
+        assert g.edge_array().tolist() == [list(e) for e in want[0]]
 
 
 def test_analyze_examples():
