@@ -156,6 +156,8 @@ def _canonical_edges(
     array and as a tuple of int pairs; the tuple is ``edges`` itself when it
     already is that tuple.  Raises GraphError for a vertex outside range(n)
     or int64, a loop or a repeated edge."""
+    if not isinstance(edges, (tuple, list)):
+        edges = list(edges)             # an iterator is read once
     try:
         if set(map(len, edges)) - {2}:
             raise ValueError("an edge is not a pair")
@@ -167,7 +169,8 @@ def _canonical_edges(
     if (lo < 0).any() or (hi >= n).any() or (lo == hi).any():
         _raise_first_bad_edge(n, edges)
     ascending = (lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))
-    if type(edges) is tuple and (u < v).all() and ascending.all():   # so no repeats
+    if (type(edges) is tuple and (u < v).all() and ascending.all()      # so no repeats
+            and set(map(type, edges)) == {tuple}):
         ends.flags.writeable = False
         return ends, edges
     order = np.lexsort((hi, lo))

@@ -54,6 +54,9 @@ def test_graph_validation():
         Graph(2 ** 64, ((0, 2 ** 63),))     # in range, but not an int64 vertex id
     g = Graph(2 ** 63, ((1, 2), (0, 5)))
     assert g.edges == ((0, 5), (1, 2)) and g.edge_array().tolist() == [[0, 5], [1, 2]]
+    # any iterable of pairs is read once, and the edges come back as tuples
+    assert Graph(3, ([0, 1], [1, 2])).edges == ((0, 1), (1, 2))
+    assert Graph(3, ((u, u + 1) for u in range(2))).edges == ((0, 1), (1, 2))
 
 
 def reference_graph(n, edges, parts):
