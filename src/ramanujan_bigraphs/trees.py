@@ -118,9 +118,10 @@ def _validate_ball(ball: TreeBall) -> np.ndarray:
     depth = np.full(g.n, -1)
     depth[ball.root] = 0
     level = np.array([ball.root])
+    # ndarray methods, not numpy's Python wrappers: a path-like ball has 10^5 levels
     for k in range(1, ball.radius + 1):
         sizes = degree[level]
-        starts = np.repeat(first[level] - (np.cumsum(sizes) - sizes), sizes)
+        starts = (first[level] + sizes - sizes.cumsum()).repeat(sizes)
         reached = adjacent[starts + np.arange(starts.size)]
         level = reached[depth[reached] < 0]
         depth[level] = k
