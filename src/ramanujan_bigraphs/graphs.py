@@ -211,6 +211,13 @@ def analyze_structure(g: Graph) -> StructureReport:
     return _once(g, "_structure", _structure)
 
 
+def _connected(g: Graph) -> bool:
+    """``analyze_structure(g).connected``, but False from the counts alone when
+    n >= 2 vertices have fewer than n - 1 edges: no per-vertex work for that,
+    so a huge isolated n is refused without allocating per vertex."""
+    return not (g.n >= 2 and len(g.edges) < g.n - 1) and analyze_structure(g).connected
+
+
 def _structure(g: Graph) -> StructureReport:
     """BFS 2-colouring of every component, then the degree profile."""
     color = [-1] * g.n
@@ -377,8 +384,7 @@ def certify_ramanujan(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Ramanuj
     |sqrt(l-1) - sqrt(m-1)| <= lambda <= sqrt(l-1) + sqrt(m-1) and,
     equivalently, |lambda^2 - q1 - q2| <= 2 sqrt(q1 q2) with q_i = degree - 1.
     """
-    # fewer than n - 1 edges cannot connect n >= 2 vertices: no per-vertex work for that
-    if (g.n >= 2 and len(g.edges) < g.n - 1) or not analyze_structure(g).connected:
+    if not _connected(g):
         raise GraphClassError("certification requires a connected graph")
     rep = analyze_structure(g)
     if rep.profile is None:

@@ -216,34 +216,73 @@ def _unitary_det_mask(x, y, ring: ResidueRing):
     return tables.unitary_det_mask(tables.encode(x, y))
 
 
-def _su3_fibre(bx, by, s: int, ring: ResidueRing):
-    """Every matrix g + s*M in SU_3(ring), M over O_E/q, for the bases
-    g = bx + by*omega of shape (B, 3, 3), each in SU_3 modulo s.
-
-    Returns the component arrays of the matrices found and the index of the
-    base each came from.  For g in SU_3, conj(g)^T = g^-1 = adj(g): columns 0
-    and 1 are orthonormal and column 2 is conj(c0 x c1), the cofactor column.
-    So only orthonormal pairs of lifted columns are completed, and
-    ``_unitary_det_mask`` decides every completed matrix.  All arithmetic is
-    on the one- or two-byte codes of ``_CodeTables``: the lifted columns are
-    one (B, q^6, 3) code array per column, so a column pair gathers two rows.
-    """
-    t = _CodeTables(ring)
-    grid = np.indices((ring.q,) * 6).reshape(2, 3, -1).transpose(0, 2, 1)   # the q^6 columns
-    # column j of every base lifted by s * (each column over O_E/q): shape (B, q^6, 3)
-    lifted = [t.encode(bx[:, None, :, j] + s * grid[0], by[:, None, :, j] + s * grid[1])
-              for j in (0, 1)]
-    unit0, unit1 = (t.total(t.norm[c]) == 1 for c in lifted)
-    base, k0 = np.nonzero(unit0)
-    pair, k1 = np.nonzero(unit1[base])            # the unit columns 1 of the same base
-    c0, c1 = lifted[0][base, k0][pair], lifted[1][base[pair], k1]
-    orth = np.flatnonzero(t.hermitian(c0, c1) == 0)
-    base, c0, c1 = base[pair[orth]], c0[orth], c1[orth]
+def _complete(t: _CodeTables, c0, c1):
+    """The code matrices [c0, c1, conj(c0 x c1)] of the column pairs c0, c1
+    (shape (k, 3) each), and ``unitary_det_mask`` of each."""
     i1, i2 = [1, 2, 0], [2, 0, 1]                       # conj(c0 x c1), all rows at once
     c2 = t.conj[t.cross(c0[:, i1], c1[:, i2], c0[:, i2], c1[:, i1])]
     g = np.stack([c0, c1, c2], axis=-1)
-    keep = t.unitary_det_mask(g)
-    return (*t.decode(g[keep].astype(np.int64)), base[keep])
+    return g, t.unitary_det_mask(g)
+
+
+def _su3_level1(t: _CodeTables):
+    """SU_3(O_E/q) as code matrices of shape (k, 3, 3), for the tables t of
+    O_E/q: every pair of the unit columns in (O_E/q)^3 is tested for
+    orthogonality, and the orthogonal pairs are completed as in ``_su3_lift``."""
+    grid = np.indices((t.m,) * 6).reshape(2, 3, -1).transpose(0, 2, 1)   # the q^6 columns
+    cols = t.encode(grid[0], grid[1])
+    units = cols[t.total(t.norm[cols]) == 1]
+    c0, c1 = (units[k] for k in np.indices((len(units),) * 2).reshape(2, -1))
+    orth = t.hermitian(c0, c1) == 0
+    g, keep = _complete(t, c0[orth], c1[orth])
+    return g[keep]
+
+
+def _su3_lift(t: _CodeTables, bases):
+    """Every lift g + q*M in SU_3(O_E/q^2), M over O_E/q, of the code matrices
+    g of shape (B, 3, 3) in SU_3(O_E/q), for the tables t of O_E/q^2 and
+    entries of g in [0, q).  Returns the code matrices found and the index of
+    the base each came from.
+
+    For g in SU_3, conj(g)^T = g^-1 = adj(g): columns 0 and 1 are orthonormal
+    and column 2 is conj(c0 x c1), the cofactor column.  So the two columns of
+    each base are lifted by all of q*(O_E/q)^3 and the unit ones kept.  As
+    q^2 = 0, the lifted columns cj = gj + q*Mj satisfy exactly
+    <c0, c1> = <c0, g1> + <g0, c1> - <g0, g1>, so c0 and c1 are orthogonal iff
+    key0 = <c0, g1> equals key1 = <g0, g1> - <g0, c1>.  The unit c1 are sorted
+    by (base, key1), and ``searchsorted`` gives each unit c0 the run of c1 of
+    its base with its key: only the orthogonal pairs are formed.
+
+    A completed matrix is always in SU_3.  Over any commutative ring with an
+    involution, for unit c0 and c1 with <c0, c1> = 0 and c2 = conj(c0 x c1):
+    <c0, c2> = conj(det[c0, c0, c1]) = 0 and <c1, c2> = conj(det[c1, c0, c1]) = 0;
+    by the Binet-Cauchy identity (a x b).(c x d) = (a.c)(b.d) - (a.d)(b.c),
+    <c2, c2> = (c0 x c1).(conj c0 x conj c1) = <c0, c0><c1, c1> - <c1, c0><c0, c1> = 1;
+    and det g = (c0 x c1).c2 = <c2, c2> = 1.  The ``unitary_det_mask`` of
+    every completed matrix is kept all the same: the join never computes
+    <c0, c1>, so the mask is the one check, matrix by matrix, that the
+    identity above and the keys built from it hold.  A fault there would drop
+    matrices from the count rather than let a non-member through.
+    """
+    q = math.isqrt(t.m)
+    grid = q * np.indices((q,) * 6).reshape(2, 3, -1).transpose(0, 2, 1)
+    step = t.encode(grid[0], grid[1])                   # the q^6 columns q*M
+    lifted = [t.op(t.add, np.broadcast_to(bases[:, None, :, j], (len(bases), *step.shape)), step)
+              for j in (0, 1)]
+    (base0, k0), (base1, k1) = (np.nonzero(t.total(t.norm[c]) == 1) for c in lifted)
+    c0, c1 = lifted[0][base0, k0], lifted[1][base1, k1]
+    g0, g1 = bases[:, :, 0], bases[:, :, 1]
+    key0 = base0 * t.size + t.hermitian(c0, g1[base0])
+    key1 = base1 * t.size + t.op(t.sub, t.hermitian(g0, g1)[base1], t.hermitian(g0[base1], c1))
+    order = np.argsort(key1, kind="stable")
+    key1 = key1[order]
+    lo = np.searchsorted(key1, key0)
+    count = np.searchsorted(key1, key0, "right") - lo
+    i0 = np.repeat(np.arange(len(key0)), count)
+    # the pair's rank within the run of its c0, plus where that run starts in key1
+    i1 = order[np.arange(len(i0)) + np.repeat(lo - (np.cumsum(count) - count), count)]
+    g, keep = _complete(t, c0[i0], c1[i1])
+    return g[keep], base0[i0[keep]]
 
 
 def enumerate_su3(
@@ -251,11 +290,12 @@ def enumerate_su3(
 ) -> FiniteGroupReport:
     """Exhaustively enumerate SU_3(O_E/q^n) for inert q.
 
-    n = 1 takes the fibre of SU_3(O_E/q) over the zero matrix, ordered as the
-    base-q indices sum x_ij q^(3i+j) + y_ij q^(9+3i+j) of the q^18 candidate
-    matrices.  n = 2 enumerates the kernel of reduction to level 1 (the fibre
-    over I) and the fibres over every level-1 element: the reduction is
-    surjective iff none is empty, and together they are SU_3(O_E/q^2).
+    n = 1 lists SU_3(O_E/q) (``_su3_level1``), ordered as the base-q indices
+    sum x_ij q^(3i+j) + y_ij q^(9+3i+j) of the q^18 candidate matrices.
+    n = 2 lifts I (the kernel of reduction to level 1) and every level-1
+    element (``_su3_lift``), with one set of O_E/q^2 tables: the reduction is
+    surjective iff no fibre is empty, and together they are SU_3(O_E/q^2).
+    Level-2 matrices are counted, never decoded.
     """
     cls = classify_prime(q)
     if cls.cls != INERT:
@@ -271,8 +311,8 @@ def enumerate_su3(
             "use formula mode (su3_order_formula)"
         )
 
-    zero = np.zeros((1, 3, 3), dtype=np.int64)
-    x, y, _ = _su3_fibre(zero, zero, 1, ResidueRing(q))
+    t = _CodeTables(ResidueRing(q))
+    x, y = t.decode(_su3_level1(t).astype(np.int64))
     if n == 1:
         # np.lexsort takes its last key as the primary one: digit 17 down to 0
         order = np.lexsort(np.concatenate([x.reshape(-1, 9), y.reshape(-1, 9)], axis=1).T)
@@ -282,10 +322,9 @@ def enumerate_su3(
         )
         return FiniteGroupReport(q=q, n=1, order=len(elements), elements=elements)
 
-    ring2 = ResidueRing(q, 2)
-    eye = np.eye(3, dtype=np.int64)[None]
-    kernel_size = len(_su3_fibre(eye, np.zeros_like(eye), q, ring2)[2])
-    base = _su3_fibre(x, y, q, ring2)[2]
+    t2 = _CodeTables(ResidueRing(q, 2))
+    kernel_size = len(_su3_lift(t2, t2.encode(np.eye(3, dtype=np.int64)[None], 0))[1])
+    base = _su3_lift(t2, t2.encode(x, y))[1]
     return FiniteGroupReport(
         q=q, n=2, order=len(base), level1_order=len(x), kernel_size=kernel_size,
         surjective=bool(np.bincount(base, minlength=len(x)).all()),

@@ -21,7 +21,9 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from .graphs import BiregularProfile, Graph, GraphClassError, GraphError, analyze_structure
+from .graphs import (
+    BiregularProfile, Graph, GraphClassError, GraphError, _connected, analyze_structure,
+)
 from .numberfield import is_prime
 
 DEFAULT_TREE_CEILING = 200_000
@@ -172,7 +174,7 @@ def check_local_covering(c: CoveringCandidate) -> bool:
     cod = c.codomain
     # a tree ball's own graph needs no structure pass: _validate_ball proved it connected
     own_ball = isinstance(c.domain, TreeBall) and cod is c.domain.graph
-    if not own_ball and not analyze_structure(cod).connected:
+    if not own_ball and not _connected(cod):
         raise GraphClassError("covering codomain must be connected")
     image = _image_array(c.vertex_map, dom.n, cod.n)
     if dom.parts is not None and cod.parts is not None and dom.n > 0:
@@ -237,5 +239,7 @@ def quotient_handshake_check(g: Graph, p: int) -> bool:
     ``BiregularProfile`` enforces n1 l = n2 m when it is built."""
     if not is_prime(p):
         raise GraphError(f"{p} is not prime")
+    if g.n > 2 * len(g.edges):         # a vertex is isolated: no per-vertex work for that
+        return False
     profile = analyze_structure(g).profile
     return isinstance(profile, BiregularProfile) and (profile.l, profile.m) == (p ** 3 + 1, p + 1)

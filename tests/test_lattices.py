@@ -1,6 +1,7 @@
 """Unit tests for prime classification, residue rings, and finite groups."""
 
 import bisect
+import itertools
 import random
 from functools import reduce
 
@@ -16,7 +17,7 @@ from ramanujan_bigraphs.lattices import (
     LatticeError,
     ResidueRing,
     _CodeTables,
-    _su3_fibre,
+    _su3_lift,
     _unitary_det_mask,
     classify_prime,
     congruence_tower,
@@ -206,7 +207,53 @@ def test_enumerate_su3_level1_matches_full_scan():
 def su3_level2_fibres():
     """The level-1 elements at q = 2 and the fibres of SU_3(O/4) over them."""
     level1 = np.array(enumerate_su3(2, 1).elements)
-    return level1, _su3_fibre(level1[..., 0], level1[..., 1], 2, ResidueRing(2, 2))
+    t = _CodeTables(ResidueRing(2, 2))
+    g, base = _su3_lift(t, t.encode(level1[..., 0], level1[..., 1]))
+    return level1, (*t.decode(g.astype(np.int64)), base)
+
+
+def _all_pairs_lift(bx, by, s, ring):
+    """The lift search before the join, as the reference: every matrix
+    g + s*M in SU_3(ring), M over O_E/q, for the bases g = bx + by*omega of
+    shape (B, 3, 3).  Every pair of unit lifted columns of a base is tested for
+    orthogonality, completed with conj(c0 x c1) and decided by the mask.
+    Returns the code matrices found and the index of the base of each."""
+    t = _CodeTables(ring)
+    grid = np.indices((ring.q,) * 6).reshape(2, 3, -1).transpose(0, 2, 1)   # the q^6 columns
+    lifted = [t.encode(bx[:, None, :, j] + s * grid[0], by[:, None, :, j] + s * grid[1])
+              for j in (0, 1)]
+    unit0, unit1 = (t.total(t.norm[c]) == 1 for c in lifted)
+    base, k0 = np.nonzero(unit0)
+    pair, k1 = np.nonzero(unit1[base])            # the unit columns 1 of the same base
+    c0, c1 = lifted[0][base, k0][pair], lifted[1][base[pair], k1]
+    orth = np.flatnonzero(t.hermitian(c0, c1) == 0)
+    base, c0, c1 = base[pair[orth]], c0[orth], c1[orth]
+    i1, i2 = [1, 2, 0], [2, 0, 1]
+    c2 = t.conj[t.cross(c0[:, i1], c1[:, i2], c0[:, i2], c1[:, i1])]
+    g = np.stack([c0, c1, c2], axis=-1)
+    keep = t.unitary_det_mask(g)
+    return g[keep], base[keep]
+
+
+def _sorted_rows(g, base):
+    """The multiset of (base, matrix) as rows in lexicographic order."""
+    rows = np.column_stack([base, g.reshape(len(g), 9)]).astype(np.int64)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+@pytest.mark.parametrize("over", ["level1", "identity"])
+def test_su3_lift_matches_all_pairs_reference(over):
+    # q = 2: the join against the all-pairs filter, over all 216 level-1
+    # elements (the fibres) and over I alone (the kernel)
+    level1 = np.array(enumerate_su3(2, 1).elements)
+    bx, by = (level1[..., 0], level1[..., 1]) if over == "level1" else (
+        np.eye(3, dtype=np.int64)[None], np.zeros((1, 3, 3), dtype=np.int64))
+    ring = ResidueRing(2, 2)
+    t = _CodeTables(ring)
+    got = _sorted_rows(*_su3_lift(t, t.encode(bx, by)))
+    want = _sorted_rows(*_all_pairs_lift(bx, by, 2, ring))
+    assert len(got) == len(bx) * 2 ** 8
+    assert np.array_equal(got, want)
 
 
 def _adjugate(g, ring):
@@ -246,14 +293,11 @@ def _is_su3(g, ring):
     return det == ring.one
 
 
-@pytest.mark.parametrize("q", [5, 7])
-def test_unitary_det_mask_matches_scalar_reference(q):
-    # over O_E/25 (inert) and O_E/49 (split): 1,000 random matrices and 1,000
-    # products of SU_2 blocks [[a, b], [-conj(b), conj(a)]] (N(a) + N(b) = 1)
-    # and unit diagonals, a column of each scaled by a norm-1 unit half the time
-    ring = ResidueRing(q, 2)
+def _block_products(ring, rng):
+    """A sampler of products of SU_2 blocks [[a, b], [-conj(b), conj(a)]]
+    (N(a) + N(b) = 1) and unit diagonals over ``ring``, a column of each
+    scaled by a norm-1 unit half the time."""
     m = ring.modulus
-    rng = random.Random(q)
     elements = [(x, y) for x in range(m) for y in range(m)]
     by_norm = {}
     for e in elements:
@@ -282,6 +326,18 @@ def test_unitary_det_mask_matches_scalar_reference(q):
             g = [[ring.mul(row[0], w), row[1], row[2]] for row in g]
         return g
 
+    return built
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_unitary_det_mask_matches_scalar_reference(q):
+    # over O_E/25 (inert) and O_E/49 (split): 1,000 products of SU_2 blocks
+    # (``_block_products``) and 1,000 random matrices
+    ring = ResidueRing(q, 2)
+    m = ring.modulus
+    rng = random.Random(q)
+    elements = [(x, y) for x in range(m) for y in range(m)]
+    built = _block_products(ring, rng)
     mats = [built() for _ in range(1000)]
     mats += [[[rng.choice(elements) for _ in range(3)] for _ in range(3)] for _ in range(1000)]
     arr = np.array(mats)
@@ -289,6 +345,30 @@ def test_unitary_det_mask_matches_scalar_reference(q):
     want = [_is_su3(g, ring) for g in mats]
     assert mask.tolist() == want
     assert 300 < sum(want) < 1000
+
+
+def test_su3_lift_at_q5_gives_q8_lifts():
+    # over I and over one g in SU_3(O_E/5) built from SU_2 blocks: 5^8 = 390,625
+    # distinct lifts each, every one reducing to its base; that is the whole
+    # fibre, so the mask rejected none
+    ring = ResidueRing(5)
+    built = _block_products(ring, random.Random(5))
+    off_diagonal = list(itertools.permutations(range(3), 2))
+    g = built()
+    while not _is_su3(g, ring) or all(g[i][j] == (0, 0) for i, j in off_diagonal):
+        g = built()
+    ring2 = ResidueRing(5, 2)
+    t = _CodeTables(ring2)
+    for base in (np.eye(3, dtype=np.int64)[..., None] * [1, 0], np.array(g)):
+        lifts, index = _su3_lift(t, t.encode(base[None, ..., 0], base[None, ..., 1]))
+        assert len(lifts) == 5 ** 8 and not index.any()
+        x, y = t.decode(lifts.reshape(-1, 9).astype(np.int64))
+        assert (x % 5 == base[..., 0].ravel()).all() and (y % 5 == base[..., 1].ravel()).all()
+        digits = np.concatenate([x // 5, y // 5], axis=1)          # M, 18 base-5 digits
+        assert len(np.unique(digits @ 5 ** np.arange(18))) == 5 ** 8
+        picks = np.random.default_rng(5).choice(len(lifts), 100, replace=False)
+        assert all(_is_su3(np.stack([x[k], y[k]], -1).reshape(3, 3, 2).tolist(), ring2)
+                   for k in picks)
 
 
 def test_su3_level2_fibres_are_kernel_cosets(su3_level2_fibres):

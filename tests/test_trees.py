@@ -118,6 +118,18 @@ def test_disconnected_codomain_refused():
             check_local_covering(CoveringCandidate(domain, codomain, ident))
 
 
+def test_huge_vertex_counts_are_decided_from_the_counts(count_calls):
+    # 2^63 isolated vertices: an isolated vertex fails the bidegree, and fewer
+    # than n - 1 edges cannot connect a codomain, with no per-vertex pass
+    huge = Graph(2 ** 63, ())
+    calls = count_calls(graphs, "analyze_structure")
+    count_calls(trees, "analyze_structure")
+    assert not quotient_handshake_check(huge, 2)
+    with pytest.raises(GraphClassError, match="connected"):
+        check_local_covering(CoveringCandidate(cycle(6), huge, {v: v for v in range(6)}))
+    assert not calls
+
+
 def test_undefined_map_errors():
     with pytest.raises(GraphError):
         check_local_covering(CoveringCandidate(cycle(6), cycle(3), {0: 0}))
