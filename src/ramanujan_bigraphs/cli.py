@@ -8,14 +8,18 @@ randomized commands require an explicit --seed so runs are reproducible.
 Numeric claims in reports carry method tags: exact | enumerated | formula |
 floating(tolerance).
 
+Each verdict in a report is a Check, a tagged value of True, False or None;
+the exit code is the worst Check in the results, derived once in main, and
+the other tagged values are facts that decide nothing.
+
 The brute-force commands (expansion, tree, finite-group) take their scan
 ceiling as --ceiling, refuse a run above it with exit 2, and the report's
-inputs record the ceiling that applied.  spectrum does the same with its
-fixed vertex ceiling, graphs.SPECTRUM_CEILING.  Options that do not apply to the
-chosen command (--a with --kind nongalois, --b with --kind galois,
---paper-suite or the top-level --seed with a subcommand) are usage errors,
-not ignored, and so are numeric options out of range (--samples or
---witness-limit below 1, --radius below 0, tree's --l or --m below 2,
+inputs record the ceiling that applied.  spectrum and primes do the same with
+fixed ceilings, graphs.SPECTRUM_CEILING and lattices.PRIMES_CEILING.  Options
+that do not apply to the chosen command (--a with --kind nongalois, --b with
+--kind galois, --paper-suite or the top-level --seed with a subcommand) are
+usage errors, not ignored, and so are numeric options out of range (--samples
+or --witness-limit below 1, --radius below 0, tree's --l or --m below 2,
 --up-to below 2, a zero --a or --b, a --tolerance below 0 or not finite).
 """
 
@@ -69,14 +73,29 @@ def exact(value):
     return tag(value, "exact")
 
 
-def floating(value, tolerance):
-    return tag(value, f"floating({tolerance:g})")
+def floating(value, tolerance, record=tag):
+    return record(value, f"floating({tolerance:g})")
 
 
-def combine(*codes: int) -> int:
-    """Exit code of a report made of several verdicts: fail beats
-    inconclusive, and inconclusive beats pass."""
-    return max(codes, key=(EXIT_PASS, EXIT_PRECONDITION, EXIT_FAIL).index)
+class Check(dict):
+    """A verdict: the tagged value {value, method} with value True (holds),
+    False (fails) or None (undecided), so it serialises as it is."""
+
+    def __init__(self, value, method="exact"):
+        if value is not None and type(value) is not bool:
+            raise TypeError(f"a check's value is True, False or None, not {value!r}")
+        super().__init__(value=value, method=method)
+
+
+def exit_code(results) -> int:
+    """Exit code of the worst Check anywhere in ``results``: fail beats
+    inconclusive, inconclusive beats pass, and results with no check pass."""
+    if isinstance(results, Check):
+        return VERDICT[results["value"]]
+    if "method" in results:     # a tagged fact holds no check
+        return EXIT_PASS
+    return max((exit_code(v) for v in results.values() if isinstance(v, dict)),
+               key=(EXIT_PASS, EXIT_PRECONDITION, EXIT_FAIL).index, default=EXIT_PASS)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +144,7 @@ def parse_quad(expr: str) -> QuadElem:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (results_dict, exit_code, notes)
+# Command implementations: each returns (results_dict, notes)
 # ---------------------------------------------------------------------------
 
 def cmd_verify_algebra(args):
@@ -147,30 +166,18 @@ def cmd_verify_algebra(args):
         params = algebra.AlgebraParams(algebra.NONGALOIS, b.conj(), b)
     else:
         params = algebra.example_nongalois_params()
-    return _verify_algebra(params, args.samples, args.seed, args.witness_limit)
-
-
-def _nonzero_quad(option: str, expr: str) -> QuadElem:
-    value = parse_quad(expr)
-    if not value:
-        raise UsageError(f"{option} must be nonzero")
-    return value
-
-
-def _verify_algebra(params, samples: int, seed: int, witness_limit: int):
-    failures = algebra.involution_failures(params, samples, random.Random(seed))
-    suite = {"samples": exact(samples)}
-    suite.update((law, exact(count == 0)) for law, count in failures.items())
+    failures = algebra.involution_failures(params, args.samples, random.Random(args.seed))
+    suite = {"samples": exact(args.samples)}
+    suite.update((law, Check(count == 0)) for law, count in failures.items())
     results = {"kind": params.kind, "involution_suite": suite}
     failed = [law for law, count in failures.items() if count]
     notes = [f"involution laws that fail: {', '.join(failed)}"] if failed else []
-    code = VERDICT[not failed]
     if params.kind == algebra.GALOIS:
-        rep = algebra.check_theorem_conditions(params, witness_limit)
+        rep = algebra.check_theorem_conditions(params, args.witness_limit)
         results["conditions"] = {
-            "division_condition": exact(rep.division_condition),
-            "unit_norm_condition": exact(rep.unit_norm_condition),
-            "commuting_condition": exact(rep.commuting_condition),
+            "division_condition": Check(rep.division_condition),
+            "unit_norm_condition": Check(rep.unit_norm_condition),
+            "commuting_condition": Check(rep.commuting_condition),
             "witness_prime_a": exact(rep.witness_prime_a),
             "witness_prime_a2": exact(rep.witness_prime_a2),
             "residues_a": exact(sorted(rep.residues_a) if rep.residues_a else None),
@@ -189,11 +196,14 @@ def _verify_algebra(params, samples: int, seed: int, witness_limit: int):
             notes.append(
                 f"condition (i) inconclusive: no witness prime below {rep.searched_below}"
             )
-        code = combine(code, *(
-            VERDICT[c]
-            for c in (rep.division_condition, rep.unit_norm_condition, rep.commuting_condition)
-        ))
-    return results, code, notes
+    return results, notes
+
+
+def _nonzero_quad(option: str, expr: str) -> QuadElem:
+    value = parse_quad(expr)
+    if not value:
+        raise UsageError(f"{option} must be nonzero")
+    return value
 
 
 def _certificate_dict(cert: graphs.RamanujanCertificate):
@@ -204,12 +214,12 @@ def _certificate_dict(cert: graphs.RamanujanCertificate):
         "lambda": floating(cert.lam, tol),
         "lower_bound": floating(cert.lower_bound, tol),
         "upper_bound": floating(cert.upper_bound, tol),
-        "is_ramanujan": cert.is_ramanujan,
+        "is_ramanujan": cert.is_ramanujan,    # repeats the def21 and def22 checks
         "margins": {k: floating(v, tol) for k, v in cert.margins.items()},
     }
     for name, verdict in (("def21", cert.def21), ("def22", cert.def22), ("def23", cert.def23)):
         if verdict is not None:
-            d[name] = floating(verdict, tol)
+            d[name] = floating(verdict, tol, Check)
     return d
 
 
@@ -226,7 +236,7 @@ def cmd_certify(args):
                "eigenproblem": exact(list(cert.eigenproblem))}
     if args.format == "dot":
         results["graph_dot"] = graphs.to_dot(g)
-    return results, EXIT_PASS if cert.is_ramanujan else EXIT_FAIL, []
+    return results, []
 
 
 def cmd_spectrum(args):
@@ -241,7 +251,7 @@ def cmd_spectrum(args):
     }
     if rep.profile is not None and rep.connected:
         results["lambda"] = floating(graphs.lambda_of(s, rep.profile), s.tolerance)
-    return results, EXIT_PASS, []
+    return results, []
 
 
 def cmd_expansion(args):
@@ -258,7 +268,7 @@ def cmd_expansion(args):
         results["one_minus_lambda_over_k"] = floating(
             rep.one_minus_lambda_over_k, graphs.DEFAULT_TOLERANCE
         )
-    return results, EXIT_PASS, []
+    return results, []
 
 
 def cmd_tree(args):
@@ -273,39 +283,40 @@ def cmd_tree(args):
     covering = trees.check_local_covering(
         trees.CoveringCandidate(ball, ball.graph, {v: v for v in range(ball.graph.n)})
     )
-    results = {
+    return {
         "vertices": exact(ball.graph.n),
         "edges": exact(len(ball.graph.edges)),
         "level_counts": exact(list(ball.level_counts)),
         "closed_form_counts": exact(closed_form),
-        "identity_covering": exact(covering),
-    }
-    return results, combine(VERDICT[list(ball.level_counts) == closed_form], VERDICT[covering]), []
+        "identity_covering": Check(covering),
+        "level_counts_match": Check(list(ball.level_counts) == closed_form),
+    }, []
 
 
 def cmd_primes(args):
     if args.up_to < 2:
         raise UsageError("--up-to must be at least 2")
-    primes = lattices.good_primes_up_to(args.up_to)
+    primes = lattices.good_primes_up_to(args.up_to)      # refuses a bound above its ceiling
     classes = {
         str(p): exact(lattices.classify_prime(p).cls)
         for p in range(2, min(args.up_to, 50) + 1)
         if lattices.is_prime(p)
     }
-    return {"good_primes": exact(primes), "classification": classes}, EXIT_PASS, []
+    return {"good_primes": exact(primes), "classification": classes}, []
 
 
 def cmd_finite_group(args):
     rep = lattices.enumerate_su3(args.q, args.n, args.ceiling)
     results = {"q": rep.q, "n": rep.n, "order": tag(rep.order, "enumerated")}
-    level1, code = rep.order, EXIT_PASS
     if rep.n == 2:
         results.update(level1_order=tag(rep.level1_order, "enumerated"),
-                       kernel_size=tag(rep.kernel_size, "enumerated"), surjective=rep.surjective)
-        level1, code = rep.level1_order, VERDICT[rep.surjective]
+                       kernel_size=tag(rep.kernel_size, "enumerated"),
+                       surjective=Check(rep.surjective, "enumerated"))
     formula = lattices.su3_order_formula(args.q)
     results["formula_order_level1"] = tag(formula, "formula")
-    return results, combine(code, VERDICT[level1 == formula]), []
+    level1 = results.get("level1_order", results["order"])["value"]
+    results["matches_formula"] = Check(level1 == formula)
+    return results, []
 
 
 def cmd_random_bigraph(args):
@@ -314,7 +325,7 @@ def cmd_random_bigraph(args):
     if args.out:
         graphs.save_graph(g, args.out)
     rep = graphs.analyze_structure(g)
-    results = {
+    return {
         "graph": doc,
         "connected": exact(rep.connected),
         "profile": exact(
@@ -322,25 +333,21 @@ def cmd_random_bigraph(args):
             if isinstance(rep.profile, graphs.BiregularProfile)
             else None
         ),
-    }
-    return results, EXIT_PASS, []
+    }, []
 
 
 def cmd_paper_suite(args):
-    """Condensed verification battery mirroring the acceptance criteria."""
+    """Condensed verification battery mirroring the acceptance criteria.
+    A battery that a subcommand also runs is that subcommand's results."""
     battery = {}
     notes = []
-    codes = []
 
     # 1-2. built-in example conditions and involution suite, both kinds
-    for name, params, seed in (
-        ("galois_example", algebra.example_galois_params(), args.seed),
-        ("nongalois_example", algebra.example_nongalois_params(), args.seed + 1),
-    ):
-        res, code, n = _verify_algebra(params, 100, seed, 200)
-        battery[name] = {"status": STATUS[code], **res}
+    for name, kind, seed in (("galois_example", "galois", args.seed),
+                             ("nongalois_example", "nongalois", args.seed + 1)):
+        res, n = _run(["verify-algebra", f"--kind={kind}", "--samples=100", f"--seed={seed}"])
+        battery[name] = {"status": STATUS[exit_code(res)], **res}
         notes.extend(n)
-        codes.append(code)
 
     # 3. archimedean signature
     params = algebra.example_galois_params()
@@ -359,10 +366,9 @@ def cmd_paper_suite(args):
         for _ in range(50)
     )
     battery["archimedean"] = {
-        "special_unitary_matrices": floating(arch_ok, 1e-10),
-        "torus_points": floating(torus_ok, 1e-10),
+        "special_unitary_matrices": floating(arch_ok, 1e-10, Check),
+        "torus_points": floating(torus_ok, 1e-10, Check),
     }
-    codes.append(VERDICT[arch_ok and torus_ok])
 
     # 4. good primes
     # against a root search: p is inert iff w^2 - w + 1 has no root mod p
@@ -371,8 +377,7 @@ def cmd_paper_suite(args):
         p for p in range(2, 101)
         if lattices.is_prime(p) and all((x * x - x + 1) % p for x in range(p))
     ]
-    battery["good_primes"] = {"mod12_agreement": exact(primes_ok)}
-    codes.append(VERDICT[primes_ok])
+    battery["good_primes"] = {"mod12_agreement": Check(primes_ok)}
 
     # 5. certification spot checks
     cert_ok = (
@@ -382,22 +387,18 @@ def cmd_paper_suite(args):
         and all(graphs.certify_ramanujan(graphs.cycle(2 * n)).is_ramanujan
                 for n in range(2, 17))
     )
-    battery["certification"] = {"spot_checks": floating(cert_ok, 1e-9)}
-    codes.append(VERDICT[cert_ok])
+    battery["certification"] = {"spot_checks": floating(cert_ok, 1e-9, Check)}
 
-    # 7. finite group (q = 2, level 1 only, for speed)
-    grp = lattices.enumerate_su3(2, 1)
-    grp_ok = grp.order == 216 == lattices.su3_order_formula(2)
-    battery["finite_group"] = {"order": tag(grp.order, "enumerated"), "matches_formula": grp_ok}
-    codes.append(VERDICT[grp_ok])
+    # 7. finite group (q = 2, level 1 only, for speed) and 8. tree balls
+    battery["finite_group"], _ = _run(["finite-group", "--q=2"])
+    battery["tree_balls"], _ = _run(["tree", "--l=9", "--m=3", "--radius=4"])
+    return {"battery": battery}, notes
 
-    # 8. tree balls
-    ball = trees.biregular_tree_ball(9, 3, 4)
-    tree_ok = list(ball.level_counts) == trees.level_counts_closed_form(9, 3, 4)
-    battery["tree_balls"] = {"level_counts_match": exact(tree_ok)}
-    codes.append(VERDICT[tree_ok])
 
-    return {"battery": battery}, combine(*codes), notes
+def _run(argv):
+    """(results, notes) of the subcommand that ``argv`` names."""
+    args = _parser().parse_args(argv)
+    return args.func(args)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +451,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("primes", help="good (inert) primes")
     p.add_argument("--up-to", type=int, required=True)
-    p.set_defaults(func=cmd_primes)
+    p.set_defaults(func=cmd_primes, ceiling=lattices.PRIMES_CEILING)   # fixed, not an option
 
     p = sub.add_parser("finite-group", help="enumerate SU3 over a residue ring")
     p.add_argument("--q", type=int, required=True)
@@ -474,14 +475,13 @@ _parser = functools.cache(build_parser)    # parse_args leaves the parser unchan
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     start = time.perf_counter()
     inputs = {}
     command = None
     try:
         # "seed" leads the inputs of the commands that take one; the others
         # leave it None and it is dropped below
-        args = parser.parse_args(argv, argparse.Namespace(seed=None))
+        args = _parser().parse_args(argv, argparse.Namespace(seed=None))
         if args.command:
             if args.paper_suite:
                 raise UsageError("--paper-suite takes no subcommand")
@@ -497,28 +497,24 @@ def main(argv=None) -> int:
         inputs = {k: v for k, v in vars(args).items()
                   if k not in ("func", "paper_suite", "suite_seed") and v is not None}
         command = args.command or "paper-suite"
-        results, code, notes = args.func(args)
-        _emit(command, inputs, results, code, STATUS[code], notes, start)
-        return code
+        results, notes = args.func(args)
+        code = exit_code(results)
+        return _emit(command, inputs, results, code, STATUS[code], notes, start)
     except UsageError as exc:
-        _emit("usage-error", {}, {"error": str(exc)}, EXIT_USAGE, "error", [], start)
-        return EXIT_USAGE
+        return _emit("usage-error", {}, {"error": str(exc)}, EXIT_USAGE, "error", [], start)
     except (graphs.GraphClassError, graphs.SpectralStructureError, lattices.LatticeError) as exc:
-        _emit("precondition-error", inputs, {"error": str(exc)}, EXIT_PRECONDITION, "error", [],
-              start)
-        return EXIT_PRECONDITION
+        return _emit("precondition-error", inputs, {"error": str(exc)}, EXIT_PRECONDITION,
+                     "error", [], start)
     except (graphs.GraphError, json.JSONDecodeError, OSError, ValueError) as exc:
-        _emit("parse-error", {}, {"error": str(exc)}, EXIT_USAGE, "error", [], start)
-        return EXIT_USAGE
+        return _emit("parse-error", {}, {"error": str(exc)}, EXIT_USAGE, "error", [], start)
     except Exception as exc:
         traceback.print_exc()
-        _emit("internal-error", inputs,
-              {"command": command, "error": f"{type(exc).__name__}: {exc}"},
-              EXIT_INTERNAL, "error", [], start)
-        return EXIT_INTERNAL
+        return _emit("internal-error", inputs,
+                     {"command": command, "error": f"{type(exc).__name__}: {exc}"},
+                     EXIT_INTERNAL, "error", [], start)
 
 
-def _emit(command, inputs, results, code, status, notes, start) -> None:
+def _emit(command, inputs, results, code, status, notes, start) -> int:
     report = {
         "command": command,
         "inputs": {k: repr(v) if not isinstance(v, (int, float, str, bool, type(None))) else v
@@ -532,6 +528,7 @@ def _emit(command, inputs, results, code, status, notes, start) -> None:
         report["notes"] = notes
     text = json.dumps(report, indent=2)     # nothing is written if this raises
     sys.stdout.write(text + "\n")
+    return code
 
 
 def console_main() -> None:

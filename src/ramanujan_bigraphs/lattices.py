@@ -26,6 +26,7 @@ import numpy as np
 from .numberfield import INERT, RAMIFIED, SPLIT, is_prime, splitting_data
 
 DEFAULT_ENUM_CEILING = 10_000_000
+PRIMES_CEILING = 10_000_000     # sieve bound: a 10 MB bytearray, about 0.2 s
 
 
 class LatticeError(Exception):
@@ -54,6 +55,8 @@ def good_primes_up_to(n: int) -> List[int]:
     ``numberfield.splitting_data`` they are 2 and the primes = 2 mod 3."""
     if n < 2:
         raise LatticeError("bound must be >= 2")
+    if n > PRIMES_CEILING:
+        raise LatticeError(f"bound {n} exceeds the sieve ceiling {PRIMES_CEILING}")
     composite = bytearray(n + 1)
     for p in range(2, math.isqrt(n) + 1):
         if not composite[p]:

@@ -2,18 +2,20 @@
 
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import itertools
 import json
 import os
 import tempfile
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from ramanujan_bigraphs import cli, graphs, lattices, trees
+from ramanujan_bigraphs import algebra, cli, graphs, lattices, trees
 
 _SCHEMAS = resources.files("ramanujan_bigraphs") / "schemas"
 REPORT_SCHEMA = json.loads((_SCHEMAS / "report.schema.json").read_text())
@@ -234,22 +236,6 @@ def test_tree(capsys):
     assert rep["results"]["level_counts"]["value"] == [1, 9, 18]
 
 
-def test_tree_and_finite_group_exit_on_their_checks(capsys, monkeypatch):
-    monkeypatch.setattr(trees, "check_local_covering", lambda candidate: False)
-    code, rep = run(["tree", "--l", "9", "--m", "3", "--radius", "2"], capsys)
-    assert (code, rep["status"], rep["results"]["identity_covering"]["value"]) == \
-        (1, "fail", False)
-    level2 = dataclasses.replace(lattices.enumerate_su3(2, 2), surjective=False)
-    with monkeypatch.context() as patch:
-        patch.setattr(lattices, "enumerate_su3", lambda q, n, ceiling: level2)
-        code, rep = run(["finite-group", "--q", "2", "--n", "2"], capsys)
-        assert (code, rep["results"]["surjective"]) == (1, False)
-    monkeypatch.setattr(lattices, "su3_order_formula", lambda q: 0)
-    for n in ("1", "2"):
-        code, rep = run(["finite-group", "--q", "2", "--n", n], capsys)
-        assert (code, rep["status"]) == (1, "fail")
-
-
 def test_primes(capsys):
     code, rep = run(["primes", "--up-to", "30"], capsys)
     assert code == 0
@@ -265,6 +251,9 @@ def test_finite_group_and_ceiling(tmp_path, capsys):
     c65 = write_graph(tmp_path, graphs.cycle(65), "c65.json")   # above the scan's 64-bit word
     for argv, ceiling in ((["finite-group", "--q", "2", "--ceiling", "10"], 10),
                           (["tree", "--l", "9", "--m", "3", "--radius", "4", "--ceiling", "5"], 5),
+                          (["primes", "--up-to", str(lattices.PRIMES_CEILING + 1)],
+                           lattices.PRIMES_CEILING),
+                          (["primes", "--up-to", str(10 ** 15)], lattices.PRIMES_CEILING),
                           (["expansion", c22], 20),
                           (["expansion", c65, "--ceiling", "100"], 100)):
         code, rep = run(argv, capsys)
@@ -322,16 +311,214 @@ def test_paper_suite(capsys):
     assert nongalois["status"] == "fail"
 
 
-def test_paper_suite_good_primes_can_fail(capsys, monkeypatch):
-    monkeypatch.setattr(lattices, "good_primes_up_to", lambda n: [2, 5, 11, 13])
-    code, rep = run(["--paper-suite"], capsys)
-    assert code == 1
-    assert rep["results"]["battery"]["good_primes"]["mod12_agreement"]["value"] is False
-
-
 def test_no_subcommand_is_usage_error(capsys):
     code, _ = run([], capsys)
     assert code == 64
+
+
+# ---------------------------------------------------------------------------
+# verdicts: every Check can be made false (or undecided), and decides the code
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+_SPEC = importlib.util.spec_from_file_location("golden_generate", GOLDEN / "generate.py")
+golden = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(golden)
+
+
+def _through(module, name, change):
+    """Patch that passes the result of module.name through change."""
+    def patch(monkeypatch):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: change(real(*args)))
+    return patch
+
+
+def _returns(module, name, value):
+    return lambda monkeypatch: monkeypatch.setattr(module, name, lambda *args: value)
+
+
+def _law_fails(law):
+    return _through(algebra, "involution_failures", lambda counts: {**counts, law: 1})
+
+
+def _condition(**field):
+    return _through(algebra, "check_theorem_conditions",
+                    lambda rep: dataclasses.replace(rep, **field))
+
+
+def _ball_of_swapped_degrees(monkeypatch):
+    real = trees.biregular_tree_ball
+    monkeypatch.setattr(trees, "biregular_tree_ball", lambda l, m, *rest: real(m, l, *rest))
+
+
+def _two_k6():
+    """Two copies of K_6 minus an edge, joined by two edges: 5-regular, not
+    bipartite, lambda = 4.46 > 2 sqrt(4)."""
+    edges = [(off + i, off + j) for off in (0, 6)
+             for i, j in itertools.combinations(range(6), 2) if (i, j) != (0, 1)]
+    return graphs.Graph(12, tuple(edges + [(0, 6), (1, 7)]))
+
+
+_GRAPHS = {"<K_2,3>": lambda: graphs.complete_bipartite(2, 3), "<two K_6>": _two_k6}
+_K23 = ["certify", "<K_2,3>"]
+_NONGALOIS = ["verify-algebra", "--kind", "nongalois", "--samples", "5"]
+_SUITE = ["--paper-suite"]
+_LAWS = ("alpha_squared_is_identity", "restricts_to_tau_on_E", "anti_automorphism",
+         "norm_conjugation", "norm_equals_det")
+_SUITE_FAILS = ("anti_automorphism", "norm_conjugation")   # on the non-Galois example
+
+
+def _entry(path, argv, patch=None, value=False, test_id=None):
+    return pytest.param(path, argv, patch, value, id=test_id or path)
+
+
+# One entry per Check path: the path (command, then keys), the argv, the
+# patch, if any, and the value it gives the leaf.  A leaf that no input makes
+# false is falsified by a patch, with the reason beside it.  The paper suite's
+# only input is --seed, so its leaves are patched through the library call
+# that each battery makes.
+FALSIFIERS = [
+    _entry("verify-algebra.involution_suite.alpha_squared_is_identity",
+           ["verify-algebra", "--a", "2", "--samples", "5"]),
+    # no input: alpha's formula restricts to tau on E, for both kinds
+    _entry("verify-algebra.involution_suite.restricts_to_tau_on_E",
+           ["verify-algebra", "--samples", "2"], _law_fails("restricts_to_tau_on_E")),
+    _entry("verify-algebra.involution_suite.anti_automorphism", _NONGALOIS),
+    _entry("verify-algebra.involution_suite.norm_conjugation", _NONGALOIS),
+    # no input: the reduced-norm formula is the determinant of the matrix image
+    # identically
+    _entry("verify-algebra.involution_suite.norm_equals_det",
+           ["verify-algebra", "--samples", "2"], _law_fails("norm_equals_det")),
+    _entry("verify-algebra.conditions.division_condition",
+           ["verify-algebra", "--witness-limit", "1", "--samples", "1"], value=None),
+    _entry("verify-algebra.conditions.unit_norm_condition",
+           ["verify-algebra", "--a", "7*7", "--samples", "2"]),
+    # no input: the fixed rho and tau on the fixed basis of Q(zeta_9) commute
+    _entry("verify-algebra.conditions.commuting_condition",
+           ["verify-algebra", "--samples", "2"], _condition(commuting_condition=False)),
+    _entry("certify.certificate.def21", ["certify", "<two K_6>"]),
+    _entry("certify.certificate.def22", _K23),
+    _entry("certify.certificate.def23", _K23),
+    # no input: the identity map of a ball onto itself is a covering
+    _entry("tree.identity_covering", ["tree", "--l", "9", "--m", "3", "--radius", "2"],
+           _returns(trees, "check_local_covering", False)),
+    # no input: the ball is built from the closed-form counts, and its
+    # level-by-level validation refuses any other; the patch builds the (m, l) ball
+    _entry("tree.level_counts_match", ["tree", "--l", "9", "--m", "3", "--radius", "2"],
+           _ball_of_swapped_degrees),
+    # no input: reduction from level 2 to level 1 is onto for every q enumerated
+    _entry("finite-group.surjective", ["finite-group", "--q", "2", "--n", "2"],
+           _through(lattices, "enumerate_su3",
+                    lambda rep: dataclasses.replace(rep, surjective=False))),
+    # no input: the enumerated orders agree with the formula at every q enumerated
+    _entry("finite-group.matches_formula", ["finite-group", "--q", "2"],
+           _returns(lattices, "su3_order_formula", 0)),
+    _entry("finite-group.matches_formula", ["finite-group", "--q", "2", "--n", "2"],
+           _returns(lattices, "su3_order_formula", 0), test_id="finite-group.matches_formula-n2"),
+    *(_entry(f"paper-suite.battery.galois_example.involution_suite.{law}", _SUITE,
+             _law_fails(law)) for law in _LAWS),
+    *(_entry(f"paper-suite.battery.nongalois_example.involution_suite.{law}", _SUITE,
+             None if law in _SUITE_FAILS else _law_fails(law)) for law in _LAWS),
+    _entry("paper-suite.battery.galois_example.conditions.division_condition", _SUITE,
+           _condition(division_condition=None), value=None),
+    _entry("paper-suite.battery.galois_example.conditions.unit_norm_condition", _SUITE,
+           _condition(unit_norm_condition=False)),
+    _entry("paper-suite.battery.galois_example.conditions.commuting_condition", _SUITE,
+           _condition(commuting_condition=False)),
+    # no input: the Cayley draws are special unitary exactly, by construction
+    _entry("paper-suite.battery.archimedean.special_unitary_matrices", _SUITE,
+           _through(algebra, "matrix_at_infinity", lambda m: 2 * m)),
+    # no input: every torus point (conj(t)/t, t, 1/conj(t)) with t != 0 passes
+    _entry("paper-suite.battery.archimedean.torus_points", _SUITE,
+           _returns(algebra, "verify_noncompact_torus", False)),
+    _entry("paper-suite.battery.good_primes.mod12_agreement", _SUITE,
+           _returns(lattices, "good_primes_up_to", [2, 5, 11, 13])),
+    _entry("paper-suite.battery.certification.spot_checks", _SUITE,
+           _through(graphs, "certify_ramanujan",
+                    lambda cert: dataclasses.replace(cert, is_ramanujan=False))),
+    _entry("paper-suite.battery.finite_group.matches_formula", _SUITE,
+           _returns(lattices, "su3_order_formula", 0)),
+    _entry("paper-suite.battery.tree_balls.identity_covering", _SUITE,
+           _returns(trees, "check_local_covering", False)),
+    _entry("paper-suite.battery.tree_balls.level_counts_match", _SUITE,
+           _ball_of_swapped_degrees),
+]
+
+
+@pytest.mark.parametrize("path, argv, patch, value", FALSIFIERS)
+def test_every_verdict_can_fail(tmp_path, capsys, monkeypatch, path, argv, patch, value):
+    argv = [write_graph(tmp_path, _GRAPHS[a]()) if a in _GRAPHS else a for a in argv]
+    if patch:
+        patch(monkeypatch)
+    code, rep = run(argv, capsys)
+    command, *keys = path.split(".")
+    assert rep["command"] == command
+    node = rep["results"]
+    for key in keys:
+        if "status" in node:          # a paper-suite algebra battery
+            assert node["status"] == cli.STATUS[cli.VERDICT[value]]
+        node = node[key]
+    assert node == {"value": value, "method": node["method"]}
+    # the paper suite fails whatever else holds: its non-Galois battery fails
+    want = cli.EXIT_FAIL if command == "paper-suite" else cli.VERDICT[value]
+    assert (code, rep["status"]) == (want, cli.STATUS[want])
+
+
+def _check_paths(node, prefix):
+    for key, value in node.items():
+        if isinstance(value, cli.Check):
+            yield f"{prefix}.{key}"
+        elif isinstance(value, dict):
+            yield from _check_paths(value, f"{prefix}.{key}")
+
+
+def test_every_verdict_in_the_corpus_has_a_falsifier(monkeypatch):
+    emitted = []
+    monkeypatch.setattr(cli, "_emit", lambda command, inputs, results, *rest:
+                        emitted.append((command, results)))
+    for _, argv in golden._cli_cases():
+        cli.main(argv)
+    in_corpus = {path for command, results in emitted for path in _check_paths(results, command)}
+    falsified = {entry.values[0] for entry in FALSIFIERS}
+    # certify has no golden case: its graphs are files
+    assert in_corpus == {path for path in falsified if not path.startswith("certify.")}
+
+
+def test_exit_code_takes_the_worst_check():
+    assert cli.exit_code({}) == 0
+    assert cli.exit_code({"connected": cli.exact(False), "n": [False]}) == 0   # facts
+    assert cli.exit_code({"a": cli.Check(True), "b": {"c": cli.Check(None)}}) == 2
+    assert cli.exit_code({"a": {"b": cli.Check(False)}, "c": cli.Check(None)}) == 1
+    with pytest.raises(TypeError):
+        cli.Check(1)
+
+
+def _bare_booleans(node, path):
+    if isinstance(node, bool):
+        yield path
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _bare_booleans(value, f"{path}[{i}]")
+    elif isinstance(node, dict) and set(node) != {"value", "method"}:
+        for key, value in node.items():
+            yield from _bare_booleans(value, f"{path}.{key}")
+
+
+def test_golden_reports_tag_every_verdict():
+    corpus = json.loads((GOLDEN / "cli_reports.json").read_text())
+    for name, report in corpus.items():
+        jsonschema.validate({**report, "duration_seconds": 0.0}, REPORT_SCHEMA)
+        bare = set(_bare_booleans(report["results"], "results"))
+        assert bare <= {"results.certificate.is_ramanujan"}, (name, bare)
+
+
+def test_schema_rejects_an_untagged_verdict(capsys):
+    _, rep = run(["tree", "--l", "9", "--m", "3", "--radius", "2"], capsys)
+    for results in ({**rep["results"], "identity_covering": True},
+                    {"battery": {"finite_group": {"matches_formula": True}}}):  # the suite's, before
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**rep, "results": results}, REPORT_SCHEMA)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from ramanujan_bigraphs.lattices import (
     INERT,
+    PRIMES_CEILING,
     RAMIFIED,
     SPLIT,
     IndexEntry,
@@ -49,8 +50,9 @@ def test_mod12_rule():
 def test_good_primes():
     assert good_primes_up_to(30) == [2, 5, 11, 17, 23, 29]
     assert good_primes_up_to(4) == [2]
-    with pytest.raises(LatticeError):
-        good_primes_up_to(1)
+    for bound in (1, PRIMES_CEILING + 1, 10 ** 15):   # 10^15 raised MemoryError
+        with pytest.raises(LatticeError):
+            good_primes_up_to(bound)
 
 
 def test_good_primes_match_the_primality_test():
