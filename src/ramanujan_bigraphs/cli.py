@@ -14,13 +14,14 @@ the other tagged values are facts that decide nothing.
 
 The brute-force commands (expansion, tree, finite-group) take their scan
 ceiling as --ceiling, refuse a run above it with exit 2, and the report's
-inputs record the ceiling that applied.  spectrum and primes do the same with
-fixed ceilings, graphs.SPECTRUM_CEILING and lattices.PRIMES_CEILING.  Options
-that do not apply to the chosen command (--a with --kind nongalois, --b with
---kind galois, --paper-suite or the top-level --seed with a subcommand) are
-usage errors, not ignored, and so are numeric options out of range (--samples
-or --witness-limit below 1, --radius below 0, tree's --l or --m below 2,
---up-to below 2, a zero --a or --b, a --tolerance below 0 or not finite).
+inputs record the ceiling that applied.  spectrum, random-bigraph (on n1 + n2)
+and primes do the same with fixed ceilings, graphs.SPECTRUM_CEILING and
+lattices.PRIMES_CEILING.  Options that do not apply to the chosen command (--a
+with --kind nongalois, --b with --kind galois, --paper-suite or the top-level
+--seed with a subcommand) are usage errors, not ignored, and so are numeric
+options out of range (--samples or --witness-limit below 1, --radius below 0,
+tree's --l or --m below 2, --up-to below 2, a zero --a or --b, a --tolerance
+below 0 or not finite).
 """
 
 from __future__ import annotations
@@ -466,7 +467,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", help="write the graph as a JSON file")
-    p.set_defaults(func=cmd_random_bigraph)
+    p.set_defaults(func=cmd_random_bigraph, ceiling=graphs.SPECTRUM_CEILING)   # on n1 + n2
 
     return parser
 

@@ -11,7 +11,8 @@ Conventions
   no check forms a key lo * n, since n may exceed int64.  A Graph is
   frozen, so its edge array, its neighbour tuples and its structure report
   are built at most once per instance and shared by every caller.
-* ``spectrum`` lists n eigenvalues, so it refuses n > SPECTRUM_CEILING.
+* ``spectrum`` lists n eigenvalues, so it refuses n > SPECTRUM_CEILING, and
+  ``random_biregular`` refuses to draw a graph that ``spectrum`` would refuse.
 * ``lambda_of`` follows the trivial-eigenvalue convention: for a connected
   k-regular graph drop one copy of k (and one copy of -k when bipartite);
   for a connected (l, m)-bigraph drop one copy of each of +-sqrt(lm).
@@ -553,10 +554,13 @@ def random_biregular(n1: int, n2: int, l: int, m: int, seed: int) -> Graph:
 
     Feasibility: handshake n1*l = n2*m plus l <= n2 and m <= n1 (the
     Gale-Ryser condition specializes to exactly this for constant degree
-    sequences).
+    sequences).  n1 + n2 above SPECTRUM_CEILING is refused before any work,
+    since such a graph could not be given a spectrum.
     """
     if min(n1, n2, l, m) < 1:
         raise GraphClassError("all parameters must be positive")
+    if n1 + n2 > SPECTRUM_CEILING:
+        raise GraphClassError(f"n1 + n2 = {n1 + n2} exceeds the spectrum ceiling {SPECTRUM_CEILING}")
     if n1 * l != n2 * m:
         raise GraphClassError(f"handshake fails: {n1}*{l} != {n2}*{m}")
     if l > n2 or m > n1:

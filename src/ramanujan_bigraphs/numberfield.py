@@ -10,9 +10,14 @@ sharing one kernel, :class:`PolyElem`:
 * L = Q(zeta_9) = Q[x]/(x^6 + x^3 + 1), on the power basis of zeta_9;
 * E(theta) = E[theta]/(theta^3 - b), on the Q-basis theta^k w^j.
 
-Reduction and the Galois actions are precomputed linear maps on coefficient
-vectors; relative norms, traces and inverses follow from the Galois generator.
-``coeffs`` reads the coefficients: Fractions on E and L, elements of E on E(theta).
+Each field's product (the 2n-1 convolution fused with the monic reduction),
+its Galois maps and L's constructor reduction are compiled once, from the
+images of the basis, into straight-line Python functions on the integer
+numerators: E and L at import, E(theta) once per radicand b.  Coefficients
+other than +-1 are bound as names, never written into the source, so a
+radicand of any size compiles.  Relative norms, traces and inverses follow
+from the Galois generator.  ``coeffs`` reads the coefficients: Fractions on E
+and L, elements of E on E(theta).
 """
 
 from __future__ import annotations
@@ -26,29 +31,66 @@ from typing import Iterable, Optional, Union
 Scalar = Union[int, Fraction]
 
 
-def _linear_map(images):
-    """The linear map sending basis vector i to images[i], as rows: row j
-    lists (i, s, m) for each nonzero m = images[i][j], where s = +-1 when
-    m = +-1 (applied as an addition or subtraction) and s = 0 otherwise."""
-    rows = []
-    for j in range(len(images[0])):
-        col = [(i, img[j]) for i, img in enumerate(images) if img[j]]
-        rows.append(tuple((i, 1 if m == 1 else -1 if m == -1 else 0, m) for i, m in col))
-    return tuple(rows)
+def _combination(terms, consts) -> str:
+    """Source of the sum of c * t over the (name t, int c) pairs ``terms``.
+    A coefficient other than +-1, and the 0 of an empty sum, is never written
+    into the text: it is bound in ``consts`` (value -> name), so the source
+    holds only names, + - and *, whatever the size of the integers."""
+    parts = []
+    for t, c in terms:
+        if c == 1 or c == -1:
+            parts.append(("+ " if c == 1 else "- ") + t)
+        elif c:
+            parts.append(f"+ {consts.setdefault(c, f'k{len(consts)}')} * {t}")
+    return " ".join(parts).removeprefix("+ ") or consts.setdefault(0, f"k{len(consts)}")
 
 
-def _apply(rows, vec):
-    """The linear map ``rows`` applied to the integer vector vec.  Entries +-1
-    are applied as additions and subtractions."""
-    out = []
-    for row in rows:
-        acc = 0
-        for i, s, m in row:
-            v = vec[i]
-            if v:
-                acc = acc + v if s > 0 else acc - v if s < 0 else acc + m * v
-        out.append(acc)
-    return tuple(out)
+def _compile(label: str, params: str, body: list, results: list, consts: dict):
+    """The straight-line function ``params -> tuple(results)``, compiled under
+    the file name ``<numberfield label>`` so profiles and tracebacks name it."""
+    name = label.rpartition(".")[2]
+    src = "\n    ".join([f"def {name}({params}):", *body, f"return ({', '.join(results)},)"])
+    namespace = {v: c for c, v in consts.items()}
+    exec(compile(src, f"<numberfield {label}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _slots(prefix: str, n: int, live) -> str:
+    """Unpacking targets for an n-tuple: prefix + i for the live slots, _ for
+    the slots that always hold 0."""
+    return ", ".join(f"{prefix}{i}" if i in live else "_" for i in range(n))
+
+
+def _linear_kernel(label: str, images, live=None):
+    """v -> sum_i v[i] images[i], straight-line on the integer tuple v, as a
+    staticmethod for a field's class.  Only the slots in ``live`` are read;
+    the others must hold 0."""
+    live = range(len(images)) if live is None else live
+    consts = {}
+    results = [_combination([(f"v{i}", images[i][j]) for i in live], consts)
+               for j in range(len(images[0]))]
+    return staticmethod(_compile(label, "v", [f"{_slots('v', len(images), live)}, = v"],
+                                 results, consts))
+
+
+def _product_kernel(label: str, reduction, live=None):
+    """(a, b) -> the 2n-1 coefficients of the product a*b, mapped by
+    ``reduction`` back to n numerators: the convolution fused with the monic
+    reduction, straight-line on integer tuples whose non-live slots hold 0,
+    as a staticmethod for a field's class."""
+    n = (len(reduction) + 1) // 2
+    live = range(n) if live is None else live
+    body = [f"{_slots('a', n, live)}, = a", f"{_slots('b', n, live)}, = b"]
+    terms = []
+    for k in range(2 * n - 1):
+        pairs = [f"a{i} * b{k - i}" for i in live if k - i in live]
+        if pairs:
+            body.append(f"p{k} = {' + '.join(pairs)}")
+            terms.append(k)
+    consts = {}
+    results = [_combination([(f"p{k}", reduction[k][j]) for k in terms], consts)
+               for j in range(n)]
+    return staticmethod(_compile(label, "a, b", body, results, consts))
 
 
 def _powers(top):
@@ -85,11 +127,11 @@ class PolyElem:
     The numerators ``num`` are ints and ``den`` is positive with
     gcd(den, *num) = 1 after every operation, so the form is canonical.
 
-    A subclass fixes the field: ``_reduction`` maps the 2n-1 coefficients of a
-    product to n numerators over ``_reduction_den``, ``_galois`` is the
-    generator g of Gal(F/base) and ``_order`` its order, and ``from_E`` embeds
-    E.  The fixed field of g is the coefficient field unless the subclass
-    overrides ``_to_base``.
+    A subclass fixes the field with compiled kernels on numerator tuples:
+    ``_product`` multiplies and reduces to n numerators over
+    ``_reduction_den``, ``_galois`` is the generator g of Gal(F/base) and
+    ``_order`` its order, and ``from_E`` embeds E.  The fixed field of g is
+    the coefficient field unless the subclass overrides ``_to_base``.
     """
 
     __slots__ = ("num", "den")
@@ -147,13 +189,7 @@ class PolyElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        right = [(j, b) for j, b in enumerate(o.num) if b]
-        prod = [0] * (2 * len(self.num) - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in right:
-                    prod[i + j] += a * b
-        return self._canonical(_apply(self._reduction, prod),
+        return self._canonical(self._product(self.num, o.num),
                                self.den * o.den * self._reduction_den)
 
     __rmul__ = __mul__
@@ -202,7 +238,7 @@ class PolyElem:
         theta -> zeta_3 * theta on E(theta)."""
         # g is a ring automorphism of the integral basis, so its matrix is
         # unimodular and the numerators stay coprime to den
-        return self._new(_apply(self._galois, self.num), self.den)
+        return self._new(self._galois(self.num), self.den)
 
     def _conjugates(self) -> list:
         """g(x), ..., g^(order-1)(x)."""
@@ -238,8 +274,8 @@ class QuadElem(PolyElem):
 
     __slots__ = ()
     _order = 2
-    _reduction = _linear_map(_powers((-1, 1)))       # w^2 = -1 + w
-    _galois = _linear_map([(1, 0), (1, -1)])         # w -> 1 - w
+    _product = _product_kernel("E.product", _powers((-1, 1)))   # w^2 = -1 + w
+    _galois = _linear_kernel("E.rho", [(1, 0), (1, -1)])       # w -> 1 - w
 
     def __init__(self, x: Scalar = 0, y: Scalar = 0):
         self.num, self.den = _over_one_denominator((x, y))
@@ -298,17 +334,17 @@ class CycloElem(PolyElem):
 
     __slots__ = ()
     _order = 3
-    _reduction = _linear_map(_ZETA9_POWERS)
-    _galois = _linear_map([_ZETA9_POWERS[4 * i % 9] for i in range(6)])  # zeta_9 -> zeta_9^4
-    _tau = _linear_map([_ZETA9_POWERS[8 * i % 9] for i in range(6)])     # zeta_9 -> zeta_9^8
+    _product = _product_kernel("L.product", _ZETA9_POWERS)
+    _reduce = _linear_kernel("L.reduce", _ZETA9_POWERS[:9])     # zeta_9^k, k < 9
+    _galois = _linear_kernel("L.rho", [_ZETA9_POWERS[4 * i % 9] for i in range(6)])  # zeta_9 -> zeta_9^4
+    _tau = _linear_kernel("L.tau", [_ZETA9_POWERS[8 * i % 9] for i in range(6)])     # zeta_9 -> zeta_9^8
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         num, den = _over_one_denominator(coeffs)
         c = list(num)
         for k in range(len(c) - 1, 8, -1):   # zeta_9^9 = 1
             c[k - 9] += c.pop()
-        c = _apply(self._reduction, c + [0] * (11 - len(c)))
-        self.num, self.den = _lowest_terms(c, den)
+        self.num, self.den = _lowest_terms(self._reduce(c + [0] * (9 - len(c))), den)
 
     @classmethod
     def zeta9(cls, k: int = 1) -> "CycloElem":
@@ -327,7 +363,7 @@ class CycloElem(PolyElem):
 
     def tau(self) -> "CycloElem":
         """Complex conjugation zeta_9 -> zeta_9^8."""
-        return self._new(_apply(self._tau, self.num), self.den)
+        return self._new(self._tau(self.num), self.den)
 
     def from_rationals(self, qs) -> "CycloElem":
         """The element of L with coordinates qs on the power basis."""
@@ -426,19 +462,23 @@ class CubicExtElem(PolyElem):
 @functools.cache
 def _cubic_field(b: QuadElem) -> type:
     """The subclass of CubicExtElem for theta^3 = b = (x + y w)/d, made once per
-    radicand.  Its maps send slot 3k + j to factor(k) w^j at theta^(k mod 3):
-    the Galois generator theta -> zeta_3 theta, and the reduction over d, which
-    sends theta^k to d theta^k for k < 3 and to (x + y w) theta^(k-3) beyond."""
+    radicand, with its kernels compiled once.  Its maps send slot 3k + j to
+    factor(k) w^j at theta^(k mod 3): the Galois generator theta -> zeta_3
+    theta, and the product's reduction over d, which sends theta^k to
+    d theta^k for k < 3 and to (x + y w) theta^(k-3) beyond.  Slots 3k + 2 of
+    a factor hold 0, so the kernels never read them."""
     def theta_map(slots, factor):
         images = [[0] * 9 for _ in range(slots)]
         for s, image in enumerate(images):
             k, j = divmod(s, 3)
             image[3 * (k % 3):3 * (k % 3) + 2] = (factor(k) * QuadElem(0, 1) ** j).num
-        return _linear_map(images)
+        return images
+    live = [s for s in range(9) if s % 3 != 2]
     return type("CubicExtElem", (CubicExtElem,), {
         "__slots__": (), "b": b, "_reduction_den": b.den,
-        "_reduction": theta_map(17, lambda k: b * b.den if k >= 3 else QuadElem(b.den)),
-        "_galois": theta_map(9, lambda k: ZETA3_E ** k),
+        "_product": _product_kernel("E(theta).product", theta_map(
+            17, lambda k: b * b.den if k >= 3 else QuadElem(b.den)), live),
+        "_galois": _linear_kernel("E(theta).rho", theta_map(9, lambda k: ZETA3_E ** k), live),
     })
 
 

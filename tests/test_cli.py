@@ -254,6 +254,13 @@ def test_finite_group_and_ceiling(tmp_path, capsys):
                           (["primes", "--up-to", str(lattices.PRIMES_CEILING + 1)],
                            lattices.PRIMES_CEILING),
                           (["primes", "--up-to", str(10 ** 15)], lattices.PRIMES_CEILING),
+                          # a feasible star on ceiling + 1 vertices, and a (9, 3) draw
+                          # that would run for hours
+                          (["random-bigraph", "--n1", "1", "--n2", str(graphs.SPECTRUM_CEILING),
+                            "--l", str(graphs.SPECTRUM_CEILING), "--m", "1", "--seed", "1"],
+                           graphs.SPECTRUM_CEILING),
+                          (["random-bigraph", "--n1", "100000", "--n2", "300000", "--l", "9",
+                            "--m", "3", "--seed", "1"], graphs.SPECTRUM_CEILING),
                           (["expansion", c22], 20),
                           (["expansion", c65, "--ceiling", "100"], 100)):
         code, rep = run(argv, capsys)

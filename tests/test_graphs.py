@@ -424,6 +424,18 @@ def test_random_biregular_feasibility():
         random_biregular(1, 2, 4, 2, seed=0)     # l=4 > n2=2
 
 
+def test_random_biregular_ceiling(monkeypatch):
+    # a star on ceiling + 1 vertices is feasible, so only the ceiling refuses it
+    with pytest.raises(GraphClassError, match="exceeds the spectrum ceiling"):
+        random_biregular(1, graphs.SPECTRUM_CEILING, graphs.SPECTRUM_CEILING, 1, seed=0)
+    # the ceiling itself is allowed: shown at a small ceiling, since a draw on
+    # 10,000 vertices takes seconds
+    monkeypatch.setattr(graphs, "SPECTRUM_CEILING", 12)
+    assert random_biregular(3, 9, 9, 3, seed=0).n == 12
+    with pytest.raises(GraphClassError, match="exceeds the spectrum ceiling 12"):
+        random_biregular(4, 12, 9, 3, seed=0)
+
+
 def test_random_biregular_deterministic():
     g1 = random_biregular(4, 8, 4, 2, seed=5)
     g2 = random_biregular(4, 8, 4, 2, seed=5)

@@ -5,6 +5,7 @@ import math
 import operator
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -258,6 +259,211 @@ def test_canonical_form_matches_fraction_reference(field, data):
         assert mul(X, _vec(inv)) == from_base(1 if field == "E" else QuadElem(1))
     assert x * y == y * x and hash(x * y) == hash(y * x)
     assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+
+
+# ---------------------------------------------------------------------------
+# The compiled kernels against the row interpreter and schoolbook product
+# they replaced, on numerators far past machine words
+# ---------------------------------------------------------------------------
+
+def _linear_map(images):
+    """The linear map sending basis vector i to images[i], as rows: row j
+    lists (i, s, m) for each nonzero m = images[i][j], where s = +-1 when
+    m = +-1 (applied as an addition or subtraction) and s = 0 otherwise."""
+    rows = []
+    for j in range(len(images[0])):
+        col = [(i, img[j]) for i, img in enumerate(images) if img[j]]
+        rows.append(tuple((i, 1 if m == 1 else -1 if m == -1 else 0, m) for i, m in col))
+    return tuple(rows)
+
+
+def _apply(rows, vec):
+    """The linear map ``rows`` applied to the integer vector vec."""
+    out = []
+    for row in rows:
+        acc = 0
+        for i, s, m in row:
+            v = vec[i]
+            if v:
+                acc = acc + v if s > 0 else acc - v if s < 0 else acc + m * v
+        out.append(acc)
+    return tuple(out)
+
+
+def _powers(top):
+    """t^0, ..., t^(2n-2) on the basis 1, ..., t^(n-1), for t^n = sum(top[i] t^i)."""
+    n = len(top)
+    images = [[int(i == k) for i in range(n)] for k in range(n)]
+    while len(images) < 2 * n - 1:
+        *low, high = images[-1]
+        images.append([a + high * r for a, r in zip([0] + low, top)])
+    return images
+
+
+def _schoolbook(a, b):
+    right = [(j, y) for j, y in enumerate(b) if y]
+    prod = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in right:
+                prod[i + j] += x * y
+    return prod
+
+
+def _lowest(num, den):
+    g = math.gcd(den, *num)
+    return tuple(c // g for c in num), den // g
+
+
+def _theta_map(slots, factor):
+    """Slot 3k + j of E(theta) to factor(k) w^j at theta^(k mod 3)."""
+    images = [[0] * 9 for _ in range(slots)]
+    for s, image in enumerate(images):
+        k, j = divmod(s, 3)
+        image[3 * (k % 3):3 * (k % 3) + 2] = (factor(k) * QuadElem(0, 1) ** j).num
+    return images
+
+
+class _Interpreter:
+    """One field's operations on canonical (num, den) pairs through the
+    interpreter.  ``project`` takes an element of the fixed field of rho to its
+    (num, den) in the base field (Q as 1-tuples, or E), ``embed`` the reverse,
+    and ``base`` is the base field's own interpreter (None for Q)."""
+
+    def __init__(self, reduction, galois, order, project, embed, base, reduction_den=1):
+        self.reduction, self.galois = _linear_map(reduction), _linear_map(galois)
+        self.order, self.project, self.embed = order, project, embed
+        self.base, self.reduction_den = base, reduction_den
+
+    def mul(self, x, y):
+        num = _apply(self.reduction, _schoolbook(x[0], y[0]))
+        return _lowest(num, x[1] * y[1] * self.reduction_den)
+
+    def rho(self, x):
+        return _apply(self.galois, x[0]), x[1]
+
+    def conjugates(self, x):
+        out = [self.rho(x)]
+        while len(out) < self.order - 1:
+            out.append(self.rho(out[-1]))
+        return out
+
+    def norm(self, x):
+        for c in self.conjugates(x):
+            x = self.mul(x, c)
+        return self.project(x)
+
+    def inverse(self, x):
+        first, *rest = self.conjugates(x)
+        for c in rest:
+            first = self.mul(first, c)
+        n = self.project(self.mul(x, first))
+        if self.base is None:        # 1 / (n / d) in Q
+            (u,), d = n
+            n_inv = ((d if u > 0 else -d,), abs(u))
+        else:
+            n_inv = self.base.inverse(n)
+        return self.mul(first, self.embed(n_inv))
+
+
+_E_REF = _Interpreter(_powers((-1, 1)), [(1, 0), (1, -1)], 2,
+                      project=lambda x: (x[0][:1], x[1]), embed=lambda q: ((q[0][0], 0), q[1]),
+                      base=None)
+_ZETA9_IMAGES = _powers((-1, 0, 0, -1, 0, 0))
+_L_REF = _Interpreter(_ZETA9_IMAGES, [_ZETA9_IMAGES[4 * i % 9] for i in range(6)], 3,
+                      project=lambda x: ((x[0][0] - x[0][3], x[0][3]), x[1]),
+                      embed=lambda e: ((e[0][0] + e[0][1], 0, 0, e[0][1], 0, 0), e[1]),
+                      base=_E_REF)
+_L_TAU = _linear_map([_ZETA9_IMAGES[8 * i % 9] for i in range(6)])
+
+
+def _l_constructor(coeffs):
+    """CycloElem(coeffs) through the interpreter."""
+    qs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(q.denominator for q in qs))
+    c = [q.numerator * (den // q.denominator) for q in qs]
+    for k in range(len(c) - 1, 8, -1):
+        c[k - 9] += c.pop()
+    return _lowest(_apply(_linear_map(_ZETA9_IMAGES), c + [0] * (11 - len(c))), den)
+
+
+def _cubic_ref(b):
+    return _Interpreter(
+        _theta_map(17, lambda k: b * b.den if k >= 3 else QuadElem(b.den)),
+        _theta_map(9, lambda k: ZETA3_E ** k), 3,
+        project=lambda x: (x[0][:2], x[1]), embed=lambda e: (e[0] + (0,) * 7, e[1]),
+        base=_E_REF, reduction_den=b.den)
+
+
+# a radicand whose numerator has more decimal digits than str(int) allows
+_HUGE_B = QuadElem(Fraction(10 ** max(sys.get_int_max_str_digits(), 4300) + 7, 3), 2)
+KERNEL_FIELDS = {   # field -> (an element of it, its interpreter, the live slots)
+    "E": (QuadElem(1), _E_REF, range(2)),
+    "L": (CycloElem([1]), _L_REF, range(6)),
+    "E(theta), b=2*zeta3": (CubicExtElem.scalar(1, RADICANDS["E(theta)"]),
+                            _cubic_ref(RADICANDS["E(theta)"]), (0, 1, 3, 4, 6, 7)),
+    "E(theta), huge b": (CubicExtElem.scalar(1, _HUGE_B), _cubic_ref(_HUGE_B), (0, 1, 3, 4, 6, 7)),
+}
+_BIG = 2 ** 200
+
+
+def _big_elements(field):
+    one, _, live = KERNEL_FIELDS[field]
+    n = len(one.num)
+
+    def build(drawn):
+        nums, den = drawn
+        num = [0] * n
+        for s, c in zip(live, nums):
+            num[s] = c
+        return one._new(*_lowest(tuple(num), den))
+    return st.tuples(st.lists(st.integers(-_BIG, _BIG), min_size=len(live), max_size=len(live)),
+                     st.integers(1, _BIG)).map(build)
+
+
+def _pair(x):
+    """(num, den) of a field element, or of a rational as a 1-tuple."""
+    if isinstance(x, Fraction):
+        return (x.numerator,), x.denominator
+    return x.num, x.den
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_kernels_match_the_interpreter(field, data):
+    x, y = data.draw(_big_elements(field)), data.draw(_big_elements(field))
+    ref = KERNEL_FIELDS[field][1]
+    X, Y = _pair(x), _pair(y)
+    assert _pair(x * y) == ref.mul(X, Y)
+    assert _pair(x.rho()) == ref.rho(X)
+    assert _pair(x.norm()) == ref.norm(X)
+    if x:
+        assert _pair(x.inverse()) == ref.inverse(X)
+    if field == "L":
+        assert _pair(galois_tau(x)) == (_apply(_L_TAU, X[0]), X[1])
+        coeffs = data.draw(st.lists(st.fractions(min_value=-_BIG, max_value=_BIG,
+                                                 max_denominator=_BIG), max_size=12))
+        assert _pair(CycloElem(coeffs)) == _l_constructor(coeffs)
+
+
+def test_huge_radicand_is_past_the_str_limit():
+    assert _HUGE_B.num[0] >= 10 ** sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_kernels_are_named_and_hold_no_literal(field):
+    """Each kernel is compiled under a file name that names its field and map,
+    and binds every coefficient as a name: its code holds no constant."""
+    cls = type(KERNEL_FIELDS[field][0])
+    prefix = field.partition(",")[0]
+    maps = {"product": cls._product, "rho": cls._galois}
+    if cls is CycloElem:
+        maps.update(tau=cls._tau, reduce=cls._reduce)
+    for name, kernel in maps.items():
+        assert kernel.__code__.co_filename == f"<numberfield {prefix}.{name}>"
+        assert kernel.__name__ == name
+        assert set(kernel.__code__.co_consts) <= {None}
 
 
 # ---------------------------------------------------------------------------
