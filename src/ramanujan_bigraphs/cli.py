@@ -16,7 +16,8 @@ The brute-force commands (expansion, tree, finite-group) take their scan
 ceiling as --ceiling, refuse a run above it with exit 2, and the report's
 inputs record the ceiling that applied.  spectrum, random-bigraph (on n1 + n2)
 and primes do the same with fixed ceilings, graphs.SPECTRUM_CEILING and
-lattices.PRIMES_CEILING.  Options that do not apply to the chosen command (--a
+lattices.PRIMES_CEILING, and random-bigraph with graphs.EDGE_CEILING on its
+n1 * l edges too.  Options that do not apply to the chosen command (--a
 with --kind nongalois, --b with --kind galois, --paper-suite or the top-level
 --seed with a subcommand) are usage errors, not ignored, and so are numeric
 options out of range (--samples or --witness-limit below 1, --radius below 0,
@@ -31,6 +32,7 @@ import ast
 import functools
 import json
 import math
+import operator
 import random
 import re
 import sys
@@ -109,6 +111,8 @@ _QUAD_NAMES = {
     "sqrt_m3": quad_from_sqrt3_basis(0, 1),
     "zeta3": ZETA3_E,
 }
+_QUAD_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+             ast.Div: operator.truediv}
 
 
 def parse_quad(expr: str) -> QuadElem:
@@ -125,17 +129,8 @@ def parse_quad(expr: str) -> QuadElem:
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
             v = ev(node.operand)
             return -v if isinstance(node.op, ast.USub) else v
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)
-        ):
-            a, b = ev(node.left), ev(node.right)
-            if isinstance(node.op, ast.Add):
-                return a + b
-            if isinstance(node.op, ast.Sub):
-                return a - b
-            if isinstance(node.op, ast.Mult):
-                return a * b
-            return a / b
+        if isinstance(node, ast.BinOp) and type(node.op) in _QUAD_OPS:
+            return _QUAD_OPS[type(node.op)](ev(node.left), ev(node.right))
         raise UsageError(f"unsupported expression element: {ast.dump(node)}")
 
     try:
@@ -353,15 +348,10 @@ def cmd_paper_suite(args):
     # 3. archimedean signature
     params = algebra.example_galois_params()
     rng = random.Random(args.seed + 2)
-    arch_ok = True
-    for _ in range(20):
-        d = algebra.random_special_unitary(params, rng)
-        m = algebra.matrix_at_infinity(d)
-        if not (
-            np.max(np.abs(m.conj().T @ m - np.eye(3))) < 1e-10
-            and abs(np.linalg.det(m) - 1) < 1e-10
-        ):
-            arch_ok = False
+    mats = [algebra.matrix_at_infinity(algebra.random_special_unitary(params, rng))
+            for _ in range(20)]                  # all 20 drawn: the torus points follow
+    arch_ok = all(np.max(np.abs(m.conj().T @ m - np.eye(3))) < 1e-10
+                  and abs(np.linalg.det(m) - 1) < 1e-10 for m in mats)
     torus_ok = all(
         algebra.verify_noncompact_torus(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) or 1.0)
         for _ in range(50)
@@ -467,7 +457,8 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", help="write the graph as a JSON file")
-    p.set_defaults(func=cmd_random_bigraph, ceiling=graphs.SPECTRUM_CEILING)   # on n1 + n2
+    p.set_defaults(func=cmd_random_bigraph, ceiling=graphs.SPECTRUM_CEILING,   # on n1 + n2
+                   edge_ceiling=graphs.EDGE_CEILING)                         # on n1 * l
 
     return parser
 

@@ -121,6 +121,15 @@ def _lowest_terms(num: tuple, den: int) -> tuple:
     return num, den
 
 
+def _fraction_repr(num: int, den: int) -> str:
+    """repr(Fraction(num, den)), in hex (which reads back) past the str limit."""
+    q = Fraction(num, den)
+    try:
+        return repr(q)
+    except ValueError:
+        return f"Fraction({q.numerator:#x}, {q.denominator:#x})"
+
+
 class PolyElem:
     """(n_0 + n_1 t + ... + n_(n-1) t^(n-1)) / den modulo a fixed monic rule.
 
@@ -230,7 +239,7 @@ class PolyElem:
     def _to_base(self):
         """The element as one of the fixed field of g; raises if it is not."""
         if any(self.num[1:]):
-            raise ValueError(f"element {self!r} does not lie in the base field")
+            raise ValueError(f"{type(self).__name__} element does not lie in the base field")
         return self.coeffs[0]
 
     def rho(self) -> "PolyElem":
@@ -300,7 +309,7 @@ class QuadElem(PolyElem):
         return self._canonical((d * (u + v), -d * v), u * u + u * v + v * v)
 
     def __repr__(self):
-        return f"QuadElem({self.x!r}, {self.y!r})"
+        return f"QuadElem({', '.join(_fraction_repr(c, self.den) for c in self.num)})"
 
     def __str__(self):
         if self.is_rational:
@@ -356,7 +365,7 @@ class CycloElem(PolyElem):
     def _to_base(self) -> QuadElem:
         """Inverse of embed_E_in_L; raises if the element is not in E."""
         if not is_in_E(self):
-            raise ValueError(f"element {self!r} does not lie in Q(sqrt(-3))")
+            raise ValueError(f"{type(self).__name__} element does not lie in Q(sqrt(-3))")
         # l = c0 + c3 zeta_3 = (c0 - c3) + c3 w, still in lowest terms
         c = self.num
         return QuadElem._new((c[0] - c[3], c[3]), self.den)
@@ -370,7 +379,7 @@ class CycloElem(PolyElem):
         return CycloElem(qs)
 
     def __repr__(self):
-        return f"CycloElem({list(self.coeffs)!r})"
+        return f"CycloElem([{', '.join(_fraction_repr(c, self.den) for c in self.num)}])"
 
 
 galois_rho = CycloElem.rho        # order 3 automorphism of L/E; fixes E pointwise
@@ -444,7 +453,7 @@ class CubicExtElem(PolyElem):
 
     def _to_base(self) -> QuadElem:
         if any(self.num[2:]):
-            raise ValueError(f"element {self!r} does not lie in Q(sqrt(-3))")
+            raise ValueError(f"{type(self).__name__} element does not lie in Q(sqrt(-3))")
         return QuadElem._new(self.num[:2], self.den)
 
     def _coerce(self, other):

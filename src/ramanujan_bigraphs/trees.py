@@ -68,12 +68,9 @@ def level_counts_closed_form(l: int, m: int, r: int, root_side: str = "l") -> Li
     if root_side not in ("l", "m"):
         raise GraphError("root_side must be 'l' or 'm'")
     d_root, d_other = (l, m) if root_side == "l" else (m, l)
-    counts = [1]
-    if r >= 1:
-        counts.append(d_root)
+    counts = [1, d_root][:r + 1]
     for level in range(2, r + 1):
-        branch = (d_other - 1) if level % 2 == 0 else (d_root - 1)
-        counts.append(counts[-1] * branch)
+        counts.append(counts[-1] * ((d_other if level % 2 == 0 else d_root) - 1))
     return counts
 
 

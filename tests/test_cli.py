@@ -292,6 +292,20 @@ def test_random_bigraph_deterministic(capsys):
     jsonschema.validate(rep1["results"]["graph"], GRAPH_SCHEMA)
 
 
+def test_random_bigraph_edge_ceiling(capsys):
+    # 2809 * 89 = EDGE_CEILING + 1 edges, on fewer vertices than the spectrum ceiling
+    argv = ["random-bigraph", "--n1", "2809", "--n2", "2809", "--l", "89", "--m", "89",
+            "--seed", "1"]
+    code, rep = run(argv, capsys)
+    assert (code, rep["command"]) == (2, "precondition-error")
+    assert (rep["inputs"]["ceiling"], rep["inputs"]["edge_ceiling"]) == \
+        (graphs.SPECTRUM_CEILING, graphs.EDGE_CEILING)
+    assert "edge ceiling" in rep["results"]["error"]
+    code, rep = run(["random-bigraph", "--n1", "3", "--n2", "9", "--l", "9", "--m", "3",
+                     "--seed", "1"], capsys)
+    assert code == 0 and rep["inputs"]["edge_ceiling"] == graphs.EDGE_CEILING
+
+
 def test_random_bigraph_requires_seed(capsys):
     code, _ = run(["random-bigraph", "--n1", "3", "--n2", "9", "--l", "9", "--m", "3"], capsys)
     assert code == 64

@@ -424,16 +424,59 @@ def test_random_biregular_feasibility():
         random_biregular(1, 2, 4, 2, seed=0)     # l=4 > n2=2
 
 
-def test_random_biregular_ceiling(monkeypatch):
+def test_random_biregular_ceiling():
     # a star on ceiling + 1 vertices is feasible, so only the ceiling refuses it
     with pytest.raises(GraphClassError, match="exceeds the spectrum ceiling"):
         random_biregular(1, graphs.SPECTRUM_CEILING, graphs.SPECTRUM_CEILING, 1, seed=0)
-    # the ceiling itself is allowed: shown at a small ceiling, since a draw on
-    # 10,000 vertices takes seconds
-    monkeypatch.setattr(graphs, "SPECTRUM_CEILING", 12)
-    assert random_biregular(3, 9, 9, 3, seed=0).n == 12
-    with pytest.raises(GraphClassError, match="exceeds the spectrum ceiling 12"):
-        random_biregular(4, 12, 9, 3, seed=0)
+    assert random_biregular(5000, 5000, 3, 3, seed=0).n == graphs.SPECTRUM_CEILING
+
+
+def test_random_biregular_edge_ceiling(monkeypatch):
+    # 2809 * 89 = EDGE_CEILING + 1 edges on 5,618 vertices: feasible, and
+    # refused before the random generator is even made
+    assert 2809 * 89 == graphs.EDGE_CEILING + 1
+    monkeypatch.setattr(random, "Random", mock.Mock(side_effect=AssertionError("drew")))
+    with pytest.raises(GraphClassError, match=f"exceeds the edge ceiling {graphs.EDGE_CEILING}"):
+        random_biregular(2809, 2809, 89, 89, seed=0)
+
+
+@st.composite
+def _biregular_shapes(draw):
+    """A feasible (n1, n2, l, m): l is a multiple of n2 / gcd(n1, n2) up to n2,
+    so every density, 2l > n2 and l = n2 (complete) among them, comes up."""
+    n1, n2 = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    g = math.gcd(n1, n2)
+    k = draw(st.integers(1, g))
+    return n1, n2, k * n2 // g, k * n1 // g
+
+
+def _assert_biregular_draw(n1, n2, l, m, seed):
+    g = random_biregular(n1, n2, l, m, seed)     # Graph refuses a repeated edge
+    ends = g.edge_array()
+    assert g.n == n1 + n2 and g.parts == (0,) * n1 + (1,) * n2
+    assert len(g.edges) == n1 * l and (ends[:, 0] < n1).all() and (ends[:, 1] >= n1).all()
+    assert (np.bincount(ends.ravel(), minlength=g.n) == [l] * n1 + [m] * n2).all()
+    assert random_biregular(n1, n2, l, m, seed).edges == g.edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(_biregular_shapes(), st.integers(-2, 2 ** 70))
+def test_random_biregular_is_simple_exact_and_seeded(shape, seed):
+    _assert_biregular_draw(*shape, seed)
+
+
+def test_random_biregular_half_dense_repair_is_quick(monkeypatch):
+    # each accepted switch removes a repeat, so the densest drawn shape needs
+    # under 45 rounds here; switches that may make repeats took over 100
+    monkeypatch.setattr(graphs, "_SWITCH_ROUNDS", 80)
+    for seed in (1, 2, 3):
+        _assert_biregular_draw(200, 200, 100, 100, seed)
+
+
+@pytest.mark.parametrize("shape", [(1000, 1000, 100, 100), (50, 100, 100, 50)],
+                         ids=["dense-100", "complete-50-100"])
+def test_random_biregular_fixed_shapes(shape):
+    _assert_biregular_draw(*shape, seed=1)
 
 
 def test_random_biregular_deterministic():

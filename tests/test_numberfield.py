@@ -451,6 +451,17 @@ def test_huge_radicand_is_past_the_str_limit():
     assert _HUGE_B.num[0] >= 10 ** sys.get_int_max_str_digits()
 
 
+def test_huge_radicand_messages_do_not_format_the_value():
+    # the reprs write such ints in hex and read back; the errors name no value
+    x = CubicExtElem.scalar(1, _HUGE_B)
+    for e in (x, _HUGE_B, CubicExtElem(0, 1, b=_HUGE_B), x.coeffs[0]):
+        assert eval(repr(e), {"CubicExtElem": CubicExtElem, "QuadElem": QuadElem,
+                              "Fraction": Fraction}) == e
+    assert repr(QuadElem(Fraction(1, 2), 3)) == "QuadElem(Fraction(1, 2), Fraction(3, 1))"
+    with pytest.raises(ValueError, match=r"^CubicExtElem element does not lie in Q\(sqrt\(-3\)\)$"):
+        CubicExtElem(0, 1, b=_HUGE_B)._to_base()
+
+
 @pytest.mark.parametrize("field", KERNEL_FIELDS)
 def test_kernels_are_named_and_hold_no_literal(field):
     """Each kernel is compiled under a file name that names its field and map,
