@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 from .numberfield import (
     CubicExtElem,
     CycloElem,
+    ObstructionReport,
     QuadElem,
     SQRT_M3,
     ZETA3_E,
@@ -278,6 +279,8 @@ class ConditionReport:
     residues_a: Optional[frozenset] = None
     residues_a2: Optional[frozenset] = None
     searched_below: Optional[int] = None
+    # a's obstruction record at witness_prime_a: the fields above are read from it
+    obstruction: Optional[ObstructionReport] = field(default=None, repr=False)
 
     @property
     def all_verified(self) -> bool:
@@ -326,24 +329,22 @@ def check_theorem_conditions(params: AlgebraParams, witness_limit: int = 200) ->
     # not symmetric: a = 3 sqrt(-3) is caught only through a^2 = -27
     if _obvious_norm(a) or _obvious_norm(a * a):
         return ConditionReport(False, unit_norm, commuting, searched_below=witness_limit)
-    wp_a = res_a = res_a2 = None
-    for p in witness_primes(witness_limit):
-        rep = local_norm_obstruction(a, p)
-        if rep.obstructed:
-            wp_a, res_a = p, rep.valuations_mod_3
-            # v(a^2) = 2 v(a) exactly and 2 is invertible mod 3, so a^2 is
-            # obstructed at the same first prime, with the residues doubled
-            res_a2 = frozenset(2 * r % 3 for r in res_a)
-            break
+    reps = (local_norm_obstruction(a, p) for p in witness_primes(witness_limit))
+    obs = next((rep for rep in reps if rep.obstructed), None)
+    if obs is None:
+        return ConditionReport(None, unit_norm, commuting, searched_below=witness_limit)
+    # v(a^2) = 2 v(a) exactly and 2 is invertible mod 3, so a^2 is obstructed
+    # at the same first prime, with the residues doubled
     return ConditionReport(
-        division_condition=True if wp_a is not None else None,
+        division_condition=True,
         unit_norm_condition=unit_norm,
         commuting_condition=commuting,
-        witness_prime_a=wp_a,
-        witness_prime_a2=wp_a,
-        residues_a=res_a,
-        residues_a2=res_a2,
+        witness_prime_a=obs.prime,
+        witness_prime_a2=obs.prime,
+        residues_a=obs.valuations_mod_3,
+        residues_a2=frozenset(2 * r % 3 for r in obs.valuations_mod_3),
         searched_below=witness_limit,
+        obstruction=obs,
     )
 
 

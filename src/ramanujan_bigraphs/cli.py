@@ -21,8 +21,8 @@ n1 * l edges too.  Options that do not apply to the chosen command (--a
 with --kind nongalois, --b with --kind galois, --paper-suite or the top-level
 --seed with a subcommand) are usage errors, not ignored, and so are numeric
 options out of range (--samples or --witness-limit below 1, --radius below 0,
-tree's --l or --m below 2, --up-to below 2, a zero --a or --b, a --tolerance
-below 0 or not finite).
+tree's --l or --m below 2, --up-to below 2, a zero --a or --b, certify's
+--tolerance below 0 or not finite).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import traceback
 import numpy as np
 
 from . import algebra, graphs, lattices, trees
-from .numberfield import QuadElem, ZETA3_E, local_norm_obstruction, quad_from_sqrt3_basis
+from .numberfield import QuadElem, ZETA3_E, quad_from_sqrt3_basis
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -180,8 +180,8 @@ def cmd_verify_algebra(args):
             "residues_a2": exact(sorted(rep.residues_a2) if rep.residues_a2 else None),
             "searched_below": exact(rep.searched_below),
         }
-        if rep.witness_prime_a is not None:
-            obs = local_norm_obstruction(params.a, rep.witness_prime_a)
+        obs = rep.obstruction
+        if obs is not None:
             results["obstruction_at_witness"] = {
                 "prime": exact(obs.prime),
                 "valuations": exact(list(obs.valuations)),
@@ -219,15 +219,11 @@ def _certificate_dict(cert: graphs.RamanujanCertificate):
     return d
 
 
-def _tolerance(args) -> float:
-    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-        raise UsageError("--tolerance must be finite and at least 0")
-    return args.tolerance
-
-
 def cmd_certify(args):
     g = graphs.load_graph(args.graph)
-    cert = graphs.certify_ramanujan(g, _tolerance(args))
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise UsageError("--tolerance must be finite and at least 0")
+    cert = graphs.certify_ramanujan(g, args.tolerance)
     results = {"certificate": _certificate_dict(cert),
                "eigenproblem": exact(list(cert.eigenproblem))}
     if args.format == "dot":
@@ -237,16 +233,16 @@ def cmd_certify(args):
 
 def cmd_spectrum(args):
     g = graphs.load_graph(args.graph)
-    s = graphs.spectrum(g, _tolerance(args))     # refuses n above its ceiling first
+    s = graphs.spectrum(g)     # refuses n above its ceiling first
     rep = graphs.analyze_structure(g)
     results = {
-        "eigenvalues": floating(list(s.values), s.tolerance),
+        "eigenvalues": floating(list(s.values), graphs.DEFAULT_TOLERANCE),
         "eigenproblem": exact(list(s.eigenproblem)),
         "connected": exact(rep.connected),
         "bipartite": exact(rep.bipartition is not None),
     }
-    if rep.profile is not None and rep.connected:
-        results["lambda"] = floating(graphs.lambda_of(s, rep.profile), s.tolerance)
+    if rep.profile is not None and rep.connected:    # certify's lambda, bit for bit
+        results["lambda"] = floating(graphs.deflated_lambda(g)[0], graphs.DEFAULT_TOLERANCE)
     return results, []
 
 
@@ -321,14 +317,13 @@ def cmd_random_bigraph(args):
     if args.out:
         graphs.save_graph(g, args.out)
     rep = graphs.analyze_structure(g)
+    p = rep.profile
+    if isinstance(p, graphs.RegularProfile):    # l = m: the sides are counted from the parts
+        p = graphs.BiregularProfile(g.parts.count(0), g.parts.count(1), p.k, p.k)
     return {
         "graph": doc,
         "connected": exact(rep.connected),
-        "profile": exact(
-            [rep.profile.n1, rep.profile.n2, rep.profile.l, rep.profile.m]
-            if isinstance(rep.profile, graphs.BiregularProfile)
-            else None
-        ),
+        "profile": exact([p.n1, p.n2, p.l, p.m]),
     }, []
 
 
@@ -423,7 +418,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("spectrum", help="adjacency spectrum of a graph file")
     p.add_argument("graph")
-    p.add_argument("--tolerance", type=float, default=graphs.DEFAULT_TOLERANCE)
     p.set_defaults(func=cmd_spectrum, ceiling=graphs.SPECTRUM_CEILING)   # fixed, not an option
 
     p = sub.add_parser("expansion", help="exact expansion coefficient (brute force)")

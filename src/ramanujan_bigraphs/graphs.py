@@ -14,11 +14,11 @@ Conventions
 * ``spectrum`` lists n eigenvalues, so it refuses n > SPECTRUM_CEILING, and
   ``random_biregular`` refuses to draw a graph that ``spectrum`` would refuse
   or with over EDGE_CEILING edges; it repairs one stub pairing by switches.
-* ``lambda_of`` follows the trivial-eigenvalue convention: for a connected
-  k-regular graph drop one copy of k (and one copy of -k when bipartite);
-  for a connected (l, m)-bigraph drop one copy of each of +-sqrt(lm).
-  Multiplicity at the trivial eigenvalue signals disconnection and raises
-  ``SpectralStructureError``.
+* ``lambda_of``, the tolerance-matching reference, drops the trivial
+  eigenvalues of a ``Spectrum`` within a tolerance: one copy of k (and of -k
+  when bipartite) for a connected k-regular graph, one of each of +-sqrt(lm)
+  for a connected (l, m)-bigraph.  Multiplicity at the trivial eigenvalue
+  signals disconnection and raises ``SpectralStructureError``.
 * Floating tolerances default to 1e-9 absolute; exact quantities (expansion
   coefficient) are ``Fraction``s.
 * The expansion coefficient is a word-parallel exact scan of all 2^n vertex
@@ -30,14 +30,14 @@ Conventions
   graph costs one r x c SVD; any other graph costs the n x n symmetric
   eigenproblem of its adjacency matrix A.  Both are backward stable, with
   absolute error O(eps ||A||).
-* ``certify_ramanujan`` never matches a trivial eigenvalue.  It removes the
-  trivial eigenvector exactly, in integers, and decomposes r x r
-  M = r BB^T - lm J for a bipartite graph, n x n M = n A - k J otherwise.
-  The bipartite M is positive semidefinite with ||M|| = r lambda^2, so
-  lambda^2 comes with relative error O(eps), where the SVD gave lambda with
-  absolute error O(eps sqrt(lm)); K_{a,b} gives M = 0 and lambda = 0.0.
-  ``Spectrum.eigenproblem`` and ``RamanujanCertificate.eigenproblem`` record
-  which shape was decomposed.
+* Every command takes lambda from ``deflated_lambda``, which matches no
+  eigenvalue: it removes the trivial eigenvector exactly, in integers, and
+  decomposes r x r M = r BB^T - lm J for a bipartite graph, n x n
+  M = n A - k J otherwise.  The bipartite M is positive semidefinite with
+  ||M|| = r lambda^2, so lambda^2 comes with relative error O(eps), where
+  the SVD gave lambda with absolute error O(eps sqrt(lm)); K_{a,b} gives
+  M = 0 and lambda = 0.0.  ``Spectrum.eigenproblem`` and
+  ``RamanujanCertificate.eigenproblem`` record which shape was decomposed.
 """
 
 from __future__ import annotations
@@ -262,7 +262,6 @@ class Spectrum:
     decomposed for them: (r, c) for the biadjacency SVD, (n, n) otherwise."""
 
     values: Tuple[float, ...]
-    tolerance: float = DEFAULT_TOLERANCE
     eigenproblem: Tuple[int, int] = field(kw_only=True)
 
 
@@ -284,7 +283,7 @@ def _biadjacency_index(
     return r, index[u], index[v]
 
 
-def spectrum(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Spectrum:
+def spectrum(g: Graph) -> Spectrum:
     """Spectrum of g from the SVD of its biadjacency matrix when g is
     bipartite (declared ``parts``, else the BFS colouring), else from the
     eigenvalues of its adjacency matrix."""
@@ -304,7 +303,7 @@ def spectrum(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Spectrum:
         vals = np.concatenate([sigma, -sigma, np.zeros(g.n - 2 * r)])
         shape = (r, g.n - r)
     values = tuple(sorted((float(v) for v in vals), reverse=True))
-    return Spectrum(values, tolerance, eigenproblem=shape)
+    return Spectrum(values, eigenproblem=shape)
 
 
 def _drop_value(values: List[float], target: float, tol: float, what: str) -> List[float]:
@@ -316,10 +315,10 @@ def _drop_value(values: List[float], target: float, tol: float, what: str) -> Li
     return values[:best] + values[best + 1 :]
 
 
-def lambda_of(s: Spectrum, profile: Union[RegularProfile, BiregularProfile]) -> float:
+def lambda_of(s: Spectrum, profile: Union[RegularProfile, BiregularProfile], *,
+              tolerance: float = DEFAULT_TOLERANCE) -> float:
     """lambda(X): largest |eigenvalue| after removing the trivial ones, which
-    are matched within ``s.tolerance``."""
-    tol = s.tolerance
+    are matched within ``tolerance``; the reference for ``deflated_lambda``."""
     values = sorted(s.values, reverse=True)
     if isinstance(profile, RegularProfile):
         lam0 = float(profile.k)
@@ -327,10 +326,10 @@ def lambda_of(s: Spectrum, profile: Union[RegularProfile, BiregularProfile]) -> 
     else:
         lam0 = math.sqrt(profile.l * profile.m)
         bipartite = True
-    rest = _drop_value(values, lam0, tol, "lambda_0")
+    rest = _drop_value(values, lam0, tolerance, "lambda_0")
     if bipartite and lam0:                 # K_1's one eigenvalue is 0 = -0
-        rest = _drop_value(rest, -lam0, tol, "-lambda_0")
-    if any(abs(v) >= lam0 - tol for v in rest):
+        rest = _drop_value(rest, -lam0, tolerance, "-lambda_0")
+    if any(abs(v) >= lam0 - tolerance for v in rest):
         raise SpectralStructureError(
             "multiplicity at the trivial eigenvalue: graph is disconnected "
             "or the profile is wrong"
@@ -354,23 +353,28 @@ class RamanujanCertificate:
     margins: Dict[str, float] = field(default_factory=dict)
 
 
-def _deflated_lambda(
-    g: Graph, coloring: Optional[Tuple[int, ...]], l: int, m: int
-) -> Tuple[float, Tuple[int, int]]:
-    """lambda(X) of a connected (l, m)-biregular g with bipartition
-    ``coloring``, or of a connected l-regular non-bipartite g (coloring
-    None), and the shape of the matrix decomposed for it.
+def deflated_lambda(g: Graph) -> Tuple[float, Tuple[int, int]]:
+    """lambda(X) of a connected regular or biregular g, with the degrees of
+    ``analyze_structure``, and the shape of the matrix decomposed for it:
+    0.0 and (0, 0) at degree 0, for K_1 has no nontrivial eigenvalue.
 
     Bipartite: G = BB^T counts common neighbours, one m x m block of row
     pairs per column of B, and G 1 = lm 1.  So M = r G - lm J has eigenvalue
     0 on 1 and r sigma_i^2 on its complement.  Otherwise M = n A - l J, with
     eigenvalue 0 on 1 and n theta_i on its complement.
     """
-    if coloring is None:
+    rep = analyze_structure(g)
+    if not rep.connected or rep.profile is None:
+        raise GraphClassError("lambda requires a connected regular or biregular graph")
+    p = rep.profile
+    l, m = (p.k, p.k) if isinstance(p, RegularProfile) else (p.l, p.m)
+    if l == 0:
+        return 0.0, (0, 0)
+    if rep.bipartition is None:
         n = g.n
         theta = np.linalg.eigvalsh(n * g.adjacency_matrix() - l)
         return float(max(-theta[0], theta[-1]) / n), (n, n)
-    r, i, j = _biadjacency_index(g, coloring)
+    r, i, j = _biadjacency_index(g, rep.bipartition)
     column_rows = i[np.argsort(j)].reshape(-1, m)
     pairs = (column_rows[:, :, None] * r + column_rows[:, None, :]).ravel()
     gram = np.bincount(pairs, minlength=r * r).reshape(r, r)
@@ -388,14 +392,12 @@ def certify_ramanujan(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Ramanuj
     """
     if not _connected(g):
         raise GraphClassError("certification requires a connected graph")
+    lam, shape = deflated_lambda(g)        # refuses a graph neither regular nor biregular
     rep = analyze_structure(g)
-    if rep.profile is None:
-        raise GraphClassError("certification requires a regular or biregular graph")
-    if isinstance(rep.profile, RegularProfile) and rep.profile.k == 0:
-        raise GraphClassError("certification requires degree at least 1")
     regular = isinstance(rep.profile, RegularProfile)
     l, m = (rep.profile.k,) * 2 if regular else (rep.profile.l, rep.profile.m)
-    lam, shape = _deflated_lambda(g, rep.bipartition, l, m)
+    if l == 0:
+        raise GraphClassError("certification requires degree at least 1")
     margins: Dict[str, float] = {}
     def21 = def22 = def23 = None
     if regular:
@@ -512,7 +514,7 @@ def expansion_coefficient(
     lam = one_minus = None
     rep = analyze_structure(g)
     if rep.connected and rep.profile is not None:
-        lam = lambda_of(spectrum(g), rep.profile)
+        lam = deflated_lambda(g)[0]
         if isinstance(rep.profile, RegularProfile):
             one_minus = 1.0 - lam / rep.profile.k
     return ExpansionReport(best, subset, 2 * best, lam, one_minus)

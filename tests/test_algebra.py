@@ -240,6 +240,9 @@ def _second_search(a, limit=200):
 def test_conditions_a2_fields_match_a_second_search(a):
     rep = check_theorem_conditions(AlgebraParams(GALOIS, a))
     assert (rep.witness_prime_a2, rep.residues_a2) == _second_search(a)
+    if rep.witness_prime_a is not None:       # the record the residues are read from
+        assert rep.obstruction == local_norm_obstruction(a, rep.witness_prime_a)
+        assert rep.residues_a == rep.obstruction.valuations_mod_3
     assert rep.division_condition is (True if rep.witness_prime_a else None)
 
 

@@ -51,6 +51,15 @@ def test_verify_algebra_default(capsys):
     assert conds["division_condition"]["value"] is True
 
 
+def test_verify_algebra_computes_the_obstruction_once(capsys, count_calls):
+    # the witness is 7, the first witness prime: one obstruction record, kept
+    # by the condition report and printed as obstruction_at_witness
+    calls = count_calls(algebra, "local_norm_obstruction")
+    code, rep = run(["verify-algebra", "--samples", "1"], capsys)
+    assert (code, calls) == (0, {"local_norm_obstruction": 1})
+    assert rep["results"]["obstruction_at_witness"]["prime"]["value"] == 7
+
+
 def test_verify_algebra_a_one(capsys):
     code, rep = run(["verify-algebra", "--a", "1", "--samples", "5"], capsys)
     assert code == 1
@@ -112,28 +121,30 @@ K33 = "<path of a K_3,3 graph file>"
     ["certify", K33, "--tolerance", "inf"],
     ["certify", K33, "--tolerance", "-1"],
     ["certify", K33, "--tolerance", "-1e-9"],  # argparse took an exponent for an option
-    ["spectrum", K33, "--tolerance", "nan"],
+    ["spectrum", K33, "--tolerance", "nan"],   # spectrum takes no --tolerance at all
     ["spectrum", K33, "--tolerance", "-0.5"],
+    ["spectrum", K33, "--tolerance", "0"],
 ], ids=["b-with-galois", "a-with-nongalois", "a-True", "a-False", "paper-suite-with-command",
         "seed-before-command", "samples-0", "samples-negative", "deep-sum", "deep-negation",
         "witness-limit-0", "witness-limit-negative", "radius-negative", "tree-degree-1",
         "a-zero", "b-zero", "up-to-1",
         "certify-tolerance-nan", "certify-tolerance-inf", "certify-tolerance-negative",
         "certify-tolerance-negative-exponent",
-        "spectrum-tolerance-nan", "spectrum-tolerance-negative"])
+        "spectrum-tolerance-nan", "spectrum-tolerance-negative", "spectrum-tolerance-zero"])
 def test_ignored_or_non_integer_input_is_usage_error(tmp_path, capsys, argv):
     k33 = write_graph(tmp_path, graphs.complete_bipartite(3, 3))
     code, rep = run([k33 if a == K33 else a for a in argv], capsys)
     assert (code, rep["command"]) == (64, "usage-error")
-    if "--tolerance" in argv:
+    if argv[0] == "spectrum":
+        assert rep["results"]["error"] == "unrecognized arguments: " + " ".join(argv[2:])
+    elif "--tolerance" in argv:
         assert rep["results"]["error"] == "--tolerance must be finite and at least 0"
 
 
 def test_tolerance_zero_is_valid(tmp_path, capsys):
     k33 = write_graph(tmp_path, graphs.complete_bipartite(3, 3))
-    for command in ("certify", "spectrum"):
-        code, rep = run([command, k33, "--tolerance", "0"], capsys)
-        assert (code, rep["command"]) == (0, command)
+    code, rep = run(["certify", k33, "--tolerance", "0"], capsys)
+    assert (code, rep["command"]) == (0, "certify")
 
 
 def test_verify_algebra_bad_expression(capsys):
@@ -290,6 +301,18 @@ def test_random_bigraph_deterministic(capsys):
     assert code1 == code2 == 0
     assert rep1["results"]["graph"] == rep2["results"]["graph"]
     jsonschema.validate(rep1["results"]["graph"], GRAPH_SCHEMA)
+
+
+@pytest.mark.parametrize("argv, profile", [
+    (["--n1", "4", "--n2", "4", "--l", "2", "--m", "2", "--seed", "1"], [4, 4, 2, 2]),
+    (["--n1", "6", "--n2", "6", "--l", "6", "--m", "6", "--seed", "3"], [6, 6, 6, 6]),
+    (["--n1", "6", "--n2", "18", "--l", "9", "--m", "3", "--seed", "11"], [6, 18, 9, 3]),
+    (["--n1", "18", "--n2", "6", "--l", "3", "--m", "9", "--seed", "11"], [6, 18, 9, 3]),
+], ids=["regular-2", "complete-6-6", "9-3", "3-9"])
+def test_random_bigraph_reports_its_profile(capsys, argv, profile):
+    # an l = m draw is a regular graph, and its profile counts the sides from the parts
+    code, rep = run(["random-bigraph", *argv], capsys)
+    assert (code, rep["results"]["profile"]) == (0, {"value": profile, "method": "exact"})
 
 
 def test_random_bigraph_edge_ceiling(capsys):

@@ -1,6 +1,7 @@
 """Unit tests for graph structure, spectra, certification, and generation."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramanujan_bigraphs import graphs, trees
+from ramanujan_bigraphs import cli, graphs, trees
 from ramanujan_bigraphs.graphs import (
     BiregularProfile,
     Graph,
@@ -24,11 +25,13 @@ from ramanujan_bigraphs.graphs import (
     certify_ramanujan,
     complete_bipartite,
     cycle,
+    deflated_lambda,
     expansion_coefficient,
     graph_from_json,
     graph_to_json,
     lambda_of,
     random_biregular,
+    save_graph,
     spectrum,
     to_dot,
 )
@@ -297,6 +300,34 @@ def test_certify_agrees_with_the_spectrum():
         want = lambda_of(spectrum(g), rep.profile)
         assert abs(certify_ramanujan(g).lam - want) < 1e-12
     assert certify_ramanujan(_SINGULAR_BIGRAPH).lam > 2
+
+
+def _cli_lambda(argv, capsys):
+    cli.main(argv)
+    results = json.loads(capsys.readouterr().out)["results"]
+    return results.get("certificate", results)["lambda"]["value"]
+
+
+def test_spectrum_and_certify_report_the_same_lambda(tmp_path, capsys):
+    # one deflated eigenproblem gives both: equal bits, not equal within a tolerance
+    path = str(tmp_path / "g.json")
+    k35 = complete_bipartite(3, 5)
+    for g in itertools.chain(_agreement_graphs(), [k35, random_biregular(60, 180, 9, 3, 0)]):
+        save_graph(g, path)
+        lam = _cli_lambda(["certify", path], capsys)
+        assert _cli_lambda(["spectrum", path], capsys) == lam
+        assert g is not k35 or lam == 0.0
+        if g.n <= graphs.DEFAULT_EXPANSION_CEILING:
+            assert expansion_coefficient(g).lam == lam
+
+
+def test_deflated_lambda_preconditions():
+    assert deflated_lambda(Graph(1, ())) == (0.0, (0, 0))      # K_1: no nontrivial eigenvalue
+    assert deflated_lambda(Graph(2, ((0, 1),))) == (0.0, (1, 1))
+    irregular = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
+    for g in (Graph(4, ((0, 1), (2, 3))), irregular, Graph(0, ())):
+        with pytest.raises(GraphClassError, match="connected regular or biregular"):
+            deflated_lambda(g)
 
 
 # ---------------------------------------------------------------------------
