@@ -242,7 +242,7 @@ def cmd_spectrum(args):
         "bipartite": exact(rep.bipartition is not None),
     }
     if rep.profile is not None and rep.connected:    # certify's lambda, bit for bit
-        results["lambda"] = floating(graphs.deflated_lambda(g)[0], graphs.DEFAULT_TOLERANCE)
+        results["lambda"] = floating(graphs.deflated_lambda(g, s)[0], graphs.DEFAULT_TOLERANCE)
     return results, []
 
 

@@ -15,9 +15,9 @@ Conventions
   ``random_biregular`` refuses to draw a graph that ``spectrum`` would refuse
   or with over EDGE_CEILING edges; it repairs one stub pairing by switches.
 * ``lambda_of``, the tolerance-matching reference, drops the trivial
-  eigenvalues of a ``Spectrum`` within a tolerance: one copy of k (and of -k
-  when bipartite) for a connected k-regular graph, one of each of +-sqrt(lm)
-  for a connected (l, m)-bigraph.  Multiplicity at the trivial eigenvalue
+  eigenvalues of a ``Spectrum`` within DEFAULT_TOLERANCE: one copy of k (and
+  of -k when bipartite) for a connected k-regular graph, one of each of
+  +-sqrt(lm) for a connected (l, m)-bigraph.  Multiplicity at the trivial eigenvalue
   signals disconnection and raises ``SpectralStructureError``.
 * Floating tolerances default to 1e-9 absolute; exact quantities (expansion
   coefficient) are ``Fraction``s.
@@ -31,13 +31,13 @@ Conventions
   eigenproblem of its adjacency matrix A.  Both are backward stable, with
   absolute error O(eps ||A||).
 * Every command takes lambda from ``deflated_lambda``, which matches no
-  eigenvalue: it removes the trivial eigenvector exactly, in integers, and
-  decomposes r x r M = r BB^T - lm J for a bipartite graph, n x n
-  M = n A - k J otherwise.  The bipartite M is positive semidefinite with
-  ||M|| = r lambda^2, so lambda^2 comes with relative error O(eps), where
-  the SVD gave lambda with absolute error O(eps sqrt(lm)); K_{a,b} gives
-  M = 0 and lambda = 0.0.  ``Spectrum.eigenproblem`` and
-  ``RamanujanCertificate.eigenproblem`` record which shape was decomposed.
+  eigenvalue.  A bipartite graph's trivial eigenvector is removed exactly,
+  in integers, from r x r M = r BB^T - lm J, positive semidefinite with
+  ||M|| = r lambda^2: lambda^2 comes with relative error O(eps), where the
+  SVD gave lambda with absolute error O(eps sqrt(lm)), and K_{a,b} gives
+  lambda = 0.0.  Otherwise k is the simple top eigenvalue of A, dropped by
+  position from the eigenvalues ``spectrum`` lists.  ``Spectrum.eigenproblem``
+  and ``RamanujanCertificate.eigenproblem`` record the shape decomposed.
 """
 
 from __future__ import annotations
@@ -315,10 +315,10 @@ def _drop_value(values: List[float], target: float, tol: float, what: str) -> Li
     return values[:best] + values[best + 1 :]
 
 
-def lambda_of(s: Spectrum, profile: Union[RegularProfile, BiregularProfile], *,
-              tolerance: float = DEFAULT_TOLERANCE) -> float:
+def lambda_of(s: Spectrum, profile: Union[RegularProfile, BiregularProfile]) -> float:
     """lambda(X): largest |eigenvalue| after removing the trivial ones, which
-    are matched within ``tolerance``; the reference for ``deflated_lambda``."""
+    are matched within DEFAULT_TOLERANCE; the reference for ``deflated_lambda``."""
+    tol = DEFAULT_TOLERANCE
     values = sorted(s.values, reverse=True)
     if isinstance(profile, RegularProfile):
         lam0 = float(profile.k)
@@ -326,10 +326,10 @@ def lambda_of(s: Spectrum, profile: Union[RegularProfile, BiregularProfile], *,
     else:
         lam0 = math.sqrt(profile.l * profile.m)
         bipartite = True
-    rest = _drop_value(values, lam0, tolerance, "lambda_0")
+    rest = _drop_value(values, lam0, tol, "lambda_0")
     if bipartite and lam0:                 # K_1's one eigenvalue is 0 = -0
-        rest = _drop_value(rest, -lam0, tolerance, "-lambda_0")
-    if any(abs(v) >= lam0 - tolerance for v in rest):
+        rest = _drop_value(rest, -lam0, tol, "-lambda_0")
+    if any(abs(v) >= lam0 - tol for v in rest):
         raise SpectralStructureError(
             "multiplicity at the trivial eigenvalue: graph is disconnected "
             "or the profile is wrong"
@@ -353,15 +353,19 @@ class RamanujanCertificate:
     margins: Dict[str, float] = field(default_factory=dict)
 
 
-def deflated_lambda(g: Graph) -> Tuple[float, Tuple[int, int]]:
-    """lambda(X) of a connected regular or biregular g, with the degrees of
-    ``analyze_structure``, and the shape of the matrix decomposed for it:
-    0.0 and (0, 0) at degree 0, for K_1 has no nontrivial eigenvalue.
+def deflated_lambda(
+    g: Graph, s: Optional[Spectrum] = None
+) -> Tuple[float, Tuple[int, int], Tuple[int, int]]:
+    """(lambda(X), shape of the matrix decomposed, degrees (l, m)) of a
+    connected regular or biregular g, the degrees (k, k) if it is k-regular;
+    (0.0, (0, 0), (0, 0)) for K_1, which has no nontrivial eigenvalue.
 
     Bipartite: G = BB^T counts common neighbours, one m x m block of row
     pairs per column of B, and G 1 = lm 1.  So M = r G - lm J has eigenvalue
-    0 on 1 and r sigma_i^2 on its complement.  Otherwise M = n A - l J, with
-    eigenvalue 0 on 1 and n theta_i on its complement.
+    0 on 1 and r sigma_i^2 on its complement.  Otherwise k is a simple
+    eigenvalue of A, its largest, and -k is none, so the trivial eigenvalue
+    is dropped by position from the eigenvalues of A, or from ``s``, g's
+    ``spectrum``, when it is given.
     """
     rep = analyze_structure(g)
     if not rep.connected or rep.profile is None:
@@ -369,17 +373,16 @@ def deflated_lambda(g: Graph) -> Tuple[float, Tuple[int, int]]:
     p = rep.profile
     l, m = (p.k, p.k) if isinstance(p, RegularProfile) else (p.l, p.m)
     if l == 0:
-        return 0.0, (0, 0)
+        return 0.0, (0, 0), (l, m)
     if rep.bipartition is None:
-        n = g.n
-        theta = np.linalg.eigvalsh(n * g.adjacency_matrix() - l)
-        return float(max(-theta[0], theta[-1]) / n), (n, n)
+        theta = s.values if s is not None else np.linalg.eigvalsh(g.adjacency_matrix())[::-1]
+        return float(max(theta[1], -theta[-1])), (g.n, g.n), (l, m)
     r, i, j = _biadjacency_index(g, rep.bipartition)
     column_rows = i[np.argsort(j)].reshape(-1, m)
     pairs = (column_rows[:, :, None] * r + column_rows[:, None, :]).ravel()
     gram = np.bincount(pairs, minlength=r * r).reshape(r, r)
     top = np.linalg.eigvalsh((r * gram - l * m).astype(float))[-1]
-    return math.sqrt(top / r), (r, r)
+    return math.sqrt(top / r), (r, r), (l, m)
 
 
 def certify_ramanujan(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> RamanujanCertificate:
@@ -392,12 +395,11 @@ def certify_ramanujan(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Ramanuj
     """
     if not _connected(g):
         raise GraphClassError("certification requires a connected graph")
-    lam, shape = deflated_lambda(g)        # refuses a graph neither regular nor biregular
+    lam, shape, (l, m) = deflated_lambda(g)   # refuses a graph neither regular nor biregular
+    if shape == (0, 0):
+        raise GraphClassError("certification requires degree at least 1")
     rep = analyze_structure(g)
     regular = isinstance(rep.profile, RegularProfile)
-    l, m = (rep.profile.k,) * 2 if regular else (rep.profile.l, rep.profile.m)
-    if l == 0:
-        raise GraphClassError("certification requires degree at least 1")
     margins: Dict[str, float] = {}
     def21 = def22 = def23 = None
     if regular:

@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from ramanujan_bigraphs import algebra, cli, graphs, lattices, trees
+from ramanujan_bigraphs import algebra, cli, graphs, lattices, numberfield, trees
 
 _SCHEMAS = resources.files("ramanujan_bigraphs") / "schemas"
 REPORT_SCHEMA = json.loads((_SCHEMAS / "report.schema.json").read_text())
@@ -54,7 +54,9 @@ def test_verify_algebra_default(capsys):
 def test_verify_algebra_computes_the_obstruction_once(capsys, count_calls):
     # the witness is 7, the first witness prime: one obstruction record, kept
     # by the condition report and printed as obstruction_at_witness
-    calls = count_calls(algebra, "local_norm_obstruction")
+    for module in (numberfield, algebra, cli):    # every name the function is bound to
+        if hasattr(module, "local_norm_obstruction"):
+            calls = count_calls(module, "local_norm_obstruction")
     code, rep = run(["verify-algebra", "--samples", "1"], capsys)
     assert (code, calls) == (0, {"local_norm_obstruction": 1})
     assert rep["results"]["obstruction_at_witness"]["prime"]["value"] == 7

@@ -322,8 +322,10 @@ def test_spectrum_and_certify_report_the_same_lambda(tmp_path, capsys):
 
 
 def test_deflated_lambda_preconditions():
-    assert deflated_lambda(Graph(1, ())) == (0.0, (0, 0))      # K_1: no nontrivial eigenvalue
-    assert deflated_lambda(Graph(2, ((0, 1),))) == (0.0, (1, 1))
+    assert deflated_lambda(Graph(1, ())) == (0.0, (0, 0), (0, 0))  # K_1: no nontrivial eigenvalue
+    assert deflated_lambda(Graph(2, ((0, 1),))) == (0.0, (1, 1), (1, 1))
+    assert deflated_lambda(complete_bipartite(3, 5)) == (0.0, (3, 3), (5, 3))
+    assert deflated_lambda(cycle(5))[1:] == ((5, 5), (2, 2))
     irregular = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
     for g in (Graph(4, ((0, 1), (2, 3))), irregular, Graph(0, ())):
         with pytest.raises(GraphClassError, match="connected regular or biregular"):
