@@ -37,6 +37,7 @@ from .numberfield import (
 
 GALOIS = "galois"
 NONGALOIS = "nongalois"
+WITNESS_LIMIT = 200     # the condition report searches witness primes below it
 
 
 @dataclass(frozen=True)
@@ -318,9 +319,10 @@ def witness_primes(limit: int):
     return (p for p in range(5, limit) if is_prime(p) and splitting_data(p) == ("split", 3))
 
 
-def check_theorem_conditions(params: AlgebraParams, witness_limit: int = 200) -> ConditionReport:
+def check_theorem_conditions(params: AlgebraParams) -> ConditionReport:
     """Verify the three conditions making (D, alpha) a division algebra with
-    involution of the second kind and compact archimedean unitary group."""
+    involution of the second kind and compact archimedean unitary group,
+    searching witness primes below WITNESS_LIMIT."""
     if params.kind != GALOIS:
         raise ValueError("condition report applies to the Galois kind only")
     a = params.a
@@ -328,11 +330,11 @@ def check_theorem_conditions(params: AlgebraParams, witness_limit: int = 200) ->
     commuting = galois_actions_commute()
     # not symmetric: a = 3 sqrt(-3) is caught only through a^2 = -27
     if _obvious_norm(a) or _obvious_norm(a * a):
-        return ConditionReport(False, unit_norm, commuting, searched_below=witness_limit)
-    reps = (local_norm_obstruction(a, p) for p in witness_primes(witness_limit))
+        return ConditionReport(False, unit_norm, commuting, searched_below=WITNESS_LIMIT)
+    reps = (local_norm_obstruction(a, p) for p in witness_primes(WITNESS_LIMIT))
     obs = next((rep for rep in reps if rep.obstructed), None)
     if obs is None:
-        return ConditionReport(None, unit_norm, commuting, searched_below=witness_limit)
+        return ConditionReport(None, unit_norm, commuting, searched_below=WITNESS_LIMIT)
     # v(a^2) = 2 v(a) exactly and 2 is invertible mod 3, so a^2 is obstructed
     # at the same first prime, with the residues doubled
     return ConditionReport(
@@ -343,7 +345,7 @@ def check_theorem_conditions(params: AlgebraParams, witness_limit: int = 200) ->
         witness_prime_a2=obs.prime,
         residues_a=obs.valuations_mod_3,
         residues_a2=frozenset(2 * r % 3 for r in obs.valuations_mod_3),
-        searched_below=witness_limit,
+        searched_below=WITNESS_LIMIT,
         obstruction=obs,
     )
 

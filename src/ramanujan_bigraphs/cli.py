@@ -12,17 +12,19 @@ Each verdict in a report is a Check, a tagged value of True, False or None;
 the exit code is the worst Check in the results, derived once in main, and
 the other tagged values are facts that decide nothing.
 
-The brute-force commands (expansion, tree, finite-group) take their scan
-ceiling as --ceiling, refuse a run above it with exit 2, and the report's
-inputs record the ceiling that applied.  spectrum, random-bigraph (on n1 + n2)
-and primes do the same with fixed ceilings, graphs.SPECTRUM_CEILING and
-lattices.PRIMES_CEILING, and random-bigraph with graphs.EDGE_CEILING on its
-n1 * l edges too.  Options that do not apply to the chosen command (--a
-with --kind nongalois, --b with --kind galois, --paper-suite or the top-level
---seed with a subcommand) are usage errors, not ignored, and so are numeric
-options out of range (--samples or --witness-limit below 1, --radius below 0,
-tree's --l or --m below 2, --up-to below 2, a zero --a or --b, certify's
---tolerance below 0 or not finite).
+Every bound on a scan is a fixed module constant, not an option: a run above
+it is refused with exit 2, and the report's inputs record the bound that
+applied, as ceiling (expansion: graphs.DEFAULT_EXPANSION_CEILING, tree:
+trees.DEFAULT_TREE_CEILING, finite-group: lattices.DEFAULT_ENUM_CEILING,
+spectrum and random-bigraph on n1 + n2: graphs.SPECTRUM_CEILING, primes:
+lattices.PRIMES_CEILING), as edge_ceiling (random-bigraph on its n1 * l edges:
+graphs.EDGE_CEILING) or as witness_limit (verify-algebra's witness prime
+search: algebra.WITNESS_LIMIT).  Options that do not apply to the chosen
+command (--a with --kind nongalois, --b with --kind galois, --paper-suite or
+the top-level --seed with a subcommand) are usage errors, not ignored, and so
+are numeric options out of range (--samples below 1, --radius below 0, tree's
+--l or --m below 2, --up-to below 2, a zero --a or --b, certify's --tolerance
+below 0 or not finite).
 """
 
 from __future__ import annotations
@@ -146,8 +148,6 @@ def parse_quad(expr: str) -> QuadElem:
 def cmd_verify_algebra(args):
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
-    if args.witness_limit < 1:
-        raise UsageError("--witness-limit must be at least 1")
     if args.kind == "galois":
         if args.b is not None:
             raise UsageError("--b applies to --kind nongalois only")
@@ -169,7 +169,7 @@ def cmd_verify_algebra(args):
     failed = [law for law, count in failures.items() if count]
     notes = [f"involution laws that fail: {', '.join(failed)}"] if failed else []
     if params.kind == algebra.GALOIS:
-        rep = algebra.check_theorem_conditions(params, args.witness_limit)
+        rep = algebra.check_theorem_conditions(params)
         results["conditions"] = {
             "division_condition": Check(rep.division_condition),
             "unit_norm_condition": Check(rep.unit_norm_condition),
@@ -248,7 +248,7 @@ def cmd_spectrum(args):
 
 def cmd_expansion(args):
     g = graphs.load_graph(args.graph)
-    rep = graphs.expansion_coefficient(g, args.ceiling)
+    rep = graphs.expansion_coefficient(g)
     results = {
         "c": exact(str(rep.c)),
         "two_c": exact(str(rep.two_c)),
@@ -268,7 +268,7 @@ def cmd_tree(args):
         raise UsageError("--radius must be at least 0")
     if min(args.l, args.m) < 2:
         raise UsageError("--l and --m must be at least 2")
-    ball = trees.biregular_tree_ball(args.l, args.m, args.radius, args.root_side, args.ceiling)
+    ball = trees.biregular_tree_ball(args.l, args.m, args.radius, args.root_side)
     if args.out:
         graphs.save_graph(ball.graph, args.out)
     closed_form = trees.level_counts_closed_form(args.l, args.m, args.radius, args.root_side)
@@ -298,7 +298,7 @@ def cmd_primes(args):
 
 
 def cmd_finite_group(args):
-    rep = lattices.enumerate_su3(args.q, args.n, args.ceiling)
+    rep = lattices.enumerate_su3(args.q, args.n)
     results = {"q": rep.q, "n": rep.n, "order": tag(rep.order, "enumerated")}
     if rep.n == 2:
         results.update(level1_order=tag(rep.level1_order, "enumerated"),
@@ -407,8 +407,7 @@ def build_parser() -> _Parser:
     p.add_argument("--b", help="defining constant in E (nongalois kind), e.g. '2*zeta3'")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--witness-limit", type=int, default=200)
-    p.set_defaults(func=cmd_verify_algebra)
+    p.set_defaults(func=cmd_verify_algebra, witness_limit=algebra.WITNESS_LIMIT)
 
     p = sub.add_parser("certify", help="Ramanujan certification of a graph file")
     p.add_argument("graph")
@@ -418,31 +417,28 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("spectrum", help="adjacency spectrum of a graph file")
     p.add_argument("graph")
-    p.set_defaults(func=cmd_spectrum, ceiling=graphs.SPECTRUM_CEILING)   # fixed, not an option
+    p.set_defaults(func=cmd_spectrum, ceiling=graphs.SPECTRUM_CEILING)
 
     p = sub.add_parser("expansion", help="exact expansion coefficient (brute force)")
     p.add_argument("graph")
-    p.add_argument("--ceiling", type=int, default=graphs.DEFAULT_EXPANSION_CEILING)
-    p.set_defaults(func=cmd_expansion)
+    p.set_defaults(func=cmd_expansion, ceiling=graphs.DEFAULT_EXPANSION_CEILING)
 
     p = sub.add_parser("tree", help="biregular tree ball")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--root-side", choices=["l", "m"], default="l")
-    p.add_argument("--ceiling", type=int, default=trees.DEFAULT_TREE_CEILING)
     p.add_argument("--out", help="write the ball as a graph JSON file")
-    p.set_defaults(func=cmd_tree)
+    p.set_defaults(func=cmd_tree, ceiling=trees.DEFAULT_TREE_CEILING)
 
     p = sub.add_parser("primes", help="good (inert) primes")
     p.add_argument("--up-to", type=int, required=True)
-    p.set_defaults(func=cmd_primes, ceiling=lattices.PRIMES_CEILING)   # fixed, not an option
+    p.set_defaults(func=cmd_primes, ceiling=lattices.PRIMES_CEILING)
 
     p = sub.add_parser("finite-group", help="enumerate SU3 over a residue ring")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--ceiling", type=int, default=lattices.DEFAULT_ENUM_CEILING)
-    p.set_defaults(func=cmd_finite_group)
+    p.set_defaults(func=cmd_finite_group, ceiling=lattices.DEFAULT_ENUM_CEILING)
 
     p = sub.add_parser("random-bigraph", help="seeded random biregular bipartite graph")
     p.add_argument("--n1", type=int, required=True)

@@ -22,7 +22,7 @@ Conventions
 * Floating tolerances default to 1e-9 absolute; exact quantities (expansion
   coefficient) are ``Fraction``s.
 * The expansion coefficient is a word-parallel exact scan of all 2^n vertex
-  subsets as uint64 bitmasks, so it takes n <= min(ceiling, 64).
+  subsets as uint64 bitmasks, so it refuses n > DEFAULT_EXPANSION_CEILING.
 * Spectra of bipartite graphs come from the biadjacency matrix.  With sides
   of sizes r <= c and B the r x c matrix of edges from the smaller side to
   the larger, the adjacency spectrum is {+-sigma_i(B)} plus c - r zeros, for
@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
-DEFAULT_EXPANSION_CEILING = 20
+DEFAULT_EXPANSION_CEILING = 20   # vertices; at most 64, the subset scan's word size
 SPECTRUM_CEILING = 10_000   # vertices: the n x n eigenproblem alone takes 800 MB there
 
 
@@ -455,9 +455,7 @@ _RATIO_SCALE = math.lcm(*range(1, _WORD // 2 + 1))   # every |W| <= 32 divides i
 _NO_RATIO = np.iinfo(np.int64).max  # key of a subset of size 0 or above n/2
 
 
-def expansion_coefficient(
-    g: Graph, ceiling: int = DEFAULT_EXPANSION_CEILING
-) -> ExpansionReport:
+def expansion_coefficient(g: Graph) -> ExpansionReport:
     """Exact expansion coefficient by exhaustive subset scan.
 
     c = min |dW| / |W| over 0 < |W| <= n/2, where dW is the set of vertices
@@ -466,23 +464,19 @@ def expansion_coefficient(
     1 - lambda(X)/k; the relation between 2c and 1 - lambda/k is reported,
     never asserted.
 
-    The scan is word-parallel, so n <= 64: subsets are uint64 bitmasks,
-    taken in blocks that share their high bits.  The neighbourhood unions of
-    the low subsets are tabulated once, by doubling, and each block ORs in
-    the union of its high bits.  The ratio b / |W| is compared as the
-    integer key b * (L / |W|), with L the lcm of 1..32, so no rounding enters.
+    It refuses n > DEFAULT_EXPANSION_CEILING.  The scan is word-parallel:
+    subsets are uint64 bitmasks, taken in blocks that share their high
+    bits.  The neighbourhood unions of the low subsets are tabulated once,
+    by doubling, and each block ORs in the union of its high bits.  The
+    ratio b / |W| is compared as the integer key b * (L / |W|), with L the
+    lcm of 1..32, so no rounding enters.
     """
     n = g.n
     if n < 2:
         raise GraphClassError("expansion needs at least two vertices")
-    if n > _WORD:
+    if n > DEFAULT_EXPANSION_CEILING:
         raise GraphClassError(
-            f"n={n} exceeds the {_WORD}-vertex limit of the subset scan; "
-            "use the spectral report instead"
-        )
-    if n > ceiling:
-        raise GraphClassError(
-            f"n={n} exceeds the brute-force ceiling {ceiling}; "
+            f"n={n} exceeds the brute-force ceiling {DEFAULT_EXPANSION_CEILING}; "
             "use the spectral report instead"
         )
     nbr_mask = [sum(1 << v for v in a) for a in g.neighbors()]

@@ -288,10 +288,9 @@ def _su3_lift(t: _CodeTables, bases):
     return g[keep], base0[i0[keep]]
 
 
-def enumerate_su3(
-    q: int, n: int = 1, ceiling: int = DEFAULT_ENUM_CEILING
-) -> FiniteGroupReport:
-    """Exhaustively enumerate SU_3(O_E/q^n) for inert q.
+def enumerate_su3(q: int, n: int = 1) -> FiniteGroupReport:
+    """Exhaustively enumerate SU_3(O_E/q^n) for inert q whose q^18 candidate
+    matrices are within DEFAULT_ENUM_CEILING.
 
     n = 1 lists SU_3(O_E/q) (``_su3_level1``), ordered as the base-q indices
     sum x_ij q^(3i+j) + y_ij q^(9+3i+j) of the q^18 candidate matrices.
@@ -308,9 +307,9 @@ def enumerate_su3(
         )
     if n not in (1, 2):
         raise LatticeError("only levels n = 1, 2 are enumerable")
-    if q ** 18 > ceiling:
+    if q ** 18 > DEFAULT_ENUM_CEILING:
         raise LatticeError(
-            f"candidate count {q}^18 = {q ** 18} exceeds the ceiling {ceiling}; "
+            f"candidate count {q}^18 = {q ** 18} exceeds the ceiling {DEFAULT_ENUM_CEILING}; "
             "use formula mode (su3_order_formula)"
         )
 

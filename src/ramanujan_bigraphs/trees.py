@@ -74,21 +74,16 @@ def level_counts_closed_form(l: int, m: int, r: int, root_side: str = "l") -> Li
     return counts
 
 
-def biregular_tree_ball(
-    l: int,
-    m: int,
-    radius: int,
-    root_side: str = "l",
-    ceiling: int = DEFAULT_TREE_CEILING,
-) -> TreeBall:
+def biregular_tree_ball(l: int, m: int, radius: int, root_side: str = "l") -> TreeBall:
     """Breadth-first, deterministic construction of the radius-r ball: the
     vertices of each level are numbered after those of the level above, and
-    each vertex's children after those of the vertex before it."""
+    each vertex's children after those of the vertex before it.  A ball of
+    more than DEFAULT_TREE_CEILING vertices is refused."""
     counts = level_counts_closed_form(l, m, radius, root_side)
     total = sum(counts)
-    if total > ceiling:
+    if total > DEFAULT_TREE_CEILING:
         raise GraphClassError(
-            f"ball would have {total} vertices, exceeding the ceiling {ceiling}"
+            f"ball would have {total} vertices, exceeding the ceiling {DEFAULT_TREE_CEILING}"
         )
     branch = np.array([counts[k] // counts[k - 1] for k in range(1, radius + 1)], dtype=np.int64)
     children = np.repeat(branch, counts[:-1])                # of each vertex above the last level

@@ -1,7 +1,9 @@
 """CLI contract tests: exit codes, report schema, determinism."""
 
+import argparse
 import contextlib
 import dataclasses
+import functools
 import importlib.util
 import io
 import itertools
@@ -112,8 +114,6 @@ K33 = "<path of a K_3,3 graph file>"
     ["verify-algebra", "--samples", "-3"],
     ["verify-algebra", "--a=" + "+".join(["1"] * 3000)],    # nested too deep to evaluate
     ["verify-algebra", "--a=" + "-" * 3000 + "1"],
-    ["verify-algebra", "--witness-limit", "0"],
-    ["verify-algebra", "--witness-limit", "-5", "--samples", "1"],
     ["tree", "--l", "9", "--m", "3", "--radius", "-1"],
     ["tree", "--l", "1", "--m", "3", "--radius", "2"],
     ["verify-algebra", "--a", "1-1"],
@@ -126,21 +126,52 @@ K33 = "<path of a K_3,3 graph file>"
     ["spectrum", K33, "--tolerance", "nan"],   # spectrum takes no --tolerance at all
     ["spectrum", K33, "--tolerance", "-0.5"],
     ["spectrum", K33, "--tolerance", "0"],
+    ["expansion", K33, "--ceiling", "100"],    # every bound is fixed, none is an option
+    ["tree", "--l", "9", "--m", "3", "--radius", "2", "--ceiling", "5"],
+    ["finite-group", "--q", "2", "--ceiling", "10"],
+    ["verify-algebra", "--witness-limit", "300"],
 ], ids=["b-with-galois", "a-with-nongalois", "a-True", "a-False", "paper-suite-with-command",
         "seed-before-command", "samples-0", "samples-negative", "deep-sum", "deep-negation",
-        "witness-limit-0", "witness-limit-negative", "radius-negative", "tree-degree-1",
-        "a-zero", "b-zero", "up-to-1",
+        "radius-negative", "tree-degree-1", "a-zero", "b-zero", "up-to-1",
         "certify-tolerance-nan", "certify-tolerance-inf", "certify-tolerance-negative",
         "certify-tolerance-negative-exponent",
-        "spectrum-tolerance-nan", "spectrum-tolerance-negative", "spectrum-tolerance-zero"])
+        "spectrum-tolerance-nan", "spectrum-tolerance-negative", "spectrum-tolerance-zero",
+        "expansion-ceiling", "tree-ceiling", "finite-group-ceiling",
+        "verify-algebra-witness-limit"])
 def test_ignored_or_non_integer_input_is_usage_error(tmp_path, capsys, argv):
     k33 = write_graph(tmp_path, graphs.complete_bipartite(3, 3))
     code, rep = run([k33 if a == K33 else a for a in argv], capsys)
     assert (code, rep["command"]) == (64, "usage-error")
-    if argv[0] == "spectrum":
-        assert rep["results"]["error"] == "unrecognized arguments: " + " ".join(argv[2:])
+    removed = [i for i, a in enumerate(argv) if a in ("--ceiling", "--witness-limit")
+               or (argv[0], a) == ("spectrum", "--tolerance")]
+    if removed:
+        assert rep["results"]["error"] == "unrecognized arguments: " + " ".join(argv[removed[0]:])
     elif "--tolerance" in argv:
         assert rep["results"]["error"] == "--tolerance must be finite and at least 0"
+
+
+# every option of the CLI, by subcommand ("" is the top level): each bound on
+# a scan is a fixed constant, so a new option shows up as a diff of this table
+CLI_OPTIONS = {
+    "": ["--paper-suite", "--seed"],
+    "verify-algebra": ["--kind", "--a", "--b", "--samples", "--seed"],
+    "certify": ["--format", "--tolerance"],
+    "spectrum": [],
+    "expansion": [],
+    "tree": ["--l", "--m", "--radius", "--root-side", "--out"],
+    "primes": ["--up-to"],
+    "finite-group": ["--q", "--n"],
+    "random-bigraph": ["--n1", "--n2", "--l", "--m", "--seed", "--out"],
+}
+
+
+def test_cli_options_are_pinned():
+    def options(parser):
+        return [s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help")]
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {"": options(parser), **{name: options(p) for name, p in sub.choices.items()}} == \
+        CLI_OPTIONS
 
 
 def test_tolerance_zero_is_valid(tmp_path, capsys):
@@ -255,15 +286,20 @@ def test_primes(capsys):
     assert rep["results"]["good_primes"]["value"] == [2, 5, 11, 17, 23, 29]
 
 
-def test_finite_group_and_ceiling(tmp_path, capsys):
+def test_finite_group_and_ceiling(tmp_path, capsys, monkeypatch):
     code, rep = run(["finite-group", "--q", "2"], capsys)
     assert code == 0 and rep["results"]["order"]["value"] == 216
     assert rep["results"]["order"]["method"] == "enumerated"
-    # every brute-force scan refuses a run above its ceiling the same way
+    # every brute-force scan refuses a run above its fixed ceiling the same
+    # way; the ceilings of q = 2 and a radius-4 ball are lowered to reach them
+    monkeypatch.setattr(lattices, "DEFAULT_ENUM_CEILING", 10)
+    monkeypatch.setattr(trees, "DEFAULT_TREE_CEILING", 5)
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli.build_parser))   # reads them anew
     c22 = write_graph(tmp_path, graphs.cycle(22))
     c65 = write_graph(tmp_path, graphs.cycle(65), "c65.json")   # above the scan's 64-bit word
-    for argv, ceiling in ((["finite-group", "--q", "2", "--ceiling", "10"], 10),
-                          (["tree", "--l", "9", "--m", "3", "--radius", "4", "--ceiling", "5"], 5),
+    for argv, ceiling in ((["finite-group", "--q", "2"], lattices.DEFAULT_ENUM_CEILING),
+                          (["tree", "--l", "9", "--m", "3", "--radius", "4"],
+                           trees.DEFAULT_TREE_CEILING),
                           (["primes", "--up-to", str(lattices.PRIMES_CEILING + 1)],
                            lattices.PRIMES_CEILING),
                           (["primes", "--up-to", str(10 ** 15)], lattices.PRIMES_CEILING),
@@ -275,7 +311,7 @@ def test_finite_group_and_ceiling(tmp_path, capsys):
                           (["random-bigraph", "--n1", "100000", "--n2", "300000", "--l", "9",
                             "--m", "3", "--seed", "1"], graphs.SPECTRUM_CEILING),
                           (["expansion", c22], 20),
-                          (["expansion", c65, "--ceiling", "100"], 100)):
+                          (["expansion", c65], 20)):
         code, rep = run(argv, capsys)
         assert (code, rep["command"], rep["inputs"]["ceiling"]) == \
             (2, "precondition-error", ceiling)
@@ -436,8 +472,9 @@ FALSIFIERS = [
     # identically
     _entry("verify-algebra.involution_suite.norm_equals_det",
            ["verify-algebra", "--samples", "2"], _law_fails("norm_equals_det")),
+    # a = pi/conj(pi) with N(pi) = 211: its only obstruction is above the witness limit
     _entry("verify-algebra.conditions.division_condition",
-           ["verify-algebra", "--witness-limit", "1", "--samples", "1"], value=None),
+           ["verify-algebra", "--a", "(14+w)/(15-w)", "--samples", "1"], value=None),
     _entry("verify-algebra.conditions.unit_norm_condition",
            ["verify-algebra", "--a", "7*7", "--samples", "2"]),
     # no input: the fixed rho and tau on the fixed basis of Q(zeta_9) commute
@@ -577,9 +614,8 @@ _QUAD_TOKENS = ["0", "1", "2", "7", "w", "omega", "sqrt_m3", "zeta3", "+", "-", 
 _EXPRESSIONS = st.lists(st.sampled_from(_QUAD_TOKENS), min_size=1, max_size=6).map("".join)
 _ARGVS = st.one_of(
     st.tuples(st.sampled_from(["galois", "nongalois"]), st.sampled_from(["--a", "--b"]),
-              _EXPRESSIONS, st.integers(-2, 2), st.integers(-3, 300)).map(
-        lambda t: ["verify-algebra", "--kind", t[0], t[1], t[2],
-                   "--samples", str(t[3]), "--witness-limit", str(t[4])]),
+              _EXPRESSIONS, st.integers(-2, 2)).map(
+        lambda t: ["verify-algebra", "--kind", t[0], t[1], t[2], "--samples", str(t[3])]),
     st.tuples(st.integers(-1, 6), st.integers(-1, 6), st.integers(-2, 3)).map(
         lambda t: ["tree", "--l", str(t[0]), "--m", str(t[1]), "--radius", str(t[2])]),
     st.integers(-5, 80).map(lambda n: ["primes", "--up-to", str(n)]),

@@ -355,10 +355,11 @@ def test_expansion_k4():
 
 
 def test_expansion_ceiling():
+    assert graphs.DEFAULT_EXPANSION_CEILING <= 64    # the subset scan's word size
     with pytest.raises(GraphError):
-        expansion_coefficient(complete_bipartite(11, 11), ceiling=20)
-    with pytest.raises(GraphClassError, match="64-vertex limit"):   # whatever the ceiling
-        expansion_coefficient(cycle(65), ceiling=100)
+        expansion_coefficient(complete_bipartite(11, 11))
+    with pytest.raises(GraphClassError, match="exceeds the brute-force ceiling"):
+        expansion_coefficient(cycle(65))
 
 
 @pytest.mark.parametrize("g, c, subset", [

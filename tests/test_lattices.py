@@ -177,7 +177,7 @@ def test_enumerate_su3_preconditions():
     with pytest.raises(LatticeError):
         enumerate_su3(7, 1)            # split
     with pytest.raises(LatticeError):
-        enumerate_su3(5, 1, ceiling=100)   # ceiling exceeded
+        enumerate_su3(5, 1)            # 5^18 exceeds the ceiling
     with pytest.raises(LatticeError):
         enumerate_su3(2, 3)
 

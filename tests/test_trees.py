@@ -87,7 +87,7 @@ def test_ball_spectrum_symmetric():
 
 def test_ceiling():
     with pytest.raises(GraphError):
-        biregular_tree_ball(9, 3, 9, ceiling=200000)
+        biregular_tree_ball(9, 3, 9)
 
 
 def test_identity_covering():
