@@ -62,7 +62,9 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # no option abbreviations: --up is not --up-to, and a new option cannot
+        # turn a working prefix into a usage error; subparsers are _Parsers too
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         # argparse's own pattern takes -1 and -.5 for numbers but -1e-9 for an option
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
@@ -273,7 +275,7 @@ def cmd_tree(args):
         graphs.save_graph(ball.graph, args.out)
     closed_form = trees.level_counts_closed_form(args.l, args.m, args.radius, args.root_side)
     covering = trees.check_local_covering(
-        trees.CoveringCandidate(ball, ball.graph, {v: v for v in range(ball.graph.n)})
+        trees.CoveringCandidate(ball, ball.graph, np.arange(ball.graph.n))
     )
     return {
         "vertices": exact(ball.graph.n),

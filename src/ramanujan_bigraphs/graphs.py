@@ -4,13 +4,16 @@ expansion coefficients, generators, and JSON/DOT interchange.
 Conventions
 -----------
 * Graphs are simple and undirected; vertices are 0..n-1, and a vertex id
-  must fit in int64.  ``edges`` is the sorted tuple of (lo, hi) pairs with
-  lo < hi.  Validation builds the same pairs once as a read-only (E, 2)
-  int64 array, ``edge_array()``, with whole-array checks of range, loops,
-  repeats and the declared parts (a short scan names the first bad edge);
-  no check forms a key lo * n, since n may exceed int64.  A Graph is
-  frozen, so its edge array, its neighbour tuples and its structure report
-  are built at most once per instance and shared by every caller.
+  is an integer that fits in int64.  Edges may arrive as an integer (E, 2)
+  ndarray, taken as it is, or as any iterable of pairs.  Validation puts
+  them in one read-only (E, 2) int64 array, ``edge_array()``, with
+  whole-array checks of range, loops, repeats and the declared parts (a
+  short scan names the first bad edge); no check forms a key lo * n, since
+  n may exceed int64.  ``edges``, the sorted tuple of (lo, hi) pairs with
+  lo < hi, is built once from that array.  Declared parts are kept as a
+  tuple of ints 0/1 and as the read-only int8 array ``parts_array()``.  A
+  Graph is frozen, so its arrays, its neighbour tuples and its structure
+  report are built at most once per instance and shared by every caller.
 * ``spectrum`` lists n eigenvalues, so it refuses n > SPECTRUM_CEILING, and
   ``random_biregular`` refuses to draw a graph that ``spectrum`` would refuse
   or with over EDGE_CEILING edges; it repairs one stub pairing by switches.
@@ -44,11 +47,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -85,20 +89,24 @@ class Graph:
         object.__setattr__(self, "edges", edges)
         self.__dict__["_edge_array"] = ends
         if self.parts is not None:
-            parts = tuple(self.parts)
-            if len(parts) != self.n or parts.count(0) + parts.count(1) != len(parts):
-                raise GraphError("parts must assign 0/1 to every vertex")
-            side = np.array(parts, dtype=np.int8)
+            side = _parts_array(self.n, self.parts)
             clash = np.flatnonzero(side[ends[:, 0]] == side[ends[:, 1]])
             if clash.size:
                 u, v = ends[clash[0]].tolist()
                 raise GraphError(f"edge ({u},{v}) violates the declared parts")
-            object.__setattr__(self, "parts", parts)
+            object.__setattr__(self, "parts", tuple(side.tolist()))
+            self.__dict__["_parts_array"] = side
 
     def edge_array(self) -> np.ndarray:
         """The edges as a read-only (E, 2) int64 array, row i = edges[i]:
         built once, while the graph is validated, and shared."""
         return self.__dict__["_edge_array"]
+
+    def parts_array(self) -> Optional[np.ndarray]:
+        """The declared parts as a read-only int8 array, entry v = parts[v],
+        or None without parts: built once, while the graph is validated, and
+        shared."""
+        return self.__dict__.get("_parts_array")
 
     def degrees(self) -> List[int]:
         return [len(a) for a in self.neighbors()]
@@ -152,44 +160,56 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _canonical_edges(
-    n: int, edges: Tuple[Tuple[int, int], ...]
+    n: int, edges: Union[np.ndarray, Iterable[Tuple[int, int]]]
 ) -> Tuple[np.ndarray, Tuple[Tuple[int, int], ...]]:
-    """The edges as sorted (lo, hi) pairs with lo < hi, as an (E, 2) int64
-    array and as a tuple of int pairs; the tuple is ``edges`` itself when it
-    already is that tuple.  Raises GraphError for a vertex outside range(n)
-    or int64, a loop or a repeated edge."""
-    if not isinstance(edges, (tuple, list)):
-        edges = list(edges)             # an iterator is read once
-    try:
-        if set(map(len, edges)) - {2}:
-            raise ValueError("an edge is not a pair")
-        ends = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges)).reshape(-1, 2)
-    except (TypeError, ValueError, OverflowError):
-        _raise_first_bad_edge(n, edges)
+    """The edges as sorted (lo, hi) pairs with lo < hi: a read-only (E, 2)
+    int64 array, and the tuple of int pairs built from it.  ``edges`` is an
+    integer ndarray of shape (E, 2), taken as it is, or any iterable of
+    pairs, whose ids are read through ``operator.index``, so 1.0 and "1" are
+    refused.  Raises GraphError for a vertex outside range(n) or int64, a
+    loop or a repeated edge."""
+    if isinstance(edges, np.ndarray):
+        if edges.ndim != 2 or edges.shape[1] != 2 or not np.issubdtype(edges.dtype, np.integer):
+            raise GraphError("edges must be pairs of integer vertex ids")
+        if not np.can_cast(edges.dtype, np.int64) and (edges > _INT64_MAX).any():
+            _raise_first_bad_edge(n, map(tuple, edges.tolist()))
+        ends = np.array(edges, dtype=np.int64, order="C")    # a copy: the caller keeps theirs
+        pairs = None                                         # rows are named only on error
+    else:
+        if not isinstance(edges, (tuple, list)):
+            edges = list(edges)             # an iterator is read once
+        try:
+            if set(map(len, edges)) - {2}:
+                raise ValueError("an edge is not a pair")
+            ids = map(operator.index, chain.from_iterable(edges))
+            ends = np.fromiter(ids, np.int64, 2 * len(edges)).reshape(-1, 2)
+        except (TypeError, ValueError, OverflowError):
+            _raise_first_bad_edge(n, edges)
+        pairs = edges
     u, v = ends.T
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     if (lo < 0).any() or (hi >= n).any() or (lo == hi).any():
-        _raise_first_bad_edge(n, edges)
+        _raise_first_bad_edge(n, map(tuple, ends.tolist()) if pairs is None else pairs)
     ascending = (lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))
-    if (type(edges) is tuple and (u < v).all() and ascending.all()      # so no repeats
-            and set(map(type, edges)) == {tuple}):
-        ends.flags.writeable = False
-        return ends, edges
-    order = np.lexsort((hi, lo))
-    ends = np.stack((lo[order], hi[order]), axis=1)
-    if (ends[1:] == ends[:-1]).all(axis=1).any():
-        seen = set()    # name the first repeat in input order
-        key = next(k for k in zip(lo.tolist(), hi.tolist()) if k in seen or seen.add(k))
-        raise GraphError(f"duplicate edge {key}")
+    if not ((u < v).all() and ascending.all()):     # canonical edges have no repeats
+        order = np.lexsort((hi, lo))
+        ends = np.stack((lo[order], hi[order]), axis=1)
+        if (ends[1:] == ends[:-1]).all(axis=1).any():
+            seen = set()    # name the first repeat in input order
+            key = next(k for k in zip(lo.tolist(), hi.tolist()) if k in seen or seen.add(k))
+            raise GraphError(f"duplicate edge {key}")
     ends.flags.writeable = False
     return ends, tuple(zip(*ends.T.tolist()))
 
 
 def _raise_first_bad_edge(n: int, edges) -> None:
     """Raise the error of the first edge, in input order, that is not a
-    pair of distinct vertices of range(n) that fit in int64."""
+    pair of distinct integer vertices of range(n) that fit in int64."""
     for e in edges:
-        u, v = e
+        try:
+            u, v = map(operator.index, e)
+        except (TypeError, ValueError):
+            break
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge {e} references an invalid vertex")
         if u == v:
@@ -197,6 +217,24 @@ def _raise_first_bad_edge(n: int, edges) -> None:
         if max(u, v) > _INT64_MAX:
             raise GraphError(f"edge {e} names a vertex beyond int64")
     raise GraphError("edges must be pairs of integer vertex ids")
+
+
+def _parts_array(n: int, parts) -> np.ndarray:
+    """The declared parts as a read-only int8 array: an integer ndarray, or
+    any iterable of ids read through ``operator.index``.  Raises GraphError
+    unless they give 0 or 1 to each of the n vertices."""
+    if isinstance(parts, np.ndarray):
+        side = parts if np.issubdtype(parts.dtype, np.integer) else None
+    else:
+        try:
+            side = np.fromiter(map(operator.index, parts), np.int64)
+        except (TypeError, OverflowError):
+            side = None
+    if side is None or side.shape != (n,) or ((side < 0) | (side > 1)).any():
+        raise GraphError("parts must assign 0/1 to every vertex")
+    side = side.astype(np.int8)
+    side.flags.writeable = False
+    return side
 
 
 def _neighbor_lists(g: Graph) -> Tuple[Tuple[int, ...], ...]:
@@ -593,8 +631,8 @@ def random_biregular(n1: int, n2: int, l: int, m: int, seed: int) -> Graph:
     else:
         raise GraphClassError(f"repeated edges left after {_SWITCH_ROUNDS} switch rounds")
     key = np.setdiff1d(np.arange(n1 * n2), key) if flip else np.sort(key)
-    edges = tuple(zip((key // n2).tolist(), (key % n2 + n1).tolist()))
-    return Graph(n1 + n2, edges, (0,) * n1 + (1,) * n2)
+    edges = np.stack((key // n2, key % n2 + n1), axis=1)
+    return Graph(n1 + n2, edges, np.repeat([0, 1], [n1, n2]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,17 @@ supplied quotient data via a local covering-map check and a bidegree check
 
 The ball construction, the ball validation and the covering check are
 whole-array work over each graph's (E, 2) edge array (``Graph.edge_array``):
-the parents of each level come from ``np.repeat``, the depths from at most
-``radius`` level steps, the degrees from ``np.bincount``, and a vertex map
-becomes an array of images.  Every quantity stays an integer.
+the parents of each level come from ``np.repeat``, and the ball's edges and
+parts reach ``Graph`` as int arrays; the depths come from at most
+``radius`` level steps and the degrees from ``np.bincount``.  A vertex map
+is an array of images (a dict becomes one), and the bipartition test reads
+the parts array each graph keeps (``Graph.parts_array``).  Every quantity
+stays an integer.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple, Union
 
@@ -89,8 +93,8 @@ def biregular_tree_ball(l: int, m: int, radius: int, root_side: str = "l") -> Tr
     children = np.repeat(branch, counts[:-1])                # of each vertex above the last level
     parent = np.repeat(np.arange(children.size), children)   # of vertices 1 .. total - 1
     parts = np.repeat(np.arange(radius + 1) % 2, counts)
-    edges = tuple(zip(parent.tolist(), range(1, total)))
-    return TreeBall(Graph(total, edges, tuple(parts.tolist())), 0, radius, l, m, root_side)
+    edges = np.stack((parent, np.arange(1, total)), axis=1)   # already sorted, parent < child
+    return TreeBall(Graph(total, edges, parts), 0, radius, l, m, root_side)
 
 
 def _validate_ball(ball: TreeBall) -> np.ndarray:
@@ -138,13 +142,16 @@ def _validate_ball(ball: TreeBall) -> np.ndarray:
 class CoveringCandidate:
     """A vertex map from a domain graph (or tree ball) onto a codomain graph.
 
-    For tree balls only interior vertices (distance < radius) are required
-    to satisfy the local bijection condition; boundary vertices are exempt.
+    ``vertex_map`` is a dict from each domain vertex to its image, or an
+    integer array of shape (n,) whose entry v is the image of domain vertex
+    v; the check turns a dict into that array.  For tree balls only interior
+    vertices (distance < radius) are required to satisfy the local
+    bijection condition; boundary vertices are exempt.
     """
 
     domain: Union[TreeBall, Graph]
     codomain: Graph
-    vertex_map: Dict[int, int]
+    vertex_map: Union[Dict[int, int], np.ndarray]
 
     def domain_graph(self) -> Graph:
         return self.domain.graph if isinstance(self.domain, TreeBall) else self.domain
@@ -171,7 +178,7 @@ def check_local_covering(c: CoveringCandidate) -> bool:
     image = _image_array(c.vertex_map, dom.n, cod.n)
     if dom.parts is not None and cod.parts is not None and dom.n > 0:
         # the map must respect the bipartitions up to a global color flip
-        flip = np.array(cod.parts, dtype=np.int8)[image] ^ np.array(dom.parts, dtype=np.int8)
+        flip = cod.parts_array()[image] ^ dom.parts_array()
         if (flip != flip[0]).any():
             return False
     # edges must map to edges everywhere, boundary included.  The codomain is
@@ -205,22 +212,27 @@ def check_local_covering(c: CoveringCandidate) -> bool:
     return bool((dom_degree == cod_degree[image]).all())
 
 
-def _image_array(fmap: Dict[int, int], n: int, cod_n: int) -> np.ndarray:
-    """The images of vertices 0..n-1 under ``fmap``; GraphError unless every
-    vertex has an image and every image is a vertex of range(cod_n)."""
-    try:
-        image = np.fromiter(map(fmap.__getitem__, range(n)), np.int64, n)
-        if len(fmap) == n and (n == 0 or 0 <= image.min() and image.max() < cod_n):
-            return image
-    except (KeyError, OverflowError):
-        pass
-    missing = [v for v in range(n) if v not in fmap]
-    if missing:
-        raise GraphError(f"vertex map undefined on vertices {missing[:5]}")
-    bad = [v for v, w in fmap.items() if not 0 <= w < cod_n]
-    if bad:
-        raise GraphError(f"vertex map leaves the codomain at {bad[:5]}")
-    return image                      # extra keys beyond the domain, all mapped in range
+def _image_array(fmap: Union[Dict[int, int], np.ndarray], n: int, cod_n: int) -> np.ndarray:
+    """The images of vertices 0..n-1 under ``fmap``, a dict or an integer
+    array of shape (n,), as an int64 array; GraphError unless every vertex
+    has an image and every image is a vertex of range(cod_n).  A dict's
+    images are read through ``operator.index``, and keys beyond the domain
+    are not read."""
+    if not isinstance(fmap, np.ndarray):
+        missing = [v for v in range(n) if v not in fmap]
+        if missing:
+            raise GraphError(f"vertex map undefined on vertices {missing[:5]}")
+        try:
+            fmap = np.fromiter(map(operator.index, map(fmap.__getitem__, range(n))), np.int64, n)
+        except (TypeError, OverflowError):
+            raise GraphError("vertex map images must be integers that fit in int64") from None
+    if fmap.shape != (n,) or not np.issubdtype(fmap.dtype, np.integer):
+        raise GraphError(f"vertex map array has shape {fmap.shape} and dtype {fmap.dtype}, "
+                         f"not ({n},) and an integer dtype")
+    bad = np.flatnonzero((fmap < 0) | (fmap >= cod_n))
+    if bad.size:
+        raise GraphError(f"vertex map leaves the codomain at {bad[:5].tolist()}")
+    return fmap.astype(np.int64, copy=False)
 
 
 def quotient_handshake_check(g: Graph, p: int) -> bool:

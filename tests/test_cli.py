@@ -130,6 +130,8 @@ K33 = "<path of a K_3,3 graph file>"
     ["tree", "--l", "9", "--m", "3", "--radius", "2", "--ceiling", "5"],
     ["finite-group", "--q", "2", "--ceiling", "10"],
     ["verify-algebra", "--witness-limit", "300"],
+    ["primes", "--up", "10"],                  # no option takes an abbreviation
+    ["verify-algebra", "--sam", "1"],
 ], ids=["b-with-galois", "a-with-nongalois", "a-True", "a-False", "paper-suite-with-command",
         "seed-before-command", "samples-0", "samples-negative", "deep-sum", "deep-negation",
         "radius-negative", "tree-degree-1", "a-zero", "b-zero", "up-to-1",
@@ -137,15 +139,17 @@ K33 = "<path of a K_3,3 graph file>"
         "certify-tolerance-negative-exponent",
         "spectrum-tolerance-nan", "spectrum-tolerance-negative", "spectrum-tolerance-zero",
         "expansion-ceiling", "tree-ceiling", "finite-group-ceiling",
-        "verify-algebra-witness-limit"])
+        "verify-algebra-witness-limit", "primes-abbreviated", "verify-algebra-abbreviated"])
 def test_ignored_or_non_integer_input_is_usage_error(tmp_path, capsys, argv):
     k33 = write_graph(tmp_path, graphs.complete_bipartite(3, 3))
     code, rep = run([k33 if a == K33 else a for a in argv], capsys)
     assert (code, rep["command"]) == (64, "usage-error")
-    removed = [i for i, a in enumerate(argv) if a in ("--ceiling", "--witness-limit")
+    removed = [i for i, a in enumerate(argv) if a in ("--ceiling", "--witness-limit", "--sam")
                or (argv[0], a) == ("spectrum", "--tolerance")]
     if removed:
         assert rep["results"]["error"] == "unrecognized arguments: " + " ".join(argv[removed[0]:])
+    elif "--up" in argv:                       # --up-to is required, and --up is not it
+        assert rep["results"]["error"] == "the following arguments are required: --up-to"
     elif "--tolerance" in argv:
         assert rep["results"]["error"] == "--tolerance must be finite and at least 0"
 
@@ -172,6 +176,9 @@ def test_cli_options_are_pinned():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert {"": options(parser), **{name: options(p) for name, p in sub.choices.items()}} == \
         CLI_OPTIONS
+    # an option string is taken whole or not at all: no prefix names it
+    assert not parser.allow_abbrev
+    assert not any(p.allow_abbrev for p in sub.choices.values())
 
 
 def test_tolerance_zero_is_valid(tmp_path, capsys):

@@ -141,6 +141,91 @@ def test_graph_validation_matches_reference(args):
         assert g.edge_array().tolist() == [list(e) for e in want[0]]
 
 
+def _edge_array(edges):
+    """edges as an (E, 2) int64 array, or None if an id does not fit in int64."""
+    try:
+        return np.array(edges, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        return None
+
+
+def _built(n, edges, parts):
+    """(edges, edge array, parts, parts array) of Graph(n, edges, parts), or
+    the message of the GraphError it raised."""
+    try:
+        g = Graph(n, edges, parts)
+    except GraphError as exc:
+        return str(exc)
+    side = g.parts_array()
+    return (g.edges, g.edge_array().tolist(), g.parts, None if side is None else side.tolist())
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_arguments())
+def test_array_and_tuple_input_agree(args):
+    # an int64 edge array takes the array route past the per-pair reading;
+    # both routes give the same graph or the same first-bad-edge message
+    n, edges, parts = args
+    want = _built(n, edges, parts)
+    ends = _edge_array(edges)
+    if ends is None:                          # an id past int64 is no vertex
+        assert isinstance(want, str)
+        return
+    side = None if parts is None else np.array(parts, dtype=np.int64)
+    assert _built(n, ends, parts) == want
+    assert _built(n, ends, side) == want
+    assert _built(n, edges, side) == want
+    if not isinstance(want, str):
+        g = Graph(n, ends, side)
+        assert all(type(v) is int for v in itertools.chain(*g.edges, g.parts or ()))
+        assert g.edge_array().dtype == np.int64 and not g.edge_array().flags.writeable
+        assert g.parts is None or (g.parts_array().dtype == np.int8
+                                   and not g.parts_array().flags.writeable)
+
+
+def test_edge_array_input_is_copied():
+    ends = np.array([[1, 2], [0, 1]])
+    g = Graph(3, ends)
+    ends[0, 0] = 0                            # the caller's array stays the caller's
+    assert g.edges == ((0, 1), (1, 2)) and g.edge_array().tolist() == [[0, 1], [1, 2]]
+    big = np.array([[0, 2 ** 63]], dtype=np.uint64)
+    with pytest.raises(GraphError, match=r"edge \(0, 9223372036854775808\) names a vertex beyond int64"):
+        Graph(2 ** 64, big)
+    assert Graph(3, np.array([[2, 1]], dtype=np.uint8)).edges == ((1, 2),)
+
+
+@pytest.mark.parametrize("edges, parts, message", [
+    ([(0.5, 1), (0, 2.9)], None, "pairs of integer vertex ids"),    # was read as (0, 1), (0, 2)
+    ([("0", "1")], None, "pairs of integer vertex ids"),
+    ([(0, 1, 2)], None, "pairs of integer vertex ids"),
+    ([5], None, "pairs of integer vertex ids"),
+    ([(0, 1), (1, 2.0)], None, "pairs of integer vertex ids"),
+    (np.array([[0.0, 1.0]]), None, "pairs of integer vertex ids"),
+    (np.array([[False, True]]), None, "pairs of integer vertex ids"),
+    (np.array([0, 1]), None, "pairs of integer vertex ids"),
+    (np.zeros((1, 3), dtype=int), None, "pairs of integer vertex ids"),
+    ([(0, 1)], (0, 1.0, 1), "parts must assign"),                   # was stored as given
+    ([(0, 1)], ("0", "1", "1"), "parts must assign"),
+    ([(0, 1)], np.array([0.0, 1.0, 1.0]), "parts must assign"),
+    ([(0, 1)], np.array([[0, 1, 1]]), "parts must assign"),
+    ([(0, 1)], (0, 1, 2 ** 64), "parts must assign"),
+], ids=["float-ids", "str-ids", "triple", "bare-int", "one-float", "float-array",
+        "bool-array", "flat-array", "three-columns", "float-part", "str-parts",
+        "float-parts-array", "parts-2d", "part-past-int64"])
+def test_non_integer_ids_and_parts_are_refused(edges, parts, message):
+    with pytest.raises(GraphError, match=message):
+        Graph(3, edges, parts)
+
+
+def test_parts_are_python_ints():
+    # numpy and bool parts are stored as Python ints, so the graph's JSON
+    # document dumps and reads back
+    for parts in (np.array([0, 1, 1]), (False, True, True), (np.int8(0), 1, np.int64(1))):
+        g = Graph(3, [(0, 1), (0, 2)], parts)
+        assert g.parts == (0, 1, 1) and all(type(c) is int for c in g.parts)
+        assert graph_from_json(json.loads(json.dumps(graph_to_json(g)))) == g
+
+
 def test_analyze_examples():
     rep = analyze_structure(complete_bipartite(3, 3))
     assert rep.connected and rep.bipartition is not None
@@ -520,6 +605,31 @@ def test_random_biregular_deterministic():
     assert g1.edges == g2.edges
     assert analyze_structure(g1).profile == BiregularProfile(4, 8, 4, 2)
     assert g1.edges != g3.edges
+
+
+# draws pinned before random_biregular handed its edge array to Graph
+_PINNED_DRAWS = {
+    (4, 8, 4, 2, 5): ((0, 6), (0, 7), (0, 9), (0, 11), (1, 4), (1, 7), (1, 8), (1, 10),
+                      (2, 5), (2, 6), (2, 8), (2, 11), (3, 4), (3, 5), (3, 9), (3, 10)),
+    (4, 8, 6, 3, 1): ((0, 5), (0, 6), (0, 7), (0, 9), (0, 10), (0, 11), (1, 4), (1, 7),
+                      (1, 8), (1, 9), (1, 10), (1, 11), (2, 4), (2, 5), (2, 6), (2, 8),
+                      (2, 9), (2, 10), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (3, 11)),
+}
+
+
+@pytest.mark.parametrize("shape", [(4, 8, 4, 2), (4, 8, 6, 3), (60, 180, 9, 3), (8, 56, 28, 4)],
+                         ids=["9-3-small", "half-dense", "9-3", "28-4"])
+@pytest.mark.parametrize("seed", [1, 5])
+def test_random_biregular_matches_tuple_built_graph(shape, seed):
+    # the array hand-off gives the graph that the same pairs, as tuples, give
+    g = random_biregular(*shape, seed)
+    n1, n2 = shape[:2]
+    pairs = tuple(zip(*g.edge_array().T.tolist()))
+    want = Graph(n1 + n2, pairs[::-1], (0,) * n1 + (1,) * n2)
+    assert g == want and (g.edges, g.parts) == (want.edges, want.parts)
+    assert all(type(v) is int for v in itertools.chain(*g.edges, g.parts))
+    if (*shape, seed) in _PINNED_DRAWS:
+        assert g.edges == _PINNED_DRAWS[(*shape, seed)]
 
 
 def test_bipartite_spectral_symmetry():

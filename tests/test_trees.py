@@ -4,6 +4,7 @@ import itertools
 import random
 import types
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,6 +72,32 @@ def test_each_ball_is_searched_once(count_calls):
     assert calls == {"_canonical_edges": 1, "_validate_ball": 1}
 
 
+def reference_tree_ball_graph(l, m, r, side):
+    """The ball's graph from tuples, one vertex at a time: each level's
+    vertices numbered after the level above, each vertex's children after
+    those of the vertex before it."""
+    counts = level_counts_closed_form(l, m, r, side)
+    edges, parts, level = [], [0], [0]
+    for k in range(1, r + 1):
+        branch = counts[k] // counts[k - 1]
+        start = len(parts)
+        edges += [(u, start + i * branch + j) for i, u in enumerate(level) for j in range(branch)]
+        level = list(range(start, start + branch * len(level)))
+        parts += [k % 2] * len(level)
+    return Graph(len(parts), tuple(edges), tuple(parts))
+
+
+@pytest.mark.parametrize("l, m, r, side", [(9, 3, 3, "l"), (28, 4, 3, "l"), (3, 9, 4, "m"),
+                                           (2, 2, 5, "l"), (4, 3, 0, "m"), (5, 2, 1, "l")])
+def test_ball_matches_tuple_built_graph(l, m, r, side):
+    # the ball hands Graph its edge and parts arrays: the same graph as from tuples
+    g = biregular_tree_ball(l, m, r, side).graph
+    want = reference_tree_ball_graph(l, m, r, side)
+    assert g == want and (g.edges, g.parts) == (want.edges, want.parts)
+    assert all(type(v) is int for v in itertools.chain(*g.edges, g.parts))
+    assert g.parts_array().tolist() == list(g.parts)
+
+
 def test_ball_beyond_its_radius_is_refused():
     path = Graph(4, ((0, 1), (1, 2), (2, 3)))
     with pytest.raises(GraphError, match="vertex 3 is not within radius 1"):
@@ -131,8 +158,34 @@ def test_huge_vertex_counts_are_decided_from_the_counts(count_calls):
 
 
 def test_undefined_map_errors():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"undefined on vertices \[1, 2, 3, 4, 5\]"):
         check_local_covering(CoveringCandidate(cycle(6), cycle(3), {0: 0}))
+
+
+@pytest.mark.parametrize("images, message", [
+    (np.array([0, 1, 2, 0, 1, 3]), r"leaves the codomain at \[5\]"),
+    (np.array([0, 1, -1, 0, 1, 2]), r"leaves the codomain at \[2\]"),
+    (np.array([0, 1, 2, 0, 1]), r"shape \(5,\)"),
+    (np.arange(6).reshape(2, 3) % 3, r"shape \(2, 3\)"),
+    (np.array([0.0, 1, 2, 0, 1, 2]), "dtype float64"),
+    ({0: 0, 1: 1, 2: 2, 3: 0, 4: 1, 5: 3}, r"leaves the codomain at \[5\]"),
+    ({0: 0, 1: 1, 2: 2, 3: 0, 4: 1, 5: 2.0}, "must be integers"),     # was read as 2
+    ({0: 0, 1: 1, 2: 2, 3: 0, 4: 1, 5: 2 ** 64}, "must be integers that fit in int64"),
+], ids=["array-past-codomain", "array-negative", "array-short", "array-2d", "array-float",
+        "dict-past-codomain", "dict-float", "dict-past-int64"])
+def test_bad_vertex_maps_are_refused(images, message):
+    with pytest.raises(GraphError, match=message):
+        check_local_covering(CoveringCandidate(cycle(6), cycle(3), images))
+
+
+def test_image_array_and_dict_agree():
+    # the image array is read as it is given: any integer dtype, and never kept
+    for images in (np.arange(6) % 3, (np.arange(6) % 3).astype(np.uint8)):
+        assert check_local_covering(CoveringCandidate(cycle(6), cycle(3), images))
+    collapse = np.array([0, 1, 2, 0, 1, 0])
+    assert not check_local_covering(CoveringCandidate(cycle(6), cycle(3), collapse))
+    ball = biregular_tree_ball(28, 4, 2)
+    assert check_local_covering(CoveringCandidate(ball, ball.graph, np.arange(ball.graph.n)))
 
 
 def test_handshake_examples():
@@ -191,7 +244,7 @@ def reference_check_local_covering(c):
     fmap = c.vertex_map
     if any(v not in fmap for v in range(dom.n)):
         raise GraphError("vertex map undefined")
-    if any(not 0 <= w < cod.n for w in fmap.values()):
+    if any(not 0 <= fmap[v] < cod.n for v in range(dom.n)):
         raise GraphError("vertex map leaves the codomain")
     if dom.parts is not None and cod.parts is not None and dom.n > 0:
         flip = cod.parts[fmap[0]] ^ dom.parts[0]
@@ -296,6 +349,13 @@ def test_covering_kernel_matches_reference(data, covering, how):
     assert got is outcome(reference_check_local_covering, cand), (cand, how)
     if how is None and graphs.analyze_structure(codomain).connected:
         assert got is True                    # every true covering is accepted
+    # the equal image array gets the same verdict, or the same error
+    fmap = cand.vertex_map
+    n = cand.domain_graph().n
+    if all(v in fmap for v in range(n)) and all(-2 ** 63 <= w < 2 ** 63 for w in fmap.values()):
+        images = np.array([fmap[v] for v in range(n)], dtype=np.int64)
+        as_array = CoveringCandidate(cand.domain, cand.codomain, images)
+        assert outcome(check_local_covering, as_array) is got, (cand, how)
 
 
 @settings(max_examples=200, deadline=None)
