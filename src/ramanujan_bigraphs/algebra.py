@@ -38,6 +38,7 @@ from .numberfield import (
 GALOIS = "galois"
 NONGALOIS = "nongalois"
 WITNESS_LIMIT = 200     # the condition report searches witness primes below it
+ARCHIMEDEAN_TOLERANCE = 1e-10   # absolute, for every check of complex points
 
 
 @dataclass(frozen=True)
@@ -283,14 +284,6 @@ class ConditionReport:
     # a's obstruction record at witness_prime_a: the fields above are read from it
     obstruction: Optional[ObstructionReport] = field(default=None, repr=False)
 
-    @property
-    def all_verified(self) -> bool:
-        return bool(
-            self.division_condition
-            and self.unit_norm_condition
-            and self.commuting_condition
-        )
-
 
 def _obvious_norm(a: QuadElem) -> bool:
     """Detect elements that are trivially relative norms from L."""
@@ -461,19 +454,21 @@ def torus_point(t: complex) -> Tuple[complex, complex, complex]:
     return (tc / t, t, 1 / tc)
 
 
-def triple_is_unitary_norm_one(triple: Sequence[complex], tol: float = 1e-10) -> bool:
-    """Check norm 1 and alpha(x) x = 1 for a point of C^3 under the split
-    archimedean actions rho(t0,t1,t2) = (t1,t2,t0), tau(t0,t1,t2) = (conj t0,
-    conj t2, conj t1)."""
+def triple_is_unitary_norm_one(triple: Sequence[complex]) -> bool:
+    """Check norm 1 and alpha(x) x = 1, within ARCHIMEDEAN_TOLERANCE, for a
+    point of C^3 under the split archimedean actions rho(t0,t1,t2) =
+    (t1,t2,t0), tau(t0,t1,t2) = (conj t0, conj t2, conj t1)."""
     t0, t1, t2 = triple
     if t0 == 0 or t1 == 0 or t2 == 0:
         return False
     norm = t0 * t1 * t2
     tau = (t0.conjugate(), t2.conjugate(), t1.conjugate())
     prods = [tau[i] * triple[i] for i in range(3)]
+    tol = ARCHIMEDEAN_TOLERANCE
     return abs(norm - 1) <= tol and all(abs(p - 1) <= tol for p in prods)
 
 
-def verify_noncompact_torus(t: complex, tol: float = 1e-10) -> bool:
-    """True iff the torus point of t is special unitary in the split sense."""
-    return triple_is_unitary_norm_one(torus_point(t), tol)
+def verify_noncompact_torus(t: complex) -> bool:
+    """True iff the torus point of t is special unitary in the split sense,
+    within ARCHIMEDEAN_TOLERANCE."""
+    return triple_is_unitary_norm_one(torus_point(t))

@@ -12,19 +12,22 @@ Each verdict in a report is a Check, a tagged value of True, False or None;
 the exit code is the worst Check in the results, derived once in main, and
 the other tagged values are facts that decide nothing.
 
-Every bound on a scan is a fixed module constant, not an option: a run above
-it is refused with exit 2, and the report's inputs record the bound that
-applied, as ceiling (expansion: graphs.DEFAULT_EXPANSION_CEILING, tree:
-trees.DEFAULT_TREE_CEILING, finite-group: lattices.DEFAULT_ENUM_CEILING,
-spectrum and random-bigraph on n1 + n2: graphs.SPECTRUM_CEILING, primes:
-lattices.PRIMES_CEILING), as edge_ceiling (random-bigraph on its n1 * l edges:
-graphs.EDGE_CEILING) or as witness_limit (verify-algebra's witness prime
-search: algebra.WITNESS_LIMIT).  Options that do not apply to the chosen
-command (--a with --kind nongalois, --b with --kind galois, --paper-suite or
-the top-level --seed with a subcommand) are usage errors, not ignored, and so
-are numeric options out of range (--samples below 1, --radius below 0, tree's
---l or --m below 2, --up-to below 2, a zero --a or --b, certify's --tolerance
-below 0 or not finite).
+Every bound on a scan and every tolerance is a fixed module constant, not an
+option.  A run above a bound is refused with exit 2, and the report's inputs
+record the bound that applied, as ceiling (expansion:
+graphs.DEFAULT_EXPANSION_CEILING, tree: trees.DEFAULT_TREE_CEILING,
+finite-group: lattices.DEFAULT_ENUM_CEILING, spectrum and random-bigraph on
+n1 + n2: graphs.SPECTRUM_CEILING, primes: lattices.PRIMES_CEILING), as
+edge_ceiling (random-bigraph on its n1 * l edges: graphs.EDGE_CEILING) or as
+witness_limit (verify-algebra's witness prime search: algebra.WITNESS_LIMIT).
+A floating value is tagged with its tolerance: graphs.DEFAULT_TOLERANCE for
+spectra and certificates (certify's inputs record it as tolerance), and
+algebra.ARCHIMEDEAN_TOLERANCE for the paper suite's complex matrices and
+torus points.  Options that do not apply to the chosen command (--a with
+--kind nongalois, --b with --kind galois, --paper-suite or the top-level
+--seed with a subcommand) are usage errors, not ignored, and so are numeric
+options out of range (--samples below 1, --radius below 0, tree's --l or --m
+below 2, --up-to below 2, a zero --a or --b).
 """
 
 from __future__ import annotations
@@ -33,10 +36,8 @@ import argparse
 import ast
 import functools
 import json
-import math
 import operator
 import random
-import re
 import sys
 import time
 import traceback
@@ -65,8 +66,6 @@ class _Parser(argparse.ArgumentParser):
         # no option abbreviations: --up is not --up-to, and a new option cannot
         # turn a working prefix into a usage error; subparsers are _Parsers too
         super().__init__(*args, allow_abbrev=False, **kwargs)
-        # argparse's own pattern takes -1 and -.5 for numbers but -1e-9 for an option
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):  # exit 64, not argparse's default 2
         raise UsageError(message)
@@ -205,7 +204,7 @@ def _nonzero_quad(option: str, expr: str) -> QuadElem:
 
 
 def _certificate_dict(cert: graphs.RamanujanCertificate):
-    tol = cert.tolerance
+    tol = graphs.DEFAULT_TOLERANCE
     d = {
         "graph_class": cert.graph_class,
         "degrees": exact(list(cert.degrees)),
@@ -223,9 +222,7 @@ def _certificate_dict(cert: graphs.RamanujanCertificate):
 
 def cmd_certify(args):
     g = graphs.load_graph(args.graph)
-    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-        raise UsageError("--tolerance must be finite and at least 0")
-    cert = graphs.certify_ramanujan(g, args.tolerance)
+    cert = graphs.certify_ramanujan(g)
     results = {"certificate": _certificate_dict(cert),
                "eigenproblem": exact(list(cert.eigenproblem))}
     if args.format == "dot":
@@ -347,15 +344,16 @@ def cmd_paper_suite(args):
     rng = random.Random(args.seed + 2)
     mats = [algebra.matrix_at_infinity(algebra.random_special_unitary(params, rng))
             for _ in range(20)]                  # all 20 drawn: the torus points follow
-    arch_ok = all(np.max(np.abs(m.conj().T @ m - np.eye(3))) < 1e-10
-                  and abs(np.linalg.det(m) - 1) < 1e-10 for m in mats)
+    tol = algebra.ARCHIMEDEAN_TOLERANCE
+    arch_ok = all(np.max(np.abs(m.conj().T @ m - np.eye(3))) < tol
+                  and abs(np.linalg.det(m) - 1) < tol for m in mats)
     torus_ok = all(
         algebra.verify_noncompact_torus(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) or 1.0)
         for _ in range(50)
     )
     battery["archimedean"] = {
-        "special_unitary_matrices": floating(arch_ok, 1e-10, Check),
-        "torus_points": floating(torus_ok, 1e-10, Check),
+        "special_unitary_matrices": floating(arch_ok, tol, Check),
+        "torus_points": floating(torus_ok, tol, Check),
     }
 
     # 4. good primes
@@ -375,7 +373,7 @@ def cmd_paper_suite(args):
         and all(graphs.certify_ramanujan(graphs.cycle(2 * n)).is_ramanujan
                 for n in range(2, 17))
     )
-    battery["certification"] = {"spot_checks": floating(cert_ok, 1e-9, Check)}
+    battery["certification"] = {"spot_checks": floating(cert_ok, graphs.DEFAULT_TOLERANCE, Check)}
 
     # 7. finite group (q = 2, level 1 only, for speed) and 8. tree balls
     battery["finite_group"], _ = _run(["finite-group", "--q=2"])
@@ -414,8 +412,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("certify", help="Ramanujan certification of a graph file")
     p.add_argument("graph")
     p.add_argument("--format", choices=["json", "dot"], default="json")
-    p.add_argument("--tolerance", type=float, default=graphs.DEFAULT_TOLERANCE)
-    p.set_defaults(func=cmd_certify)
+    p.set_defaults(func=cmd_certify, tolerance=graphs.DEFAULT_TOLERANCE)
 
     p = sub.add_parser("spectrum", help="adjacency spectrum of a graph file")
     p.add_argument("graph")

@@ -22,8 +22,8 @@ Conventions
   of -k when bipartite) for a connected k-regular graph, one of each of
   +-sqrt(lm) for a connected (l, m)-bigraph.  Multiplicity at the trivial eigenvalue
   signals disconnection and raises ``SpectralStructureError``.
-* Floating tolerances default to 1e-9 absolute; exact quantities (expansion
-  coefficient) are ``Fraction``s.
+* Every floating check reads the fixed DEFAULT_TOLERANCE, 1e-9 absolute, at
+  call time; exact quantities (expansion coefficient) are ``Fraction``s.
 * The expansion coefficient is a word-parallel exact scan of all 2^n vertex
   subsets as uint64 bitmasks, so it refuses n > DEFAULT_EXPANSION_CEILING.
 * Spectra of bipartite graphs come from the biadjacency matrix.  With sides
@@ -83,8 +83,15 @@ class Graph:
     parts: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        if self.n < 0:
+        try:
+            n = None if isinstance(self.n, bool) else operator.index(self.n)
+        except TypeError:
+            n = None
+        if n is None:
+            raise GraphError("vertex count must be an integer")    # 2.5 or True
+        if n < 0:
             raise GraphError("vertex count must be non-negative")
+        object.__setattr__(self, "n", n)    # a Python int, as JSON needs
         ends, edges = _canonical_edges(self.n, self.edges)
         object.__setattr__(self, "edges", edges)
         self.__dict__["_edge_array"] = ends
@@ -344,9 +351,9 @@ def spectrum(g: Graph) -> Spectrum:
     return Spectrum(values, eigenproblem=shape)
 
 
-def _drop_value(values: List[float], target: float, tol: float, what: str) -> List[float]:
+def _drop_value(values: List[float], target: float, what: str) -> List[float]:
     best = min(range(len(values)), key=lambda i: abs(values[i] - target))
-    if abs(values[best] - target) > tol:
+    if abs(values[best] - target) > DEFAULT_TOLERANCE:
         raise SpectralStructureError(
             f"expected trivial eigenvalue {what}={target:.12g} not found"
         )
@@ -356,7 +363,6 @@ def _drop_value(values: List[float], target: float, tol: float, what: str) -> Li
 def lambda_of(s: Spectrum, profile: Union[RegularProfile, BiregularProfile]) -> float:
     """lambda(X): largest |eigenvalue| after removing the trivial ones, which
     are matched within DEFAULT_TOLERANCE; the reference for ``deflated_lambda``."""
-    tol = DEFAULT_TOLERANCE
     values = sorted(s.values, reverse=True)
     if isinstance(profile, RegularProfile):
         lam0 = float(profile.k)
@@ -364,10 +370,10 @@ def lambda_of(s: Spectrum, profile: Union[RegularProfile, BiregularProfile]) -> 
     else:
         lam0 = math.sqrt(profile.l * profile.m)
         bipartite = True
-    rest = _drop_value(values, lam0, tol, "lambda_0")
+    rest = _drop_value(values, lam0, "lambda_0")
     if bipartite and lam0:                 # K_1's one eigenvalue is 0 = -0
-        rest = _drop_value(rest, -lam0, tol, "-lambda_0")
-    if any(abs(v) >= lam0 - tol for v in rest):
+        rest = _drop_value(rest, -lam0, "-lambda_0")
+    if any(abs(v) >= lam0 - DEFAULT_TOLERANCE for v in rest):
         raise SpectralStructureError(
             "multiplicity at the trivial eigenvalue: graph is disconnected "
             "or the profile is wrong"
@@ -386,7 +392,6 @@ class RamanujanCertificate:
     def22: Optional[bool]                  # bigraphs only
     def23: Optional[bool]                  # bigraphs only
     is_ramanujan: bool
-    tolerance: float
     eigenproblem: Tuple[int, int]          # (r, r) if bipartite, else (n, n): the deflated matrix
     margins: Dict[str, float] = field(default_factory=dict)
 
@@ -423,13 +428,13 @@ def deflated_lambda(
     return math.sqrt(top / r), (r, r), (l, m)
 
 
-def certify_ramanujan(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> RamanujanCertificate:
-    """Certify per the applicable definitions.
+def certify_ramanujan(g: Graph) -> RamanujanCertificate:
+    """Certify per the applicable definitions, within DEFAULT_TOLERANCE.
 
-    Regular graphs use lambda <= 2 sqrt(k-1).  Bigraphs (which include
-    bipartite regular graphs, with l = m = k) use the two-sided window
-    |sqrt(l-1) - sqrt(m-1)| <= lambda <= sqrt(l-1) + sqrt(m-1) and,
-    equivalently, |lambda^2 - q1 - q2| <= 2 sqrt(q1 q2) with q_i = degree - 1.
+    The window |sqrt(l-1) - sqrt(m-1)| <= lambda <= sqrt(l-1) + sqrt(m-1)
+    has l = m = k for a k-regular graph.  Regular graphs report def21, lambda
+    <= upper; bigraphs, bipartite regular ones included, report def22, the
+    window, and def23, |lambda^2 - q1 - q2| <= 2 sqrt(q1 q2) with q_i = degree - 1.
     """
     if not _connected(g):
         raise GraphClassError("certification requires a connected graph")
@@ -437,21 +442,20 @@ def certify_ramanujan(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Ramanuj
     if shape == (0, 0):
         raise GraphClassError("certification requires degree at least 1")
     rep = analyze_structure(g)
-    regular = isinstance(rep.profile, RegularProfile)
+    tolerance = DEFAULT_TOLERANCE
+    sl, sm = math.sqrt(l - 1), math.sqrt(m - 1)
+    lower, upper = abs(sl - sm), sl + sm      # l = m: 0.0 and sl + sl == 2 sl, exactly
     margins: Dict[str, float] = {}
     def21 = def22 = def23 = None
-    if regular:
+    if isinstance(rep.profile, RegularProfile):
         graph_class = "regular"
         degrees: Tuple[int, ...] = (l,)
-        lower, upper = 0.0, 2.0 * math.sqrt(l - 1)
         def21 = lam <= upper + tolerance
         margins["def21_upper"] = upper - lam
     else:
         graph_class = "bigraph"
         degrees = (l, m)
     if rep.bipartition is not None:
-        sl, sm = math.sqrt(l - 1), math.sqrt(m - 1)
-        lower, upper = abs(sl - sm), sl + sm
         def22 = (lower - tolerance <= lam) and (lam <= upper + tolerance)
         q1, q2 = l - 1, m - 1
         def23 = abs(lam * lam - q1 - q2) <= 2.0 * math.sqrt(q1 * q2) + tolerance
@@ -472,7 +476,6 @@ def certify_ramanujan(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Ramanuj
         def22=def22,
         def23=def23,
         is_ramanujan=all(v for v in (def21, def22) if v is not None),
-        tolerance=tolerance,
         eigenproblem=shape,
         margins=margins,
     )

@@ -71,6 +71,7 @@ def test_2_involution_suite(params):
 # ---------------------------------------------------------------------------
 
 def test_3_archimedean_signature():
+    assert algebra.ARCHIMEDEAN_TOLERANCE == ARCH_TOL
     params = algebra.example_galois_params()
     rng = random.Random(3)
     for _ in range(100):
@@ -82,10 +83,10 @@ def test_3_archimedean_signature():
         t = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         if abs(t) < 1e-3:
             t = 1.0 + 1.0j
-        assert algebra.verify_noncompact_torus(t, ARCH_TOL)
+        assert algebra.verify_noncompact_torus(t)
         t0, t1, t2 = algebra.torus_point(t)
         eps = 1.0 + rng.uniform(0.01, 0.2)     # multiplicative perturbation
-        assert not algebra.triple_is_unitary_norm_one((t0 * eps, t1, t2), ARCH_TOL)
+        assert not algebra.triple_is_unitary_norm_one((t0 * eps, t1, t2))
 
 
 # ---------------------------------------------------------------------------
@@ -134,21 +135,21 @@ def _random_connected_bigraph(index: int) -> graphs.Graph:
 
 
 def test_5_certification_battery():
+    assert graphs.DEFAULT_TOLERANCE == SPECTRAL_TOL
     for k in range(2, 9):
-        assert graphs.certify_ramanujan(
-            graphs.complete_bipartite(k, k), SPECTRAL_TOL).is_ramanujan
+        assert graphs.certify_ramanujan(graphs.complete_bipartite(k, k)).is_ramanujan
     for l in range(2, 7):
         for m in range(2, 7):
             if l == m:
                 continue
-            cert = graphs.certify_ramanujan(graphs.complete_bipartite(l, m), SPECTRAL_TOL)
+            cert = graphs.certify_ramanujan(graphs.complete_bipartite(l, m))
             assert not cert.is_ramanujan          # lambda = 0 below the lower bound
             assert cert.lam < SPECTRAL_TOL
     for n in range(2, 17):
-        assert graphs.certify_ramanujan(graphs.cycle(2 * n), SPECTRAL_TOL).is_ramanujan
+        assert graphs.certify_ramanujan(graphs.cycle(2 * n)).is_ramanujan
     for index in range(200):
         g = _random_connected_bigraph(index)
-        cert = graphs.certify_ramanujan(g, SPECTRAL_TOL)
+        cert = graphs.certify_ramanujan(g)
         assert cert.def22 == cert.def23           # definition equivalence
 
 

@@ -206,7 +206,6 @@ def test_conditions_builtin_example():
     assert rep.division_condition is True
     assert rep.unit_norm_condition and rep.commuting_condition
     assert rep.witness_prime_a == 7 and rep.witness_prime_a2 == 7
-    assert rep.all_verified
 
 
 def test_conditions_a_one():

@@ -119,11 +119,11 @@ K33 = "<path of a K_3,3 graph file>"
     ["verify-algebra", "--a", "1-1"],
     ["verify-algebra", "--kind", "nongalois", "--b", "0"],
     ["primes", "--up-to", "1"],
-    ["certify", K33, "--tolerance", "nan"],    # K_3,3 is Ramanujan: nan must not fail it
+    ["certify", K33, "--tolerance", "nan"],    # no command takes a --tolerance: it is fixed
     ["certify", K33, "--tolerance", "inf"],
     ["certify", K33, "--tolerance", "-1"],
-    ["certify", K33, "--tolerance", "-1e-9"],  # argparse took an exponent for an option
-    ["spectrum", K33, "--tolerance", "nan"],   # spectrum takes no --tolerance at all
+    ["certify", K33, "--tolerance", "-1e-9"],
+    ["spectrum", K33, "--tolerance", "nan"],
     ["spectrum", K33, "--tolerance", "-0.5"],
     ["spectrum", K33, "--tolerance", "0"],
     ["expansion", K33, "--ceiling", "100"],    # every bound is fixed, none is an option
@@ -132,6 +132,8 @@ K33 = "<path of a K_3,3 graph file>"
     ["verify-algebra", "--witness-limit", "300"],
     ["primes", "--up", "10"],                  # no option takes an abbreviation
     ["verify-algebra", "--sam", "1"],
+    ["verify-algebra", "--a", "-1e-9"],        # an exponent is no integer, and no option name
+    ["verify-algebra", "--samples", "-1e3"],
 ], ids=["b-with-galois", "a-with-nongalois", "a-True", "a-False", "paper-suite-with-command",
         "seed-before-command", "samples-0", "samples-negative", "deep-sum", "deep-negation",
         "radius-negative", "tree-degree-1", "a-zero", "b-zero", "up-to-1",
@@ -139,27 +141,27 @@ K33 = "<path of a K_3,3 graph file>"
         "certify-tolerance-negative-exponent",
         "spectrum-tolerance-nan", "spectrum-tolerance-negative", "spectrum-tolerance-zero",
         "expansion-ceiling", "tree-ceiling", "finite-group-ceiling",
-        "verify-algebra-witness-limit", "primes-abbreviated", "verify-algebra-abbreviated"])
+        "verify-algebra-witness-limit", "primes-abbreviated", "verify-algebra-abbreviated",
+        "a-negative-exponent", "samples-negative-exponent"])
 def test_ignored_or_non_integer_input_is_usage_error(tmp_path, capsys, argv):
     k33 = write_graph(tmp_path, graphs.complete_bipartite(3, 3))
     code, rep = run([k33 if a == K33 else a for a in argv], capsys)
     assert (code, rep["command"]) == (64, "usage-error")
-    removed = [i for i, a in enumerate(argv) if a in ("--ceiling", "--witness-limit", "--sam")
-               or (argv[0], a) == ("spectrum", "--tolerance")]
+    removed = [i for i, a in enumerate(argv)
+               if a in ("--ceiling", "--witness-limit", "--sam", "--tolerance")]
     if removed:
         assert rep["results"]["error"] == "unrecognized arguments: " + " ".join(argv[removed[0]:])
     elif "--up" in argv:                       # --up-to is required, and --up is not it
         assert rep["results"]["error"] == "the following arguments are required: --up-to"
-    elif "--tolerance" in argv:
-        assert rep["results"]["error"] == "--tolerance must be finite and at least 0"
 
 
 # every option of the CLI, by subcommand ("" is the top level): each bound on
-# a scan is a fixed constant, so a new option shows up as a diff of this table
+# a scan and each tolerance is a fixed constant, so a new option shows up as a
+# diff of this table
 CLI_OPTIONS = {
     "": ["--paper-suite", "--seed"],
     "verify-algebra": ["--kind", "--a", "--b", "--samples", "--seed"],
-    "certify": ["--format", "--tolerance"],
+    "certify": ["--format"],
     "spectrum": [],
     "expansion": [],
     "tree": ["--l", "--m", "--radius", "--root-side", "--out"],
@@ -176,15 +178,11 @@ def test_cli_options_are_pinned():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert {"": options(parser), **{name: options(p) for name, p in sub.choices.items()}} == \
         CLI_OPTIONS
+    # argparse reads -1e-9 as an option name, not a number: no option takes a float
+    assert not any(a.type is float for p in (parser, *sub.choices.values()) for a in p._actions)
     # an option string is taken whole or not at all: no prefix names it
     assert not parser.allow_abbrev
     assert not any(p.allow_abbrev for p in sub.choices.values())
-
-
-def test_tolerance_zero_is_valid(tmp_path, capsys):
-    k33 = write_graph(tmp_path, graphs.complete_bipartite(3, 3))
-    code, rep = run(["certify", k33, "--tolerance", "0"], capsys)
-    assert (code, rep["command"]) == (0, "certify")
 
 
 def test_verify_algebra_bad_expression(capsys):
@@ -227,27 +225,30 @@ def test_single_vertex_graph(tmp_path, capsys):
     assert (code, rep["command"]) == (2, "precondition-error")
 
 
-def test_certify_disagreeing_windows_is_precondition(tmp_path, capsys):
+def test_certify_disagreeing_windows_is_precondition(tmp_path, capsys, monkeypatch):
     # at tolerance 0.2, lambda(K_2,3) = 0 fails def22 but passes def23
+    monkeypatch.setattr(graphs, "DEFAULT_TOLERANCE", 0.2)
     k23 = write_graph(tmp_path, graphs.complete_bipartite(2, 3))
-    code, rep = run(["certify", k23, "--tolerance", "0.2"], capsys)
+    code, rep = run(["certify", k23], capsys)
     assert (code, rep["command"]) == (2, "precondition-error")
     assert "def22 and def23" in rep["results"]["error"]
 
 
-def test_certify_tolerance_zero_gets_a_verdict(tmp_path, capsys):
+def test_certify_tolerance_zero_gets_a_verdict(tmp_path, capsys, monkeypatch):
     # the SVD route exited 2 on both: a trivial eigenvalue "not found" by rounding
+    monkeypatch.setattr(graphs, "DEFAULT_TOLERANCE", 0.0)
     for g in (graphs.random_biregular(60, 180, 9, 3, seed=0), graphs.cycle(7)):
-        code, rep = run(["certify", write_graph(tmp_path, g), "--tolerance", "0"], capsys)
+        code, rep = run(["certify", write_graph(tmp_path, g)], capsys)
         assert (code, rep["command"]) in ((0, "certify"), (1, "certify"))
 
 
-def test_certify_large_tolerance_gets_a_verdict(tmp_path, capsys):
+def test_certify_large_tolerance_gets_a_verdict(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(graphs, "DEFAULT_TOLERANCE", 5.0)
     k33 = write_graph(tmp_path, graphs.complete_bipartite(3, 3), "k33.json")
-    code, rep = run(["certify", k33, "--tolerance", "5"], capsys)
+    code, rep = run(["certify", k33], capsys)
     assert (code, rep["command"]) == (0, "certify")
     disc = write_graph(tmp_path, graphs.Graph(4, ((0, 1), (2, 3))), "disc.json")
-    code, rep = run(["certify", disc, "--tolerance", "5"], capsys)
+    code, rep = run(["certify", disc], capsys)
     assert (code, rep["command"]) == (2, "precondition-error")
 
 

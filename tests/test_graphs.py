@@ -194,34 +194,38 @@ def test_edge_array_input_is_copied():
     assert Graph(3, np.array([[2, 1]], dtype=np.uint8)).edges == ((1, 2),)
 
 
-@pytest.mark.parametrize("edges, parts, message", [
-    ([(0.5, 1), (0, 2.9)], None, "pairs of integer vertex ids"),    # was read as (0, 1), (0, 2)
-    ([("0", "1")], None, "pairs of integer vertex ids"),
-    ([(0, 1, 2)], None, "pairs of integer vertex ids"),
-    ([5], None, "pairs of integer vertex ids"),
-    ([(0, 1), (1, 2.0)], None, "pairs of integer vertex ids"),
-    (np.array([[0.0, 1.0]]), None, "pairs of integer vertex ids"),
-    (np.array([[False, True]]), None, "pairs of integer vertex ids"),
-    (np.array([0, 1]), None, "pairs of integer vertex ids"),
-    (np.zeros((1, 3), dtype=int), None, "pairs of integer vertex ids"),
-    ([(0, 1)], (0, 1.0, 1), "parts must assign"),                   # was stored as given
-    ([(0, 1)], ("0", "1", "1"), "parts must assign"),
-    ([(0, 1)], np.array([0.0, 1.0, 1.0]), "parts must assign"),
-    ([(0, 1)], np.array([[0, 1, 1]]), "parts must assign"),
-    ([(0, 1)], (0, 1, 2 ** 64), "parts must assign"),
+@pytest.mark.parametrize("n, edges, parts, message", [
+    (3, [(0.5, 1), (0, 2.9)], None, "pairs of integer vertex ids"),   # was read as (0, 1), (0, 2)
+    (3, [("0", "1")], None, "pairs of integer vertex ids"),
+    (3, [(0, 1, 2)], None, "pairs of integer vertex ids"),
+    (3, [5], None, "pairs of integer vertex ids"),
+    (3, [(0, 1), (1, 2.0)], None, "pairs of integer vertex ids"),
+    (3, np.array([[0.0, 1.0]]), None, "pairs of integer vertex ids"),
+    (3, np.array([[False, True]]), None, "pairs of integer vertex ids"),
+    (3, np.array([0, 1]), None, "pairs of integer vertex ids"),
+    (3, np.zeros((1, 3), dtype=int), None, "pairs of integer vertex ids"),
+    (3, [(0, 1)], (0, 1.0, 1), "parts must assign"),                  # was stored as given
+    (3, [(0, 1)], ("0", "1", "1"), "parts must assign"),
+    (3, [(0, 1)], np.array([0.0, 1.0, 1.0]), "parts must assign"),
+    (3, [(0, 1)], np.array([[0, 1, 1]]), "parts must assign"),
+    (3, [(0, 1)], (0, 1, 2 ** 64), "parts must assign"),
+    (2.5, [(0, 1)], None, "vertex count must be an integer"),   # built, then analysis raised
+    (True, [], None, "vertex count must be an integer"),        # was written as "n": true
 ], ids=["float-ids", "str-ids", "triple", "bare-int", "one-float", "float-array",
         "bool-array", "flat-array", "three-columns", "float-part", "str-parts",
-        "float-parts-array", "parts-2d", "part-past-int64"])
-def test_non_integer_ids_and_parts_are_refused(edges, parts, message):
+        "float-parts-array", "parts-2d", "part-past-int64", "float-n", "bool-n"])
+def test_non_integer_ids_and_parts_are_refused(n, edges, parts, message):
     with pytest.raises(GraphError, match=message):
-        Graph(3, edges, parts)
+        Graph(n, edges, parts)
 
 
 def test_parts_are_python_ints():
-    # numpy and bool parts are stored as Python ints, so the graph's JSON
-    # document dumps and reads back
-    for parts in (np.array([0, 1, 1]), (False, True, True), (np.int8(0), 1, np.int64(1))):
-        g = Graph(3, [(0, 1), (0, 2)], parts)
+    # a numpy vertex count and numpy and bool parts are stored as Python ints,
+    # so the graph's JSON document dumps and reads back
+    for n, parts in ((3, np.array([0, 1, 1])), (3, (False, True, True)),
+                     (np.int64(3), (np.int8(0), 1, np.int64(1)))):
+        g = Graph(n, [(0, 1), (0, 2)], parts)
+        assert type(g.n) is int and g.n == 3
         assert g.parts == (0, 1, 1) and all(type(c) is int for c in g.parts)
         assert graph_from_json(json.loads(json.dumps(graph_to_json(g)))) == g
 
@@ -337,7 +341,7 @@ def test_certify_preconditions():
 def test_complete_bipartite_lambda_is_exactly_zero():
     for a in range(1, 10):
         for b in range(a, 10):
-            cert = certify_ramanujan(complete_bipartite(a, b), 0.0)
+            cert = certify_ramanujan(complete_bipartite(a, b))
             assert cert.lam == 0.0 and cert.eigenproblem == (a, a)
 
 
