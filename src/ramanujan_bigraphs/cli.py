@@ -14,8 +14,8 @@ the other tagged values are facts that decide nothing.
 
 Every bound on a scan and every tolerance is a fixed module constant, not an
 option.  A run above a bound is refused with exit 2, and the report's inputs
-record the bound that applied, as ceiling (expansion:
-graphs.DEFAULT_EXPANSION_CEILING, tree: trees.DEFAULT_TREE_CEILING,
+record the bound that applied, read as the report is built, as ceiling
+(expansion: graphs.DEFAULT_EXPANSION_CEILING, tree: trees.DEFAULT_TREE_CEILING,
 finite-group: lattices.DEFAULT_ENUM_CEILING, spectrum and random-bigraph on
 n1 + n2: graphs.SPECTRUM_CEILING, primes: lattices.PRIMES_CEILING), as
 edge_ceiling (random-bigraph on its n1 * l edges: graphs.EDGE_CEILING) or as
@@ -276,7 +276,7 @@ def cmd_tree(args):
     )
     return {
         "vertices": exact(ball.graph.n),
-        "edges": exact(len(ball.graph.edges)),
+        "edges": exact(len(ball.graph.edge_array())),
         "level_counts": exact(list(ball.level_counts)),
         "closed_form_counts": exact(closed_form),
         "identity_covering": Check(covering),
@@ -407,20 +407,20 @@ def build_parser() -> _Parser:
     p.add_argument("--b", help="defining constant in E (nongalois kind), e.g. '2*zeta3'")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify_algebra, witness_limit=algebra.WITNESS_LIMIT)
+    p.set_defaults(func=cmd_verify_algebra, witness_limit=lambda: algebra.WITNESS_LIMIT)
 
     p = sub.add_parser("certify", help="Ramanujan certification of a graph file")
     p.add_argument("graph")
     p.add_argument("--format", choices=["json", "dot"], default="json")
-    p.set_defaults(func=cmd_certify, tolerance=graphs.DEFAULT_TOLERANCE)
+    p.set_defaults(func=cmd_certify, tolerance=lambda: graphs.DEFAULT_TOLERANCE)
 
     p = sub.add_parser("spectrum", help="adjacency spectrum of a graph file")
     p.add_argument("graph")
-    p.set_defaults(func=cmd_spectrum, ceiling=graphs.SPECTRUM_CEILING)
+    p.set_defaults(func=cmd_spectrum, ceiling=lambda: graphs.SPECTRUM_CEILING)
 
     p = sub.add_parser("expansion", help="exact expansion coefficient (brute force)")
     p.add_argument("graph")
-    p.set_defaults(func=cmd_expansion, ceiling=graphs.DEFAULT_EXPANSION_CEILING)
+    p.set_defaults(func=cmd_expansion, ceiling=lambda: graphs.DEFAULT_EXPANSION_CEILING)
 
     p = sub.add_parser("tree", help="biregular tree ball")
     p.add_argument("--l", type=int, required=True)
@@ -428,16 +428,16 @@ def build_parser() -> _Parser:
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--root-side", choices=["l", "m"], default="l")
     p.add_argument("--out", help="write the ball as a graph JSON file")
-    p.set_defaults(func=cmd_tree, ceiling=trees.DEFAULT_TREE_CEILING)
+    p.set_defaults(func=cmd_tree, ceiling=lambda: trees.DEFAULT_TREE_CEILING)
 
     p = sub.add_parser("primes", help="good (inert) primes")
     p.add_argument("--up-to", type=int, required=True)
-    p.set_defaults(func=cmd_primes, ceiling=lattices.PRIMES_CEILING)
+    p.set_defaults(func=cmd_primes, ceiling=lambda: lattices.PRIMES_CEILING)
 
     p = sub.add_parser("finite-group", help="enumerate SU3 over a residue ring")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, default=1)
-    p.set_defaults(func=cmd_finite_group, ceiling=lattices.DEFAULT_ENUM_CEILING)
+    p.set_defaults(func=cmd_finite_group, ceiling=lambda: lattices.DEFAULT_ENUM_CEILING)
 
     p = sub.add_parser("random-bigraph", help="seeded random biregular bipartite graph")
     p.add_argument("--n1", type=int, required=True)
@@ -446,8 +446,9 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", help="write the graph as a JSON file")
-    p.set_defaults(func=cmd_random_bigraph, ceiling=graphs.SPECTRUM_CEILING,   # on n1 + n2
-                   edge_ceiling=graphs.EDGE_CEILING)                         # on n1 * l
+    p.set_defaults(func=cmd_random_bigraph,
+                   ceiling=lambda: graphs.SPECTRUM_CEILING,     # on n1 + n2
+                   edge_ceiling=lambda: graphs.EDGE_CEILING)    # on n1 * l
 
     return parser
 
@@ -474,8 +475,8 @@ def main(argv=None) -> int:
         else:
             raise UsageError("a subcommand or --paper-suite is required")
         # a precondition-error report keeps the inputs too: they hold the
-        # ceiling that refused the run
-        inputs = {k: v for k, v in vars(args).items()
+        # ceiling that refused the run, read now, as the command reads it
+        inputs = {k: v() if callable(v) else v for k, v in vars(args).items()
                   if k not in ("func", "paper_suite", "suite_seed") and v is not None}
         command = args.command or "paper-suite"
         results, notes = args.func(args)

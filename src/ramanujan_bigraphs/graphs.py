@@ -9,11 +9,12 @@ Conventions
   them in one read-only (E, 2) int64 array, ``edge_array()``, with
   whole-array checks of range, loops, repeats and the declared parts (a
   short scan names the first bad edge); no check forms a key lo * n, since
-  n may exceed int64.  ``edges``, the sorted tuple of (lo, hi) pairs with
-  lo < hi, is built once from that array.  Declared parts are kept as a
-  tuple of ints 0/1 and as the read-only int8 array ``parts_array()``.  A
-  Graph is frozen, so its arrays, its neighbour tuples and its structure
-  report are built at most once per instance and shared by every caller.
+  n may exceed int64.  Declared parts are kept as the read-only int8 array
+  ``parts_array()``.  ``edges``, the sorted tuple of (lo, hi) pairs with
+  lo < hi, and ``parts``, a tuple of ints 0/1, are built from the arrays:
+  at construction from pairs, on first read from an ndarray, so a graph
+  handed arrays and read as arrays holds no tuple per edge or vertex.  A
+  Graph is frozen, so what it builds is built at most once and shared.
 * ``spectrum`` lists n eigenvalues, so it refuses n > SPECTRUM_CEILING, and
   ``random_biregular`` refuses to draw a graph that ``spectrum`` would refuse
   or with over EDGE_CEILING edges; it repairs one stub pairing by switches.
@@ -92,17 +93,23 @@ class Graph:
         if n < 0:
             raise GraphError("vertex count must be non-negative")
         object.__setattr__(self, "n", n)    # a Python int, as JSON needs
-        ends, edges = _canonical_edges(self.n, self.edges)
-        object.__setattr__(self, "edges", edges)
-        self.__dict__["_edge_array"] = ends
+        ends = self.__dict__["_edge_array"] = _canonical_edges(self.n, self.edges)
         if self.parts is not None:
-            side = _parts_array(self.n, self.parts)
+            side = self.__dict__["_parts_array"] = _parts_array(self.n, self.parts)
             clash = np.flatnonzero(side[ends[:, 0]] == side[ends[:, 1]])
             if clash.size:
                 u, v = ends[clash[0]].tolist()
                 raise GraphError(f"edge ({u},{v}) violates the declared parts")
-            object.__setattr__(self, "parts", tuple(side.tolist()))
-            self.__dict__["_parts_array"] = side
+        for name, build in _TUPLES.items():
+            if isinstance(self.__dict__[name], np.ndarray):
+                del self.__dict__[name]         # __getattr__ builds it on first read
+            elif self.__dict__[name] is not None:
+                self.__dict__[name] = build(self)
+
+    def __getattr__(self, name):    # edges or parts handed in as an ndarray
+        if name not in _TUPLES:
+            raise AttributeError(f"'Graph' object has no attribute {name!r}")
+        return _once(self, name, _TUPLES[name])
 
     def edge_array(self) -> np.ndarray:
         """The edges as a read-only (E, 2) int64 array, row i = edges[i]:
@@ -127,6 +134,12 @@ class Graph:
         u, v = self.edge_array().T
         a[u, v] = a[v, u] = 1.0
         return a
+
+
+# edges and parts as tuples of Python ints, from the arrays the graph keeps
+_TUPLES = {"edges": lambda g: tuple(zip(*g.edge_array().T.tolist())),
+           "parts": lambda g: tuple(g.parts_array().tolist())}
+del Graph.parts     # its class default None would answer for a deferred parts
 
 
 @dataclass(frozen=True)
@@ -168,13 +181,12 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 def _canonical_edges(
     n: int, edges: Union[np.ndarray, Iterable[Tuple[int, int]]]
-) -> Tuple[np.ndarray, Tuple[Tuple[int, int], ...]]:
-    """The edges as sorted (lo, hi) pairs with lo < hi: a read-only (E, 2)
-    int64 array, and the tuple of int pairs built from it.  ``edges`` is an
-    integer ndarray of shape (E, 2), taken as it is, or any iterable of
-    pairs, whose ids are read through ``operator.index``, so 1.0 and "1" are
-    refused.  Raises GraphError for a vertex outside range(n) or int64, a
-    loop or a repeated edge."""
+) -> np.ndarray:
+    """The edges as sorted (lo, hi) pairs with lo < hi, in a read-only (E, 2)
+    int64 array.  ``edges`` is an integer ndarray of shape (E, 2), taken as
+    it is, or any iterable of pairs, whose ids are read through
+    ``operator.index``, so 1.0 and "1" are refused.  Raises GraphError for a
+    vertex outside range(n) or int64, a loop or a repeated edge."""
     if isinstance(edges, np.ndarray):
         if edges.ndim != 2 or edges.shape[1] != 2 or not np.issubdtype(edges.dtype, np.integer):
             raise GraphError("edges must be pairs of integer vertex ids")
@@ -200,13 +212,14 @@ def _canonical_edges(
     ascending = (lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))
     if not ((u < v).all() and ascending.all()):     # canonical edges have no repeats
         order = np.lexsort((hi, lo))
-        ends = np.stack((lo[order], hi[order]), axis=1)
-        if (ends[1:] == ends[:-1]).all(axis=1).any():
+        first, second = lo[order], hi[order]
+        if ((first[1:] == first[:-1]) & (second[1:] == second[:-1])).any():
             seen = set()    # name the first repeat in input order
             key = next(k for k in zip(lo.tolist(), hi.tolist()) if k in seen or seen.add(k))
             raise GraphError(f"duplicate edge {key}")
+        ends = np.stack((first, second), axis=1)
     ends.flags.writeable = False
-    return ends, tuple(zip(*ends.T.tolist()))
+    return ends
 
 
 def _raise_first_bad_edge(n: int, edges) -> None:
@@ -262,7 +275,7 @@ def _connected(g: Graph) -> bool:
     """``analyze_structure(g).connected``, but False from the counts alone when
     n >= 2 vertices have fewer than n - 1 edges: no per-vertex work for that,
     so a huge isolated n is refused without allocating per vertex."""
-    return not (g.n >= 2 and len(g.edges) < g.n - 1) and analyze_structure(g).connected
+    return not (g.n >= 2 and len(g.edge_array()) < g.n - 1) and analyze_structure(g).connected
 
 
 def _structure(g: Graph) -> StructureReport:
@@ -643,9 +656,9 @@ def random_biregular(n1: int, n2: int, l: int, m: int, seed: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 def graph_to_json(g: Graph) -> dict:
-    doc = {"n": g.n, "edges": [list(e) for e in g.edges]}
-    if g.parts is not None:
-        doc["parts"] = list(g.parts)
+    doc = {"n": g.n, "edges": g.edge_array().tolist()}
+    if g.parts_array() is not None:
+        doc["parts"] = g.parts_array().tolist()
     return doc
 
 

@@ -9,9 +9,10 @@ supplied quotient data via a local covering-map check and a bidegree check
 
 The ball construction, the ball validation and the covering check are
 whole-array work over each graph's (E, 2) edge array (``Graph.edge_array``):
-the parents of each level come from ``np.repeat``, and the ball's edges and
-parts reach ``Graph`` as int arrays; the depths come from at most
-``radius`` level steps and the degrees from ``np.bincount``.  A vertex map
+the parents of each level come from ``np.repeat``, the ball's edges and
+parts reach ``Graph`` as int arrays and stay arrays unless a caller reads
+``edges`` or ``parts``, the depths come from at most ``radius`` level steps
+and the degrees from ``np.bincount``.  A vertex map
 is an array of images (a dict becomes one), and the bipartition test reads
 the parts array each graph keeps (``Graph.parts_array``).  Every quantity
 stays an integer.
@@ -105,7 +106,7 @@ def _validate_ball(ball: TreeBall) -> np.ndarray:
     neighbours of level k - 1, gathered from the adjacency lists in one
     array step, for at most ``radius`` levels."""
     g = ball.graph
-    if len(g.edges) != g.n - 1:
+    if len(g.edge_array()) != g.n - 1:
         raise GraphError("tree ball is not acyclic")
     if not 0 <= ball.root < g.n:
         raise GraphError(f"root {ball.root} is not a vertex of the ball")
@@ -176,7 +177,7 @@ def check_local_covering(c: CoveringCandidate) -> bool:
     if not own_ball and not _connected(cod):
         raise GraphClassError("covering codomain must be connected")
     image = _image_array(c.vertex_map, dom.n, cod.n)
-    if dom.parts is not None and cod.parts is not None and dom.n > 0:
+    if dom.parts_array() is not None and cod.parts_array() is not None and dom.n > 0:
         # the map must respect the bipartitions up to a global color flip
         flip = cod.parts_array()[image] ^ dom.parts_array()
         if (flip != flip[0]).any():
@@ -186,8 +187,8 @@ def check_local_covering(c: CoveringCandidate) -> bool:
     # n < 3e9, and the key lo * n + hi < n^2 fits in int64.  Sorted edges
     # give sorted keys.
     ends, cod_ends = dom.edge_array(), cod.edge_array()
-    mapped = image[ends]
-    keys = mapped.min(axis=1) * cod.n + mapped.max(axis=1)
+    u, v = image[ends].T
+    keys = np.minimum(u, v) * cod.n + np.maximum(u, v)
     cod_keys = cod_ends[:, 0] * cod.n + cod_ends[:, 1]
     found = np.append(cod_keys, -1)[np.searchsorted(cod_keys, keys)] == keys   # -1: no key
     if not found.all():
@@ -243,7 +244,7 @@ def quotient_handshake_check(g: Graph, p: int) -> bool:
     ``BiregularProfile`` enforces n1 l = n2 m when it is built."""
     if not is_prime(p):
         raise GraphError(f"{p} is not prime")
-    if g.n > 2 * len(g.edges):         # a vertex is isolated: no per-vertex work for that
+    if g.n > 2 * len(g.edge_array()):     # a vertex is isolated: no per-vertex work for that
         return False
     profile = analyze_structure(g).profile
     return isinstance(profile, BiregularProfile) and (profile.l, profile.m) == (p ** 3 + 1, p + 1)

@@ -325,6 +325,19 @@ def test_finite_group_and_ceiling(tmp_path, capsys, monkeypatch):
             (2, "precondition-error", ceiling)
 
 
+def test_inputs_record_the_constants_read_per_report(tmp_path, capsys, monkeypatch):
+    # the cached parser is built before the constants change; each report
+    # records the bound and the tolerance that applied to it
+    cli._parser()
+    monkeypatch.setattr(trees, "DEFAULT_TREE_CEILING", 5)
+    monkeypatch.setattr(graphs, "DEFAULT_TOLERANCE", 0.25)
+    code, rep = run(["tree", "--l", "9", "--m", "3", "--radius", "4"], capsys)
+    assert (code, rep["command"], rep["inputs"]["ceiling"]) == (2, "precondition-error", 5)
+    code, rep = run(["certify", write_graph(tmp_path, graphs.complete_bipartite(3, 3))], capsys)
+    assert (code, rep["inputs"]["tolerance"]) == (0, 0.25)
+    assert rep["results"]["certificate"]["def22"]["method"] == "floating(0.25)"
+
+
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     def crash(bound):
         raise RuntimeError("boom")

@@ -177,6 +177,13 @@ def test_array_and_tuple_input_agree(args):
     assert _built(n, edges, side) == want
     if not isinstance(want, str):
         g = Graph(n, ends, side)
+        kept = g.edge_array()
+        # ndarray arguments stay arrays until edges or parts is read; then the
+        # graph is the one the pairs give, to ==, hash and repr too
+        assert "edges" not in vars(g) and ("parts" in vars(g)) == (parts is None)
+        twin = Graph(n, edges, parts)
+        assert hash(g) == hash(twin) and repr(g) == repr(twin) and g == twin
+        assert g.edge_array() is kept
         assert all(type(v) is int for v in itertools.chain(*g.edges, g.parts or ()))
         assert g.edge_array().dtype == np.int64 and not g.edge_array().flags.writeable
         assert g.parts is None or (g.parts_array().dtype == np.int8
@@ -703,3 +710,19 @@ def test_json_ids_must_be_integers(doc):
 def test_dot_export():
     dot = to_dot(complete_bipartite(2, 2))
     assert dot.startswith("graph G {") and "0 -- 2;" in dot
+
+
+def test_save_graph_of_an_array_built_graph(tmp_path):
+    # written from the arrays, byte for byte the document the tuples gave
+    path = tmp_path / "g.json"
+    save_graph(Graph(3, np.array([[2, 1]]), np.array([0, 1, 0])), path)
+    assert path.read_text() == \
+        '{\n  "n": 3,\n  "edges": [\n    [\n      1,\n      2\n    ]\n  ],\n' \
+        '  "parts": [\n    0,\n    1,\n    0\n  ]\n}\n'
+    for g in (random_biregular(3, 9, 9, 3, seed=1), biregular_tree_ball(9, 3, 3).graph,
+              Graph(4, np.array([[3, 0], [1, 2]]))):
+        save_graph(g, path)
+        doc = {"n": g.n, "edges": [list(e) for e in g.edges]}
+        if g.parts is not None:
+            doc["parts"] = list(g.parts)
+        assert path.read_text() == json.dumps(doc, indent=2) + "\n"

@@ -1,6 +1,7 @@
 """Unit tests for biregular tree balls and quotient validators."""
 
 import itertools
+import json
 import random
 import types
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramanujan_bigraphs import graphs, trees
+from ramanujan_bigraphs import cli, graphs, trees
 from ramanujan_bigraphs.graphs import Graph, GraphClassError, GraphError, complete_bipartite, cycle, random_biregular, spectrum
 from ramanujan_bigraphs.trees import (
     CoveringCandidate,
@@ -96,6 +97,20 @@ def test_ball_matches_tuple_built_graph(l, m, r, side):
     assert g == want and (g.edges, g.parts) == (want.edges, want.parts)
     assert all(type(v) is int for v in itertools.chain(*g.edges, g.parts))
     assert g.parts_array().tolist() == list(g.parts)
+
+
+def test_array_built_ball_builds_no_tuples(monkeypatch, capsys):
+    # the ball and the tree command read only the arrays; no edge or part
+    # tuple is built unless a caller reads edges or parts
+    ball = biregular_tree_ball(28, 4, 3)
+    assert not {"edges", "parts"} & vars(ball.graph).keys()
+
+    def refuse(g):
+        raise AssertionError("a tuple of edges or parts was built")
+    for name in ("edges", "parts"):
+        monkeypatch.setitem(graphs._TUPLES, name, refuse)
+    assert cli.main(["tree", "--l", "28", "--m", "4", "--radius", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["edges"]["value"] == 2380
 
 
 def test_ball_beyond_its_radius_is_refused():
