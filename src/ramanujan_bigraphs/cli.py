@@ -318,7 +318,8 @@ def cmd_random_bigraph(args):
     rep = graphs.analyze_structure(g)
     p = rep.profile
     if isinstance(p, graphs.RegularProfile):    # l = m: the sides are counted from the parts
-        p = graphs.BiregularProfile(g.parts.count(0), g.parts.count(1), p.k, p.k)
+        n2 = int(np.count_nonzero(g.parts_array()))
+        p = graphs.BiregularProfile(g.n - n2, n2, p.k, p.k)
     return {
         "graph": doc,
         "connected": exact(rep.connected),

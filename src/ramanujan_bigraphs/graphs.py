@@ -11,10 +11,12 @@ Conventions
   short scan names the first bad edge); no check forms a key lo * n, since
   n may exceed int64.  Declared parts are kept as the read-only int8 array
   ``parts_array()``.  ``edges``, the sorted tuple of (lo, hi) pairs with
-  lo < hi, and ``parts``, a tuple of ints 0/1, are built from the arrays:
-  at construction from pairs, on first read from an ndarray, so a graph
-  handed arrays and read as arrays holds no tuple per edge or vertex.  A
-  Graph is frozen, so what it builds is built at most once and shared.
+  lo < hi, and ``parts``, a tuple of ints 0/1, are built from the arrays on
+  first read, so a graph read as arrays holds no tuple per edge or vertex.
+  A Graph is frozen, so what it builds is built at most once and shared.
+* ``analyze_structure`` is one whole-array pass: the components of the
+  bipartite double cover (of g itself, given parts) give connectivity,
+  bipartiteness and the 2-colouring, and ``np.bincount`` the degrees.
 * ``spectrum`` lists n eigenvalues, so it refuses n > SPECTRUM_CEILING, and
   ``random_biregular`` refuses to draw a graph that ``spectrum`` would refuse
   or with over EDGE_CEILING edges; it repairs one stub pairing by switches.
@@ -100,13 +102,11 @@ class Graph:
             if clash.size:
                 u, v = ends[clash[0]].tolist()
                 raise GraphError(f"edge ({u},{v}) violates the declared parts")
-        for name, build in _TUPLES.items():
-            if isinstance(self.__dict__[name], np.ndarray):
+        for name in _TUPLES:
+            if self.__dict__[name] is not None:
                 del self.__dict__[name]         # __getattr__ builds it on first read
-            elif self.__dict__[name] is not None:
-                self.__dict__[name] = build(self)
 
-    def __getattr__(self, name):    # edges or parts handed in as an ndarray
+    def __getattr__(self, name):    # edges, or parts when parts were declared
         if name not in _TUPLES:
             raise AttributeError(f"'Graph' object has no attribute {name!r}")
         return _once(self, name, _TUPLES[name])
@@ -123,11 +123,11 @@ class Graph:
         return self.__dict__.get("_parts_array")
 
     def degrees(self) -> List[int]:
-        return [len(a) for a in self.neighbors()]
+        return np.bincount(self.edge_array().ravel(), minlength=self.n).tolist()
 
     def neighbors(self) -> Tuple[Tuple[int, ...], ...]:
-        """The neighbours of every vertex, built once per graph and shared."""
-        return _once(self, "_neighbors", _neighbor_lists)
+        """Every vertex's neighbours, ascending, built once per graph and shared."""
+        return _once(self, "_neighbors", _neighbor_tuples)
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -257,17 +257,22 @@ def _parts_array(n: int, parts) -> np.ndarray:
     return side
 
 
-def _neighbor_lists(g: Graph) -> Tuple[Tuple[int, ...], ...]:
-    nbr: List[List[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        nbr[u].append(v)
-        nbr[v].append(u)
-    return tuple(map(tuple, nbr))
+def _neighbor_tuples(g: Graph) -> Tuple[Tuple[int, ...], ...]:
+    u, v = g.edge_array().T
+    source, target = np.concatenate((u, v)), np.concatenate((v, u))
+    flat = target[np.lexsort((target, source))].tolist()
+    ends = np.bincount(source, minlength=g.n).cumsum().tolist()
+    return tuple(tuple(flat[i:j]) for i, j in zip([0] + ends, ends))
 
 
 def analyze_structure(g: Graph) -> StructureReport:
     """Connectivity, bipartition (if any), and the most specific degree
-    profile, from one BFS per graph: every later call returns the same report."""
+    profile, from one pass per graph: every later call returns the same report."""
+    return _analysed(g)[0]
+
+
+def _analysed(g: Graph) -> Tuple[StructureReport, Optional[np.ndarray]]:
+    """(analyze_structure(g), its bipartition as an int8 array or None), once per graph."""
     return _once(g, "_structure", _structure)
 
 
@@ -278,40 +283,56 @@ def _connected(g: Graph) -> bool:
     return not (g.n >= 2 and len(g.edge_array()) < g.n - 1) and analyze_structure(g).connected
 
 
-def _structure(g: Graph) -> StructureReport:
-    """BFS 2-colouring of every component, then the degree profile."""
-    color = [-1] * g.n
-    nbr = g.neighbors()
-    bipartite = True
-    components = 0
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        components += 1
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in nbr[u]:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    bipartite = False
-    bipartition = None
-    if bipartite:                      # declared parts win over the BFS colouring
-        bipartition = g.parts if g.parts is not None else tuple(color)
-    deg = g.degrees()
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The smallest vertex of each vertex's component, for the graph on
+    range(n) with edges (a[i], b[i]).  Min-label hooking with pointer
+    jumping (Shiloach and Vishkin, J. Algorithms 3, 1982): each round hooks
+    every root to the smallest root among its neighbours and flattens the
+    trees.  A root that neither hooks nor is hooked onto has only smaller
+    roots beside it in the next round, so it hooks then: the roots with an
+    edge to another tree at least halve every two rounds."""
+    label = np.arange(n)
+    ra, rb = a, b                           # every vertex starts as its own root
+    for _ in range(2 * n.bit_length() + 2):
+        np.minimum.at(label, np.maximum(ra, rb), np.minimum(ra, rb))
+        while ((up := label[label]) != label).any():
+            label = up
+        ra, rb = label[a], label[b]
+        cross = np.flatnonzero(ra != rb)    # edges inside one tree stay inside it
+        if not cross.size:
+            return label
+        a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
+    raise RuntimeError(f"components unresolved after {2 * n.bit_length() + 2} rounds")
+
+
+def _structure(g: Graph) -> Tuple[StructureReport, Optional[np.ndarray]]:
+    """Components of the bipartite double cover, where vertex x is x and
+    x + n and edge uv is u(v + n) and v(u + n); then the degree profile.
+    x's component of g is bipartite iff x and x + n lie in different
+    components of the cover, and the colour label[x] > label[x + n] gives
+    each component's smallest vertex 0, as a search from it would; g is
+    connected iff min(label[x], label[x + n]), that smallest vertex, is 0.
+    Declared parts are a 2-colouring already, so g's own components suffice."""
+    n, ends = g.n, g.edge_array()
+    side = g.parts_array()
+    if side is None:
+        label = _components(2 * n, ends.ravel(), (ends[:, ::-1] + n).ravel())
+        low, high = label[:n], label[n:]
+        roots = np.minimum(low, high)
+        side = (low > high).view(np.int8) if (low != high).all() else None
+    else:
+        roots = _components(n, ends[:, 0], ends[:, 1])
+    deg = np.bincount(ends.ravel(), minlength=n)
     profile: Optional[Union[RegularProfile, BiregularProfile]] = None
-    if g.n > 0 and len(set(deg)) == 1:
-        profile = RegularProfile(deg[0], bipartite)
-    elif bipartition is not None:
-        side = [{d for d, c in zip(deg, bipartition) if c == s} for s in (0, 1)]
-        if all(len(s) == 1 for s in side):
-            (d0,), (d1,) = side
-            n1 = bipartition.count(0 if d0 >= d1 else 1)
-            profile = BiregularProfile(n1, g.n - n1, max(d0, d1), min(d0, d1))
-    return StructureReport(components <= 1, bipartition, profile)
+    if n > 0 and deg.min() == deg.max():
+        profile = RegularProfile(int(deg[0]), side is not None)
+    elif side is not None:
+        by_side = [deg[side == s] for s in (0, 1)]
+        if all(d.size and d.min() == d.max() for d in by_side):
+            (n0, d0), (n1, d1) = ((d.size, int(d[0])) for d in by_side)
+            profile = BiregularProfile(*((n0, n1, d0, d1) if d0 > d1 else (n1, n0, d1, d0)))
+    bipartition = None if side is None else tuple(side.tolist())
+    return StructureReport(not roots.any(), bipartition, profile), side
 
 
 @dataclass(frozen=True)
@@ -323,13 +344,11 @@ class Spectrum:
     eigenproblem: Tuple[int, int] = field(kw_only=True)
 
 
-def _biadjacency_index(
-    g: Graph, coloring: Tuple[int, ...]
-) -> Tuple[int, np.ndarray, np.ndarray]:
-    """(r, i, j) for the biadjacency matrix B of a bipartite g: r is the size
-    of the smaller side (the rows of B), and edge e joins row i[e] of B to
-    column j[e]."""
-    rows = np.asarray(coloring, dtype=bool)
+def _biadjacency_index(g: Graph, side: np.ndarray) -> Tuple[int, np.ndarray, np.ndarray]:
+    """(r, i, j) for the biadjacency matrix B of g with 0/1 sides ``side``:
+    r is the size of the smaller side (the rows of B), and edge e joins row
+    i[e] of B to column j[e]."""
+    rows = side != 0
     if 2 * np.count_nonzero(rows) > g.n:
         rows = ~rows
     r = int(np.count_nonzero(rows))
@@ -343,18 +362,18 @@ def _biadjacency_index(
 
 def spectrum(g: Graph) -> Spectrum:
     """Spectrum of g from the SVD of its biadjacency matrix when g is
-    bipartite (declared ``parts``, else the BFS colouring), else from the
+    bipartite (declared ``parts``, else the structure pass's colouring), else from the
     eigenvalues of its adjacency matrix."""
     if g.n < 1:
         raise GraphClassError("spectrum requires at least one vertex")
     if g.n > SPECTRUM_CEILING:
         raise GraphClassError(f"n={g.n} exceeds the spectrum ceiling {SPECTRUM_CEILING}")
-    coloring = analyze_structure(g).bipartition
-    if coloring is None:
+    side = _analysed(g)[1]
+    if side is None:
         vals = np.linalg.eigvalsh(g.adjacency_matrix())
         shape = (g.n, g.n)
     else:
-        r, i, j = _biadjacency_index(g, coloring)
+        r, i, j = _biadjacency_index(g, side)
         b = np.zeros((r, g.n - r))
         b[i, j] = 1.0
         sigma = np.linalg.svd(b, compute_uv=False)
@@ -423,21 +442,23 @@ def deflated_lambda(
     is dropped by position from the eigenvalues of A, or from ``s``, g's
     ``spectrum``, when it is given.
     """
-    rep = analyze_structure(g)
+    rep, side = _analysed(g)
     if not rep.connected or rep.profile is None:
         raise GraphClassError("lambda requires a connected regular or biregular graph")
     p = rep.profile
     l, m = (p.k, p.k) if isinstance(p, RegularProfile) else (p.l, p.m)
     if l == 0:
         return 0.0, (0, 0), (l, m)
-    if rep.bipartition is None:
+    if side is None:
         theta = s.values if s is not None else np.linalg.eigvalsh(g.adjacency_matrix())[::-1]
         return float(max(theta[1], -theta[-1])), (g.n, g.n), (l, m)
-    r, i, j = _biadjacency_index(g, rep.bipartition)
+    r, i, j = _biadjacency_index(g, side)
     column_rows = i[np.argsort(j)].reshape(-1, m)
     pairs = (column_rows[:, :, None] * r + column_rows[:, None, :]).ravel()
-    gram = np.bincount(pairs, minlength=r * r).reshape(r, r)
-    top = np.linalg.eigvalsh((r * gram - l * m).astype(float))[-1]
+    # r G - lm J in one float64 array: sums of the integer weight r, exact
+    mat = np.bincount(pairs, weights=np.full(pairs.size, float(r)), minlength=r * r).reshape(r, r)
+    mat -= l * m
+    top = np.linalg.eigvalsh(mat)[-1]
     return math.sqrt(top / r), (r, r), (l, m)
 
 
@@ -688,13 +709,11 @@ def save_graph(g: Graph, path: str) -> None:
 
 def to_dot(g: Graph, name: str = "G") -> str:
     lines = [f"graph {name} {{"]
-    for v in range(g.n):
-        attrs = ""
-        if g.parts is not None:
-            shape = "circle" if g.parts[v] == 0 else "box"
-            attrs = f" [shape={shape}]"
-        lines.append(f"  {v}{attrs};")
-    for u, v in g.edges:
-        lines.append(f"  {u} -- {v};")
+    side = g.parts_array()
+    if side is None:
+        lines += [f"  {v};" for v in range(g.n)]
+    else:
+        lines += [f"  {v} [shape={('circle', 'box')[c]}];" for v, c in enumerate(side.tolist())]
+    lines += [f"  {u} -- {v};" for u, v in g.edge_array().tolist()]
     lines.append("}")
     return "\n".join(lines) + "\n"

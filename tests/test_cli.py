@@ -14,6 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -372,6 +373,31 @@ def test_random_bigraph_reports_its_profile(capsys, argv, profile):
     # an l = m draw is a regular graph, and its profile counts the sides from the parts
     code, rep = run(["random-bigraph", *argv], capsys)
     assert (code, rep["results"]["profile"]) == (0, {"value": profile, "method": "exact"})
+
+
+def test_commands_build_no_tuples(tmp_path, capsys, monkeypatch):
+    # the commands, and the library calls behind them on array-built graphs,
+    # read only the arrays: no edge or part tuple is built
+    def refuse(g):
+        raise AssertionError("a tuple of edges or parts was built")
+    for name in ("edges", "parts"):
+        monkeypatch.setitem(graphs._TUPLES, name, refuse)
+    out = str(tmp_path / "k66.json")
+    code, rep = run(["random-bigraph", "--n1", "6", "--n2", "6", "--l", "6", "--m", "6",
+                     "--seed", "3", "--out", out], capsys)
+    assert (code, rep["results"]["profile"]["value"]) == (0, [6, 6, 6, 6])
+    assert run(["tree", "--l", "9", "--m", "3", "--radius", "2"], capsys)[0] == 0
+    for argv in (["certify", out], ["certify", out, "--format", "dot"],
+                 ["spectrum", out], ["expansion", out]):
+        assert run(argv, capsys)[0] == 0
+    k66 = graphs.random_biregular(6, 6, 6, 6, 3)
+    c7 = graphs.Graph(7, np.array([(i, (i + 1) % 7) for i in range(7)]))
+    for g in (k66, c7):
+        assert graphs.certify_ramanujan(g).is_ramanujan
+        assert len(graphs.spectrum(g).values) == g.n
+        assert graphs.expansion_coefficient(g).lam is not None
+        assert graphs.to_dot(g).count(" -- ") == len(g.edge_array())
+        assert "edges" not in vars(g) and vars(g).get("parts") is None
 
 
 def test_random_bigraph_edge_ceiling(capsys):

@@ -178,10 +178,11 @@ def test_array_and_tuple_input_agree(args):
     if not isinstance(want, str):
         g = Graph(n, ends, side)
         kept = g.edge_array()
-        # ndarray arguments stay arrays until edges or parts is read; then the
-        # graph is the one the pairs give, to ==, hash and repr too
-        assert "edges" not in vars(g) and ("parts" in vars(g)) == (parts is None)
         twin = Graph(n, edges, parts)
+        # ndarray and pair arguments alike stay arrays until edges or parts is
+        # read; then the graph is the one the pairs give, to ==, hash and repr too
+        for built in (g, twin):
+            assert "edges" not in vars(built) and ("parts" in vars(built)) == (parts is None)
         assert hash(g) == hash(twin) and repr(g) == repr(twin) and g == twin
         assert g.edge_array() is kept
         assert all(type(v) is int for v in itertools.chain(*g.edges, g.parts or ()))
@@ -252,8 +253,99 @@ def test_analyze_examples():
     assert rep.profile == RegularProfile(2, False) and rep.bipartition is None
 
 
+def reference_neighbor_lists(g):
+    """Each vertex's neighbours, one edge tuple at a time."""
+    nbr = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbr[u].append(v)
+        nbr[v].append(u)
+    return tuple(map(tuple, nbr))
+
+
+def reference_structure(g):
+    """Connectivity, bipartition and profile from a search that 2-colours
+    each component from its smallest vertex: the pass the double cover
+    replaced."""
+    color = [-1] * g.n
+    nbr = reference_neighbor_lists(g)
+    bipartite = True
+    components = 0
+    for start in range(g.n):
+        if color[start] != -1:
+            continue
+        components += 1
+        color[start] = 0
+        queue = [start]
+        while queue:
+            u = queue.pop()
+            for v in nbr[u]:
+                if color[v] == -1:
+                    color[v] = 1 - color[u]
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    bipartite = False
+    bipartition = None
+    if bipartite:                      # declared parts win over the colouring
+        bipartition = g.parts if g.parts is not None else tuple(color)
+    deg = [len(a) for a in nbr]
+    profile = None
+    if g.n > 0 and len(set(deg)) == 1:
+        profile = RegularProfile(deg[0], bipartite)
+    elif bipartition is not None:
+        side = [{d for d, c in zip(deg, bipartition) if c == s} for s in (0, 1)]
+        if all(len(s) == 1 for s in side):
+            (d0,), (d1,) = side
+            n1 = bipartition.count(0 if d0 >= d1 else 1)
+            profile = BiregularProfile(n1, g.n - n1, max(d0, d1), min(d0, d1))
+    return graphs.StructureReport(components <= 1, bipartition, profile)
+
+
+@st.composite
+def structured_graphs(draw):
+    """A graph on 0..12 vertices whose components are cycles (odd beside
+    even), paths, isolated vertices and random blocks, under a random
+    labelling; with declared random parts half the time, keeping only the
+    edges across them."""
+    n = draw(st.integers(0, 12))
+    order = draw(st.permutations(range(n)))
+    edges, start = set(), 0
+    while start < n:
+        block = order[start:start + draw(st.integers(1, n - start))]
+        start += len(block)
+        kind = draw(st.sampled_from(["cycle", "path", "random"]))
+        if kind == "random" and len(block) > 1:
+            edges |= draw(st.sets(st.sampled_from(list(itertools.combinations(block, 2)))))
+        else:
+            edges |= set(zip(block, block[1:]))
+            if kind == "cycle" and len(block) > 2:
+                edges.add((block[-1], block[0]))
+    parts = None
+    if draw(st.booleans()):
+        parts = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        edges = {(u, v) for u, v in edges if parts[u] != parts[v]}
+    return Graph(n, tuple(edges), parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(structured_graphs())
+def test_structure_matches_the_search(g):
+    assert analyze_structure(g) == reference_structure(g)
+    assert g.neighbors() == reference_neighbor_lists(g)
+    assert g.degrees() == [len(a) for a in reference_neighbor_lists(g)]
+
+
+@pytest.mark.parametrize("g", [Graph(2000, tuple((i, i + 1) for i in range(1999))), cycle(301)],
+                         ids=["path-2000", "C301"])
+def test_structure_of_long_paths_and_odd_cycles(g):
+    # the longest chains the hooking can build, and an odd cycle whose two
+    # cover vertices meet only halfway round
+    rep = analyze_structure(g)
+    assert rep == reference_structure(g) and rep.connected
+    assert (rep.bipartition is None) == (g.n % 2 == 1)
+
+
 def test_each_graph_is_analysed_once(count_calls):
-    calls = count_calls(graphs, "_neighbor_lists", "_structure")
+    calls = count_calls(graphs, "_neighbor_tuples", "_components", "_structure")
     g = Graph(6, tuple((i, (i + 1) % 6) for i in range(6)))      # C_6, no declared parts
     rep = analyze_structure(g)
     spectrum(g)
@@ -263,7 +355,7 @@ def test_each_graph_is_analysed_once(count_calls):
     assert trees.check_local_covering(identity)
     assert not trees.quotient_handshake_check(g, 2)
     assert analyze_structure(g) is rep and g.degrees() == [2] * 6
-    assert calls == {"_neighbor_lists": 1, "_structure": 1}
+    assert calls == {"_neighbor_tuples": 1, "_components": 1, "_structure": 1}
     assert all(isinstance(a, tuple) for a in g.neighbors())     # shared, so immutable
 
 

@@ -60,7 +60,7 @@ def test_level_counts_are_measured_depths(side):
 
 
 def test_each_ball_is_searched_once(count_calls):
-    calls = count_calls(graphs, "_canonical_edges", "_neighbor_lists", "_structure")
+    calls = count_calls(graphs, "_canonical_edges", "_neighbor_tuples", "_components", "_structure")
     count_calls(trees, "_validate_ball")
     ball = biregular_tree_ball(9, 3, 3)
     ident = CoveringCandidate(ball, ball.graph, {v: v for v in range(ball.graph.n)})
