@@ -8,16 +8,24 @@ flavors are supported:
 * kind "nongalois": L = E(theta) with theta^3 = b and a = tau(b); the
   involution swaps theta and z.
 
-Elements are stored as L-triples; the 3x3 matrix image is derived.
+An element is one integer numerator vector over one positive denominator, in
+lowest terms: the numerators of l0, l1 and l2 in turn.  D's product and its
+involution are compiled once per algebra (kind, a, b), by numberfield's
+generator, into straight-line functions on those vectors: the structure
+tensor comes from the rows of the matrix image of the Q-basis, and the
+involution's matrix from its per-kind formula on that basis.  The L-triple
+``l``, the matrix image, the reduced norm and the inverse are read in L.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .numberfield import (
     CubicExtElem,
@@ -26,6 +34,11 @@ from .numberfield import (
     QuadElem,
     SQRT_M3,
     ZETA3_E,
+    _combination,
+    _compile,
+    _linear_kernel,
+    _lowest_terms,
+    _slots,
     galois_actions_commute,
     galois_rho,
     galois_tau,
@@ -80,6 +93,14 @@ class AlgebraParams:
         m0, m1, m2 = m
         return (self.a_l * m2.rho(), m0.rho(), m1.rho())
 
+    @functools.cached_property
+    def kernels(self) -> "_Kernels":
+        """D's compiled product and involution, shared by every equal params."""
+        return _compiled(self)
+
+    def __getstate__(self):   # a copy or pickle rebuilds the kernels when it needs them
+        return {k: v for k, v in self.__dict__.items() if k != "kernels"}
+
 
 def example_galois_params() -> AlgebraParams:
     """Built-in Galois-kind data: a = (2 + sqrt(-3)) / (2 - sqrt(-3))."""
@@ -94,59 +115,90 @@ def example_nongalois_params() -> AlgebraParams:
 
 
 class AlgebraElem:
-    """Element l0 + l1*z + l2*z^2 of the cyclic algebra."""
+    """Element l0 + l1*z + l2*z^2 of the cyclic algebra.
 
-    __slots__ = ("params", "l")
+    ``num`` holds the numerators of l0, l1, l2 in turn over the positive
+    ``den``, with gcd(den, *num) = 1.  The coordinates given may be elements
+    of the algebra's L, or ints, Fractions and QuadElems, which are embedded.
+    """
+
+    __slots__ = ("params", "num", "den", "_l")
 
     def __init__(self, params: AlgebraParams, l0, l1=None, l2=None):
+        one = params.one
+        triple = []
+        for c in (l0, l1, l2):
+            if c is None or isinstance(c, (int, Fraction, QuadElem)):
+                c = one.from_E(0 if c is None else c)
+            elif type(c) is not type(one):
+                raise ValueError(f"a {type(c).__name__} is not an element of the algebra's L")
+            triple.append(c)
         self.params = params
-        if l1 is None or l2 is None:
-            z = params.one.from_E(0)
-            l1, l2 = (z if c is None else c for c in (l1, l2))
-        self.l = (l0, l1, l2)
+        self.den = math.lcm(*(c.den for c in triple))   # in lowest terms, as each c is
+        self.num = tuple(x * (self.den // c.den) for c in triple for x in c.num)
+        self._l = tuple(triple)
+
+    @classmethod
+    def _new(cls, params: AlgebraParams, num: tuple, den: int) -> "AlgebraElem":
+        """num / den in lowest terms."""
+        out = object.__new__(cls)
+        out.params = params
+        out.num, out.den = _lowest_terms(num, den)
+        out._l = None
+        return out
+
+    @property
+    def l(self) -> tuple:
+        """The L-triple (l0, l1, l2), built on first read and kept."""
+        if self._l is None:
+            n = len(self.num) // 3
+            new = type(self.params.one)._new
+            self._l = tuple(new(*_lowest_terms(self.num[i:i + n], self.den))
+                            for i in (0, n, 2 * n))
+        return self._l
 
     @classmethod
     def scalar(cls, params: AlgebraParams, e) -> "AlgebraElem":
-        if isinstance(e, (int, Fraction, QuadElem)):
-            e = params.one.from_E(e)
         return cls(params, e)
 
     @classmethod
     def gen_z(cls, params: AlgebraParams) -> "AlgebraElem":
-        return cls(params, params.one.from_E(0), params.one)
+        return cls(params, 0, params.one)
 
     def _check(self, other: "AlgebraElem"):
-        if self.params != other.params:
+        if self.params is not other.params and self.params != other.params:
             raise ValueError("elements belong to different algebras")
 
     def __add__(self, other: "AlgebraElem"):
         self._check(other)
-        return AlgebraElem(self.params, *(a + b for a, b in zip(self.l, other.l)))
+        d, e = self.den, other.den
+        if d == e:
+            return self._new(self.params, tuple(x + y for x, y in zip(self.num, other.num)), d)
+        return self._new(self.params, tuple(x * e + y * d for x, y in zip(self.num, other.num)),
+                         d * e)
 
     def __sub__(self, other: "AlgebraElem"):
-        self._check(other)
-        return AlgebraElem(self.params, *(a - b for a, b in zip(self.l, other.l)))
+        return self + -other
 
     def __neg__(self):
-        return AlgebraElem(self.params, *(-a for a in self.l))
+        return self._new(self.params, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other: "AlgebraElem"):
         self._check(other)
-        # row k of A(e) is z^k e, so d e = sum of l_k (z^k e), column by column
-        l0, l1, l2 = self.l
-        cols = zip(*to_matrix(other))
-        return AlgebraElem(self.params, *(l0 * c0 + l1 * c1 + l2 * c2 for c0, c1, c2 in cols))
+        k = self.params.kernels
+        return self._new(self.params, k.product(self.num, other.num),
+                         self.den * other.den * k.product_den)
 
     def __eq__(self, other):
         if isinstance(other, AlgebraElem):
-            return self.params == other.params and self.l == other.l
+            return self.num == other.num and self.den == other.den and self.params == other.params
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.params, self.l))
+        return hash((self.params, self.num, self.den))
 
     def __bool__(self):
-        return any(bool(c) for c in self.l)
+        return any(self.num)
 
     def __repr__(self):
         return f"AlgebraElem({self.l[0]!r}, {self.l[1]!r}, {self.l[2]!r})"
@@ -193,20 +245,87 @@ def reduced_trace(d: AlgebraElem) -> QuadElem:
 
 def involution(d: AlgebraElem) -> AlgebraElem:
     """The involution of the second kind, per the algebra kind."""
-    p = d.params
-    l0, l1, l2 = d.l
+    k = d.params.kernels
+    return AlgebraElem._new(d.params, k.alpha(d.num), d.den * k.alpha_den)
+
+
+def _involution_formula(p: AlgebraParams, l: tuple) -> tuple:
+    """The involution on an L-triple, per the algebra kind: the compiled
+    kernel's matrix is read from it on the basis."""
+    l0, l1, l2 = l
     if p.kind == GALOIS:
         t, r = galois_tau, galois_rho
-        return AlgebraElem(
-            p,
-            t(l0),
-            p.ta_l * t(r(l2)),
-            p.ta_l * t(r(r(l1))),
-        )
+        return (t(l0), p.ta_l * t(r(l2)), p.ta_l * t(r(r(l1))))
     # non-Galois kind: transpose the theta/z coefficient grid and conjugate,
     # so the theta^k coefficient of l_j becomes the theta^j one of entry k
-    grid = zip(*(lj.coeffs for lj in d.l))
-    return AlgebraElem(p, *(CubicExtElem(*(e.conj() for e in col), b=p.b) for col in grid))
+    grid = zip(*(lj.coeffs for lj in l))
+    return tuple(CubicExtElem(*(e.conj() for e in col), b=p.b) for col in grid)
+
+
+@dataclass(frozen=True)
+class _Kernels:
+    """D's product and involution on numerator vectors: num(d e) is
+    product(num(d), num(e)) over den(d) den(e) product_den, and num(alpha(d))
+    is alpha(num(d)) over den(d) alpha_den, both before lowest terms."""
+
+    product: Callable
+    product_den: int
+    alpha: Callable
+    alpha_den: int
+
+
+def _coordinates(triples: dict, n: int) -> tuple:
+    """({key: [(slot, numerator), ...]}, den): the nonzero coordinates of the
+    L-triples ``triples``, on the vector's slots, over their least common
+    denominator; n is the number of slots of one element of L."""
+    den = math.lcm(*(x.den for t in triples.values() for x in t))
+    return {key: [(m * n + s, c * (den // x.den))
+                  for m, x in enumerate(t) for s, c in enumerate(x.num) if c]
+            for key, t in triples.items()}, den
+
+
+@functools.cache
+def _compiled(params: AlgebraParams) -> _Kernels:
+    """D's kernels, compiled once per algebra value (kind, a, b) under the file
+    names ``<algebra kind.product>`` and ``<algebra kind.alpha>``.
+
+    D's Q-basis is c z^k for c in L's Q-basis.  Its element sits at slot
+    k n + s of the vector, where s is c's slot among L's n numerators; on
+    E(theta) the slots 3m + 2 always hold 0, and the kernels never read them.
+    The product c z^k e is c times row k of e's matrix image, z^k e, so the
+    structure tensor is read from the rows of the basis elements' images.
+    """
+    one = params.one
+    n = len(one.num)
+    zero = one.from_E(0)
+    units = [one.from_rationals([int(i == j) for j in range(6)]) for i in range(6)]
+    basis = {k * n + c.num.index(1): tuple(c if j == k else zero for j in range(3))
+             for k in range(3) for c in units}     # slot -> the basis element's L-triple
+    live = list(basis)
+    rows = {s: to_matrix(AlgebraElem(params, *t)) for s, t in basis.items()}
+    tensor, product_den = _coordinates({
+        (i, j): [ti[i // n] * x if x else x for x in rows[j][i // n]]
+        for i, ti in basis.items() for j in live}, n)
+    body = [f"{_slots('a', 3 * n, live)}, = a", f"{_slots('b', 3 * n, live)}, = b"]
+    terms = [[] for _ in range(3 * n)]
+    for (i, j), coords in tensor.items():
+        term = f"a{i} * b{j}"
+        if len(coords) > 1:     # a product read twice is named once
+            body.append(f"p{i}_{j} = {term}")
+            term = f"p{i}_{j}"
+        for s, c in coords:
+            terms[s].append((term, c))
+    consts = {}
+    product = _compile(f"algebra {params.kind}.product", "a, b", body,
+                       [_combination(t, consts) for t in terms], consts)
+    images, alpha_den = _coordinates({s: _involution_formula(params, t)
+                                      for s, t in basis.items()}, n)
+    matrix = [[0] * 3 * n for _ in range(3 * n)]
+    for i, coords in images.items():
+        for s, c in coords:
+            matrix[i][s] = c
+    alpha = _linear_kernel(f"algebra {params.kind}.alpha", matrix, live)
+    return _Kernels(product, product_den, alpha, alpha_den)
 
 
 def involution_failures(params: AlgebraParams, samples: int, rng: random.Random) -> dict:

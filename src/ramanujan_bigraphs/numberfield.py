@@ -17,7 +17,8 @@ numerators: E and L at import, E(theta) once per radicand b.  Coefficients
 other than +-1 are bound as names, never written into the source, so a
 radicand of any size compiles.  Relative norms, traces and inverses follow
 from the Galois generator.  ``coeffs`` reads the coefficients: Fractions on E
-and L, elements of E on E(theta).
+and L, elements of E on E(theta).  The same generator (``_combination``,
+``_compile``) compiles ``algebra``'s product and involution of D.
 """
 
 from __future__ import annotations
@@ -35,23 +36,30 @@ def _combination(terms, consts) -> str:
     """Source of the sum of c * t over the (name t, int c) pairs ``terms``.
     A coefficient other than +-1, and the 0 of an empty sum, is never written
     into the text: it is bound in ``consts`` (value -> name), so the source
-    holds only names, + - and *, whatever the size of the integers."""
-    parts = []
+    holds only names, + - * and parentheses, whatever the size of the
+    integers.  Terms are grouped by |c|, so each distinct |c| is one product."""
+    groups = {}     # |c| -> the signed terms
     for t, c in terms:
-        if c == 1 or c == -1:
-            parts.append(("+ " if c == 1 else "- ") + t)
-        elif c:
-            parts.append(f"+ {consts.setdefault(c, f'k{len(consts)}')} * {t}")
+        if c:
+            groups.setdefault(abs(c), []).append(("+ " if c > 0 else "- ") + t)
+    parts = []
+    for c, signed in groups.items():
+        if c == 1:
+            parts.extend(signed)
+        else:
+            inner = " ".join(signed).removeprefix("+ ")
+            parts.append(f"+ {consts.setdefault(c, f'k{len(consts)}')} * ({inner})")
     return " ".join(parts).removeprefix("+ ") or consts.setdefault(0, f"k{len(consts)}")
 
 
 def _compile(label: str, params: str, body: list, results: list, consts: dict):
     """The straight-line function ``params -> tuple(results)``, compiled under
-    the file name ``<numberfield label>`` so profiles and tracebacks name it."""
+    the file name ``<label>``, such as ``<numberfield L.rho>``, so profiles and
+    tracebacks name it; the function is named by the label's last part."""
     name = label.rpartition(".")[2]
     src = "\n    ".join([f"def {name}({params}):", *body, f"return ({', '.join(results)},)"])
     namespace = {v: c for c, v in consts.items()}
-    exec(compile(src, f"<numberfield {label}>", "exec"), namespace)
+    exec(compile(src, f"<{label}>", "exec"), namespace)
     return namespace[name]
 
 
@@ -62,22 +70,19 @@ def _slots(prefix: str, n: int, live) -> str:
 
 
 def _linear_kernel(label: str, images, live=None):
-    """v -> sum_i v[i] images[i], straight-line on the integer tuple v, as a
-    staticmethod for a field's class.  Only the slots in ``live`` are read;
-    the others must hold 0."""
+    """v -> sum_i v[i] images[i], straight-line on the integer tuple v.  Only
+    the slots in ``live`` are read; the others must hold 0."""
     live = range(len(images)) if live is None else live
     consts = {}
     results = [_combination([(f"v{i}", images[i][j]) for i in live], consts)
                for j in range(len(images[0]))]
-    return staticmethod(_compile(label, "v", [f"{_slots('v', len(images), live)}, = v"],
-                                 results, consts))
+    return _compile(label, "v", [f"{_slots('v', len(images), live)}, = v"], results, consts)
 
 
 def _product_kernel(label: str, reduction, live=None):
     """(a, b) -> the 2n-1 coefficients of the product a*b, mapped by
     ``reduction`` back to n numerators: the convolution fused with the monic
-    reduction, straight-line on integer tuples whose non-live slots hold 0,
-    as a staticmethod for a field's class."""
+    reduction, straight-line on integer tuples whose non-live slots hold 0."""
     n = (len(reduction) + 1) // 2
     live = range(n) if live is None else live
     body = [f"{_slots('a', n, live)}, = a", f"{_slots('b', n, live)}, = b"]
@@ -90,7 +95,7 @@ def _product_kernel(label: str, reduction, live=None):
     consts = {}
     results = [_combination([(f"p{k}", reduction[k][j]) for k in terms], consts)
                for j in range(n)]
-    return staticmethod(_compile(label, "a, b", body, results, consts))
+    return _compile(label, "a, b", body, results, consts)
 
 
 def _powers(top):
@@ -283,8 +288,9 @@ class QuadElem(PolyElem):
 
     __slots__ = ()
     _order = 2
-    _product = _product_kernel("E.product", _powers((-1, 1)))   # w^2 = -1 + w
-    _galois = _linear_kernel("E.rho", [(1, 0), (1, -1)])       # w -> 1 - w
+    _product = staticmethod(_product_kernel(   # w^2 = -1 + w
+        "numberfield E.product", _powers((-1, 1))))
+    _galois = staticmethod(_linear_kernel("numberfield E.rho", [(1, 0), (1, -1)]))  # w -> 1 - w
 
     def __init__(self, x: Scalar = 0, y: Scalar = 0):
         self.num, self.den = _over_one_denominator((x, y))
@@ -343,10 +349,13 @@ class CycloElem(PolyElem):
 
     __slots__ = ()
     _order = 3
-    _product = _product_kernel("L.product", _ZETA9_POWERS)
-    _reduce = _linear_kernel("L.reduce", _ZETA9_POWERS[:9])     # zeta_9^k, k < 9
-    _galois = _linear_kernel("L.rho", [_ZETA9_POWERS[4 * i % 9] for i in range(6)])  # zeta_9 -> zeta_9^4
-    _tau = _linear_kernel("L.tau", [_ZETA9_POWERS[8 * i % 9] for i in range(6)])     # zeta_9 -> zeta_9^8
+    _product = staticmethod(_product_kernel("numberfield L.product", _ZETA9_POWERS))
+    _reduce = staticmethod(_linear_kernel(   # zeta_9^k, k < 9
+        "numberfield L.reduce", _ZETA9_POWERS[:9]))
+    _galois = staticmethod(_linear_kernel(   # zeta_9 -> zeta_9^4
+        "numberfield L.rho", [_ZETA9_POWERS[4 * i % 9] for i in range(6)]))
+    _tau = staticmethod(_linear_kernel(      # zeta_9 -> zeta_9^8
+        "numberfield L.tau", [_ZETA9_POWERS[8 * i % 9] for i in range(6)]))
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         num, den = _over_one_denominator(coeffs)
@@ -485,9 +494,10 @@ def _cubic_field(b: QuadElem) -> type:
     live = [s for s in range(9) if s % 3 != 2]
     return type("CubicExtElem", (CubicExtElem,), {
         "__slots__": (), "b": b, "_reduction_den": b.den,
-        "_product": _product_kernel("E(theta).product", theta_map(
-            17, lambda k: b * b.den if k >= 3 else QuadElem(b.den)), live),
-        "_galois": _linear_kernel("E(theta).rho", theta_map(9, lambda k: ZETA3_E ** k), live),
+        "_product": staticmethod(_product_kernel("numberfield E(theta).product", theta_map(
+            17, lambda k: b * b.den if k >= 3 else QuadElem(b.den)), live)),
+        "_galois": staticmethod(_linear_kernel(
+            "numberfield E(theta).rho", theta_map(9, lambda k: ZETA3_E ** k), live)),
     })
 
 

@@ -1,13 +1,19 @@
 """Unit tests for the cyclic algebra, its involutions, and the
 archimedean realization."""
 
+import copy
+import itertools
+import pickle
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramanujan_bigraphs.numberfield import (
+    CubicExtElem,
     CycloElem,
     QuadElem,
     ZETA3_E,
@@ -44,6 +50,139 @@ from ramanujan_bigraphs.algebra import (
 
 GAL = example_galois_params()
 NONGAL = example_nongalois_params()
+KINDS = pytest.mark.parametrize("params", [GAL, NONGAL], ids=["galois", "nongalois"])
+
+
+# ---------------------------------------------------------------------------
+# The compiled product and involution against the L-triple formulas
+# ---------------------------------------------------------------------------
+
+def reference_mul(d, e) -> tuple:
+    """The L-triple of d e = sum_k l_k (z^k e): row k of e's matrix image is z^k e."""
+    l0, l1, l2 = d.l
+    return tuple(l0 * c0 + l1 * c1 + l2 * c2 for c0, c1, c2 in zip(*to_matrix(e)))
+
+
+def reference_involution(d) -> tuple:
+    """The L-triple of alpha(d), by the formula of d's kind."""
+    p = d.params
+    l0, l1, l2 = d.l
+    if p.kind == GALOIS:
+        t, r = galois_tau, galois_rho
+        return (t(l0), p.ta_l * t(r(l2)), p.ta_l * t(r(r(l1))))
+    # transpose the theta/z coefficient grid and conjugate
+    grid = zip(*(lj.coeffs for lj in d.l))
+    return tuple(CubicExtElem(*(e.conj() for e in col), b=p.b) for col in grid)
+
+
+# a radicand whose numerator has more decimal digits than str(int) allows
+_HUGE_B = QuadElem(Fraction(10 ** max(sys.get_int_max_str_digits(), 4300) + 7, 3), 2)
+FUZZED = {
+    "galois": GAL,
+    "nongalois": NONGAL,
+    "galois, a=10^400": AlgebraParams(GALOIS, QuadElem(10) ** 400),
+    "nongalois, huge b": AlgebraParams(NONGALOIS, _HUGE_B.conj(), _HUGE_B),
+}
+_BIG = 2 ** 100
+
+
+def _elements(params):
+    def coordinate(nums, den):
+        return params.one.from_rationals([Fraction(c, den) for c in nums])
+    coords = st.builds(coordinate, st.lists(st.integers(-_BIG, _BIG), min_size=6, max_size=6),
+                       st.integers(1, _BIG))
+    return st.tuples(coords, coords, coords).map(lambda t: AlgebraElem(params, *t))
+
+
+@pytest.mark.parametrize("algebra", FUZZED)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_kernels_match_the_l_triple_formulas(algebra, data):
+    params = FUZZED[algebra]
+    d, e = data.draw(_elements(params)), data.draw(_elements(params))
+    for x, ref in ((d * e, reference_mul(d, e)), (involution(d), reference_involution(d)),
+                   (d + e, tuple(u + v for u, v in zip(d.l, e.l))),
+                   (d - e, tuple(u - v for u, v in zip(d.l, e.l))), (-d, tuple(-u for u in d.l))):
+        built = AlgebraElem(params, *ref)
+        assert x.l == ref
+        assert (x.num, x.den) == (built.num, built.den)
+        assert x == built and hash(x) == hash(built)
+        assert repr(x) == f"AlgebraElem({ref[0]!r}, {ref[1]!r}, {ref[2]!r})"
+    assert bool(d - d) is False and (d - d) == AlgebraElem(params, 0)
+
+
+@KINDS
+def test_kernels_are_named_and_hold_no_literal(params):
+    """Each kernel is compiled under a file name that names the algebra's kind
+    and map, and binds every coefficient as a name: its code holds no constant."""
+    for name in ("product", "alpha"):
+        kernel = getattr(params.kernels, name)
+        assert kernel.__code__.co_filename == f"<algebra {params.kind}.{name}>"
+        assert kernel.__name__ == name
+        assert set(kernel.__code__.co_consts) <= {None}
+
+
+def test_kernels_are_built_once_per_algebra_value():
+    a = quad_from_sqrt3_basis(2, 1) / quad_from_sqrt3_basis(2, -1)
+    assert AlgebraParams(GALOIS, a).kernels is GAL.kernels
+    assert example_nongalois_params().kernels is NONGAL.kernels
+    assert AlgebraParams(GALOIS, a * a).kernels is not GAL.kernels
+
+
+@KINDS
+def test_elements_copy_and_pickle(params):
+    d = random_element(params, random.Random(21))
+    for x in (copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert x == d and repr(x) == repr(d)
+        assert x * x == d * d and involution(x) == involution(d)
+
+
+def test_foreign_coordinates_are_refused():
+    for params, c in ((NONGAL, CycloElem([1, 2])), (GAL, CubicExtElem.scalar(1, NONGAL.b)),
+                      (NONGAL, CubicExtElem.scalar(1, QuadElem(5))), (GAL, 1.5)):
+        with pytest.raises(ValueError, match="is not an element of the algebra's L"):
+            AlgebraElem(params, c)
+        with pytest.raises(ValueError, match="is not an element of the algebra's L"):
+            AlgebraElem(params, 0, 0, c)
+    # ints, Fractions and elements of E are embedded
+    three = AlgebraElem(GAL, 3)
+    assert three.l == (GAL.one.from_E(3), GAL.one.from_E(0), GAL.one.from_E(0))
+    assert repr(three).startswith("AlgebraElem(CycloElem([Fraction(3, 1), ")
+    assert three * three == AlgebraElem.scalar(GAL, 9)
+    half = AlgebraElem(NONGAL, Fraction(1, 2), ZETA3_E)
+    assert half.l == (NONGAL.one.from_E(Fraction(1, 2)), NONGAL.one.from_E(ZETA3_E),
+                      NONGAL.one.from_E(0))
+
+
+# ---------------------------------------------------------------------------
+# The involution and the product on D's Q-basis: alpha is Q-linear and the
+# product Q-bilinear, so each law checked on the basis holds on all of D
+# ---------------------------------------------------------------------------
+
+def _q_basis(params):
+    """c z^k for c in L's Q-basis and k = 0, 1, 2: 18 elements."""
+    zero = params.one.from_E(0)
+    units = [params.one.from_rationals([int(i == j) for j in range(6)]) for i in range(6)]
+    return [AlgebraElem(params, *(c if m == k else zero for m in range(3)))
+            for k in range(3) for c in units]
+
+
+# failures of alpha^2 = id (18 elements), associativity (5,832 triples) and
+# anti-multiplicativity (324 pairs); the non-Galois alpha is no anti-automorphism
+BASIS_LAW_FAILURES = {"galois": (0, 0, 0), "nongalois": (0, 0, 144)}
+
+
+@KINDS
+def test_laws_on_the_basis(params):
+    basis = _q_basis(params)
+    alpha = [involution(e) for e in basis]
+    pairs = list(itertools.product(range(18), repeat=2))
+    prod = {(i, j): basis[i] * basis[j] for i, j in pairs}
+    squares = sum(involution(a) != e for a, e in zip(alpha, basis))
+    assoc = sum(prod[i, j] * basis[k] != basis[i] * prod[j, k]
+                for (i, j), k in itertools.product(pairs, range(18)))
+    anti = sum(involution(prod[i, j]) != alpha[j] * alpha[i] for i, j in pairs)
+    assert (squares, assoc, anti) == BASIS_LAW_FAILURES[params.kind]
 
 
 # ---------------------------------------------------------------------------
