@@ -8,12 +8,12 @@ flavors are supported:
 * kind "nongalois": L = E(theta) with theta^3 = b and a = tau(b); the
   involution swaps theta and z.
 
-An element is one integer numerator vector over one positive denominator, in
-lowest terms: the numerators of l0, l1 and l2 in turn.  D's product and its
-involution are compiled once per algebra (kind, a, b), by numberfield's
-generator, into straight-line functions on those vectors: the structure
-tensor comes from the rows of the matrix image of the Q-basis, and the
-involution's matrix from its per-kind formula on that basis.  The L-triple
+An element is one of numberfield's exact vectors: the 18 numerators of l0,
+l1 and l2 in turn over one positive denominator, in lowest terms.  Each
+algebra value (kind, a, b) has its own element class, made once, which holds
+D's product, compiled by numberfield's one product generator from the
+structure tensor (the rows of the matrix image of the Q-basis), and the
+involution, compiled from its per-kind formula on that basis.  The L-triple
 ``l``, the matrix image, the reduced norm and the inverse are read in L.
 """
 
@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import cmath
 import functools
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .numberfield import (
     CubicExtElem,
@@ -34,11 +33,11 @@ from .numberfield import (
     QuadElem,
     SQRT_M3,
     ZETA3_E,
-    _combination,
-    _compile,
+    RationalVector,
+    _bilinear_kernel,
+    _join,
     _linear_kernel,
     _lowest_terms,
-    _slots,
     galois_actions_commute,
     galois_rho,
     galois_tau,
@@ -93,14 +92,6 @@ class AlgebraParams:
         m0, m1, m2 = m
         return (self.a_l * m2.rho(), m0.rho(), m1.rho())
 
-    @functools.cached_property
-    def kernels(self) -> "_Kernels":
-        """D's compiled product and involution, shared by every equal params."""
-        return _compiled(self)
-
-    def __getstate__(self):   # a copy or pickle rebuilds the kernels when it needs them
-        return {k: v for k, v in self.__dict__.items() if k != "kernels"}
-
 
 def example_galois_params() -> AlgebraParams:
     """Built-in Galois-kind data: a = (2 + sqrt(-3)) / (2 - sqrt(-3))."""
@@ -114,15 +105,20 @@ def example_nongalois_params() -> AlgebraParams:
     return AlgebraParams(NONGALOIS, b.conj(), b)
 
 
-class AlgebraElem:
+class AlgebraElem(RationalVector):
     """Element l0 + l1*z + l2*z^2 of the cyclic algebra.
 
-    ``num`` holds the numerators of l0, l1, l2 in turn over the positive
+    ``num`` holds the 18 numerators of l0, l1, l2 in turn over the positive
     ``den``, with gcd(den, *num) = 1.  The coordinates given may be elements
     of the algebra's L, or ints, Fractions and QuadElems, which are embedded.
+    Each algebra value (kind, a, b) has its own subclass, made by
+    _algebra_class, which holds ``params`` and the compiled kernels.
     """
 
-    __slots__ = ("params", "num", "den", "_l")
+    __slots__ = ("__dict__",)
+
+    def __new__(cls, params: AlgebraParams, *coords, **named):
+        return object.__new__(_algebra_class(params))
 
     def __init__(self, params: AlgebraParams, l0, l1=None, l2=None):
         one = params.one
@@ -133,29 +129,14 @@ class AlgebraElem:
             elif type(c) is not type(one):
                 raise ValueError(f"a {type(c).__name__} is not an element of the algebra's L")
             triple.append(c)
-        self.params = params
-        self.den = math.lcm(*(c.den for c in triple))   # in lowest terms, as each c is
-        self.num = tuple(x * (self.den // c.den) for c in triple for x in c.num)
-        self._l = tuple(triple)
+        self.num, self.den = _join(triple)   # in lowest terms, as each c is
+        self.l = tuple(triple)
 
-    @classmethod
-    def _new(cls, params: AlgebraParams, num: tuple, den: int) -> "AlgebraElem":
-        """num / den in lowest terms."""
-        out = object.__new__(cls)
-        out.params = params
-        out.num, out.den = _lowest_terms(num, den)
-        out._l = None
-        return out
-
-    @property
+    @functools.cached_property
     def l(self) -> tuple:
         """The L-triple (l0, l1, l2), built on first read and kept."""
-        if self._l is None:
-            n = len(self.num) // 3
-            new = type(self.params.one)._new
-            self._l = tuple(new(*_lowest_terms(self.num[i:i + n], self.den))
-                            for i in (0, n, 2 * n))
-        return self._l
+        new = type(self.params.one)._new
+        return tuple(new(*_lowest_terms(self.num[i:i + 6], self.den)) for i in (0, 6, 12))
 
     @classmethod
     def scalar(cls, params: AlgebraParams, e) -> "AlgebraElem":
@@ -165,40 +146,20 @@ class AlgebraElem:
     def gen_z(cls, params: AlgebraParams) -> "AlgebraElem":
         return cls(params, 0, params.one)
 
-    def _check(self, other: "AlgebraElem"):
-        if self.params is not other.params and self.params != other.params:
-            raise ValueError("elements belong to different algebras")
-
-    def __add__(self, other: "AlgebraElem"):
-        self._check(other)
-        d, e = self.den, other.den
-        if d == e:
-            return self._new(self.params, tuple(x + y for x, y in zip(self.num, other.num)), d)
-        return self._new(self.params, tuple(x * e + y * d for x, y in zip(self.num, other.num)),
-                         d * e)
-
-    def __sub__(self, other: "AlgebraElem"):
-        return self + -other
-
-    def __neg__(self):
-        return self._new(self.params, tuple(-x for x in self.num), self.den)
-
-    def __mul__(self, other: "AlgebraElem"):
-        self._check(other)
-        k = self.params.kernels
-        return self._new(self.params, k.product(self.num, other.num),
-                         self.den * other.den * k.product_den)
-
-    def __eq__(self, other):
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
         if isinstance(other, AlgebraElem):
-            return self.num == other.num and self.den == other.den and self.params == other.params
+            raise ValueError("elements belong to different algebras")
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.params, self.num, self.den))
+    def __eq__(self, other):    # elements of two algebras are unequal, not an error
+        return type(other) is type(self) and RationalVector.__eq__(self, other)
 
-    def __bool__(self):
-        return any(self.num)
+    __hash__ = RationalVector.__hash__
+
+    def __reduce__(self):    # copy and pickle rebuild it in its algebra's subclass
+        return AlgebraElem, (self.params, *self.l)
 
     def __repr__(self):
         return f"AlgebraElem({self.l[0]!r}, {self.l[1]!r}, {self.l[2]!r})"
@@ -245,8 +206,7 @@ def reduced_trace(d: AlgebraElem) -> QuadElem:
 
 def involution(d: AlgebraElem) -> AlgebraElem:
     """The involution of the second kind, per the algebra kind."""
-    k = d.params.kernels
-    return AlgebraElem._new(d.params, k.alpha(d.num), d.den * k.alpha_den)
+    return d._canonical(d._alpha(d.num), d.den * d._alpha_den)
 
 
 def _involution_formula(p: AlgebraParams, l: tuple) -> tuple:
@@ -262,70 +222,32 @@ def _involution_formula(p: AlgebraParams, l: tuple) -> tuple:
     return tuple(CubicExtElem(*(e.conj() for e in col), b=p.b) for col in grid)
 
 
-@dataclass(frozen=True)
-class _Kernels:
-    """D's product and involution on numerator vectors: num(d e) is
-    product(num(d), num(e)) over den(d) den(e) product_den, and num(alpha(d))
-    is alpha(num(d)) over den(d) alpha_den, both before lowest terms."""
-
-    product: Callable
-    product_den: int
-    alpha: Callable
-    alpha_den: int
-
-
-def _coordinates(triples: dict, n: int) -> tuple:
-    """({key: [(slot, numerator), ...]}, den): the nonzero coordinates of the
-    L-triples ``triples``, on the vector's slots, over their least common
-    denominator; n is the number of slots of one element of L."""
-    den = math.lcm(*(x.den for t in triples.values() for x in t))
-    return {key: [(m * n + s, c * (den // x.den))
-                  for m, x in enumerate(t) for s, c in enumerate(x.num) if c]
-            for key, t in triples.items()}, den
-
-
 @functools.cache
-def _compiled(params: AlgebraParams) -> _Kernels:
-    """D's kernels, compiled once per algebra value (kind, a, b) under the file
-    names ``<algebra kind.product>`` and ``<algebra kind.alpha>``.
+def _algebra_class(params: AlgebraParams) -> type:
+    """The subclass of AlgebraElem for one algebra value (kind, a, b), made
+    once, with D's product and involution compiled once under the file names
+    ``<algebra kind.product>`` and ``<algebra kind.alpha>``.  num(d e) is
+    _product(num(d), num(e)) over den(d) den(e) _product_den, and
+    num(alpha(d)) is _alpha(num(d)) over den(d) _alpha_den.
 
-    D's Q-basis is c z^k for c in L's Q-basis.  Its element sits at slot
-    k n + s of the vector, where s is c's slot among L's n numerators; on
-    E(theta) the slots 3m + 2 always hold 0, and the kernels never read them.
-    The product c z^k e is c times row k of e's matrix image, z^k e, so the
-    structure tensor is read from the rows of the basis elements' images.
+    D's Q-basis is c z^k for c in L's Q-basis: the unit vector at slot
+    6k + s, where s is c's slot among L's six numerators.  The product
+    c z^k e is c times row k of e's matrix image, z^k e, so the structure
+    tensor is read from the rows of the basis elements' images.
     """
-    one = params.one
-    n = len(one.num)
-    zero = one.from_E(0)
-    units = [one.from_rationals([int(i == j) for j in range(6)]) for i in range(6)]
-    basis = {k * n + c.num.index(1): tuple(c if j == k else zero for j in range(3))
-             for k in range(3) for c in units}     # slot -> the basis element's L-triple
-    live = list(basis)
-    rows = {s: to_matrix(AlgebraElem(params, *t)) for s, t in basis.items()}
-    tensor, product_den = _coordinates({
-        (i, j): [ti[i // n] * x if x else x for x in rows[j][i // n]]
-        for i, ti in basis.items() for j in live}, n)
-    body = [f"{_slots('a', 3 * n, live)}, = a", f"{_slots('b', 3 * n, live)}, = b"]
-    terms = [[] for _ in range(3 * n)]
-    for (i, j), coords in tensor.items():
-        term = f"a{i} * b{j}"
-        if len(coords) > 1:     # a product read twice is named once
-            body.append(f"p{i}_{j} = {term}")
-            term = f"p{i}_{j}"
-        for s, c in coords:
-            terms[s].append((term, c))
-    consts = {}
-    product = _compile(f"algebra {params.kind}.product", "a, b", body,
-                       [_combination(t, consts) for t in terms], consts)
-    images, alpha_den = _coordinates({s: _involution_formula(params, t)
-                                      for s, t in basis.items()}, n)
-    matrix = [[0] * 3 * n for _ in range(3 * n)]
-    for i, coords in images.items():
-        for s, c in coords:
-            matrix[i][s] = c
-    alpha = _linear_kernel(f"algebra {params.kind}.alpha", matrix, live)
-    return _Kernels(product, product_den, alpha, alpha_den)
+    cls = type("AlgebraElem", (AlgebraElem,), {"__slots__": (), "params": params})
+    basis = [cls._new(tuple(int(i == s) for i in range(18))) for s in range(18)]
+    rows = [to_matrix(e) for e in basis]
+    pairs = [(i, j) for i in range(18) for j in range(18)]
+    num, cls._product_den = _join([basis[i].l[i // 6] * x if x else x
+                                   for i, j in pairs for x in rows[j][i // 6]])
+    products = {ij: num[18 * m:18 * m + 18] for m, ij in enumerate(pairs)}
+    cls._product = staticmethod(_bilinear_kernel(
+        f"algebra {params.kind}.product", 18, lambda i, j: products[i, j]))
+    num, cls._alpha_den = _join([x for e in basis for x in _involution_formula(params, e.l)])
+    cls._alpha = staticmethod(_linear_kernel(
+        f"algebra {params.kind}.alpha", [num[18 * i:18 * i + 18] for i in range(18)]))
+    return cls
 
 
 def involution_failures(params: AlgebraParams, samples: int, rng: random.Random) -> dict:

@@ -1,24 +1,27 @@
 """Exact arithmetic in Q(sqrt(-3)), Q(zeta_9), and cubic radical extensions.
 
-Everything here is exact: an element is a tuple of integer numerators over
-one positive denominator, kept in lowest terms, so equality and hashing are
-structural, never tolerance-based.  The three fields are polynomial quotients
-sharing one kernel, :class:`PolyElem`:
+Everything here is exact: a value is a :class:`RationalVector`, a tuple of
+integer numerators over one positive denominator, kept in lowest terms, so
+equality and hashing are structural, never tolerance-based.  ``algebra``'s
+elements of D are such vectors too.  The three fields are polynomial
+quotients sharing one kernel on top of it, :class:`PolyElem`:
 
 * E = Q(sqrt(-3)) = Q[w]/(w^2 - w + 1), on the integral basis {1, w} with
   w = (1+sqrt(-3))/2, which keeps residue-ring reduction correct even at 2;
 * L = Q(zeta_9) = Q[x]/(x^6 + x^3 + 1), on the power basis of zeta_9;
-* E(theta) = E[theta]/(theta^3 - b), on the Q-basis theta^k w^j.
+* E(theta) = E[theta]/(theta^3 - b), on the Q-basis theta^k w^j, j < 2.
 
-Each field's product (the 2n-1 convolution fused with the monic reduction),
-its Galois maps and L's constructor reduction are compiled once, from the
-images of the basis, into straight-line Python functions on the integer
-numerators: E and L at import, E(theta) once per radicand b.  Coefficients
+Every product, of E, L, E(theta) and D, is compiled by one bilinear
+generator from the images of the pairs of basis elements: pairs with the same
+image are summed once, and each output is a combination of those sums.  The
+Galois maps and L's constructor reduction are compiled as linear maps.  E and
+L compile at import, E(theta) once per radicand b, D once per algebra; each
+is a straight-line Python function on the integer numerators.  Coefficients
 other than +-1 are bound as names, never written into the source, so a
 radicand of any size compiles.  Relative norms, traces and inverses follow
 from the Galois generator.  ``coeffs`` reads the coefficients: Fractions on E
-and L, elements of E on E(theta).  The same generator (``_combination``,
-``_compile``) compiles ``algebra``'s product and involution of D.
+and L, elements of E on E(theta).  The constructors take ints and Fractions
+only; a float, str, Decimal or bool raises TypeError.
 """
 
 from __future__ import annotations
@@ -63,38 +66,30 @@ def _compile(label: str, params: str, body: list, results: list, consts: dict):
     return namespace[name]
 
 
-def _slots(prefix: str, n: int, live) -> str:
-    """Unpacking targets for an n-tuple: prefix + i for the live slots, _ for
-    the slots that always hold 0."""
-    return ", ".join(f"{prefix}{i}" if i in live else "_" for i in range(n))
-
-
-def _linear_kernel(label: str, images, live=None):
-    """v -> sum_i v[i] images[i], straight-line on the integer tuple v.  Only
-    the slots in ``live`` are read; the others must hold 0."""
-    live = range(len(images)) if live is None else live
+def _linear_kernel(label: str, images):
+    """v -> sum_i v[i] images[i], straight-line on the integer tuple v."""
     consts = {}
-    results = [_combination([(f"v{i}", images[i][j]) for i in live], consts)
+    results = [_combination([(f"v{i}", image[j]) for i, image in enumerate(images)], consts)
                for j in range(len(images[0]))]
-    return _compile(label, "v", [f"{_slots('v', len(images), live)}, = v"], results, consts)
+    return _compile(label, "v", [f"{', '.join(f'v{i}' for i in range(len(images)))}, = v"],
+                    results, consts)
 
 
-def _product_kernel(label: str, reduction, live=None):
-    """(a, b) -> the 2n-1 coefficients of the product a*b, mapped by
-    ``reduction`` back to n numerators: the convolution fused with the monic
-    reduction, straight-line on integer tuples whose non-live slots hold 0."""
-    n = (len(reduction) + 1) // 2
-    live = range(n) if live is None else live
-    body = [f"{_slots('a', n, live)}, = a", f"{_slots('b', n, live)}, = b"]
-    terms = []
-    for k in range(2 * n - 1):
-        pairs = [f"a{i} * b{k - i}" for i in live if k - i in live]
-        if pairs:
-            body.append(f"p{k} = {' + '.join(pairs)}")
-            terms.append(k)
+def _bilinear_kernel(label: str, n: int, image):
+    """(a, b) -> sum over i, j < n of a[i] b[j] image(i, j), straight-line on
+    integer n-tuples: the one generator of products.  Pairs (i, j) with the
+    same image are summed once, and each output is a _combination of those
+    sums."""
+    groups = {}     # image -> the pairs that have it
+    for i in range(n):
+        for j in range(n):
+            if any(img := tuple(image(i, j))):
+                groups.setdefault(img, []).append(f"a{i} * b{j}")
+    body = [f"{', '.join(f'{v}{i}' for i in range(n))}, = {v}" for v in "ab"]
+    body += [f"p{g} = {' + '.join(pairs)}" for g, pairs in enumerate(groups.values())]
     consts = {}
-    results = [_combination([(f"p{k}", reduction[k][j]) for k in terms], consts)
-               for j in range(n)]
+    results = [_combination([(f"p{g}", img[s]) for g, img in enumerate(groups)], consts)
+               for s in range(n)]
     return _compile(label, "a, b", body, results, consts)
 
 
@@ -110,11 +105,23 @@ def _powers(top):
 
 
 def _over_one_denominator(values) -> tuple:
-    """(numerators, den): the rationals ``values`` over their least common
-    denominator, which leaves gcd(den, *numerators) = 1."""
-    qs = [Fraction(v) for v in values]
-    den = math.lcm(*(q.denominator for q in qs))
-    return tuple(q.numerator * (den // q.denominator) for q in qs), den
+    """(numerators, den): the ints and Fractions ``values`` over their least
+    common denominator, which leaves gcd(den, *numerators) = 1.  Any other
+    value, a float, str, Decimal or bool among them, raises TypeError."""
+    values = tuple(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise TypeError(f"a {type(v).__name__} is not an exact rational: "
+                            "pass an int or a Fraction")
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def _join(parts) -> tuple:
+    """(numerators, den): the numerators of the vectors ``parts`` in turn, over
+    their least common denominator; lowest terms if each part is."""
+    den = math.lcm(*(x.den for x in parts))
+    return tuple(c * (den // x.den) for x in parts for c in x.num), den
 
 
 def _lowest_terms(num: tuple, den: int) -> tuple:
@@ -135,36 +142,30 @@ def _fraction_repr(num: int, den: int) -> str:
         return f"Fraction({q.numerator:#x}, {q.denominator:#x})"
 
 
-class PolyElem:
-    """(n_0 + n_1 t + ... + n_(n-1) t^(n-1)) / den modulo a fixed monic rule.
+class RationalVector:
+    """Integer numerators ``num`` over one positive ``den``, with
+    gcd(den, *num) = 1 after every operation, so the form is canonical and
+    equality and hashing are structural.
 
-    The numerators ``num`` are ints and ``den`` is positive with
-    gcd(den, *num) = 1 after every operation, so the form is canonical.
-
-    A subclass fixes the field with compiled kernels on numerator tuples:
-    ``_product`` multiplies and reduces to n numerators over
-    ``_reduction_den``, ``_galois`` is the generator g of Gal(F/base) and
-    ``_order`` its order, and ``from_E`` embeds E.  The fixed field of g is
-    the coefficient field unless the subclass overrides ``_to_base``.
+    A subclass fixes the space: ``_product`` is its compiled product on
+    numerator tuples, whose result lies over ``_product_den``, and
+    ``_coerce`` takes the other operand into the space, by default an int,
+    Fraction or element of E through the subclass's ``from_E``.
     """
 
     __slots__ = ("num", "den")
-    _reduction_den = 1
+    _product_den = 1
 
     @classmethod
-    def _new(cls, num: tuple, den: int = 1) -> "PolyElem":
+    def _new(cls, num: tuple, den: int = 1) -> "RationalVector":
         out = object.__new__(cls)
         out.num = num
         out.den = den
         return out
 
-    def _canonical(self, num: tuple, den: int) -> "PolyElem":
+    def _canonical(self, num: tuple, den: int) -> "RationalVector":
         """num / den in lowest terms."""
         return self._new(*_lowest_terms(num, den))
-
-    @property
-    def coeffs(self) -> tuple:
-        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _coerce(self, other):
         if isinstance(other, type(self)):
@@ -204,9 +205,38 @@ class PolyElem:
         if o is NotImplemented:
             return NotImplemented
         return self._canonical(self._product(self.num, o.num),
-                               self.den * o.den * self._reduction_den)
+                               self.den * o.den * self._product_den)
 
     __rmul__ = __mul__
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self.num == o.num and self.den == o.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __bool__(self):
+        return any(self.num)
+
+
+class PolyElem(RationalVector):
+    """(n_0 + n_1 t + ... + n_(n-1) t^(n-1)) / den modulo a fixed monic rule.
+
+    A subclass fixes the field with compiled kernels on numerator tuples:
+    ``_product`` multiplies and reduces to n numerators over
+    ``_product_den``, ``_galois`` is the generator g of Gal(F/base) and
+    ``_order`` its order, and ``from_E`` embeds E.  The fixed field of g is
+    the coefficient field unless the subclass overrides ``_to_base``.
+    """
+
+    __slots__ = ()
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -228,18 +258,6 @@ class PolyElem:
             base = base * base
             k >>= 1
         return out
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __bool__(self):
-        return any(self.num)
 
     def _to_base(self):
         """The element as one of the fixed field of g; raises if it is not."""
@@ -288,8 +306,8 @@ class QuadElem(PolyElem):
 
     __slots__ = ()
     _order = 2
-    _product = staticmethod(_product_kernel(   # w^2 = -1 + w
-        "numberfield E.product", _powers((-1, 1))))
+    _product = staticmethod(_bilinear_kernel(   # w^2 = -1 + w
+        "numberfield E.product", 2, lambda i, j: _powers((-1, 1))[i + j]))
     _galois = staticmethod(_linear_kernel("numberfield E.rho", [(1, 0), (1, -1)]))  # w -> 1 - w
 
     def __init__(self, x: Scalar = 0, y: Scalar = 0):
@@ -349,7 +367,8 @@ class CycloElem(PolyElem):
 
     __slots__ = ()
     _order = 3
-    _product = staticmethod(_product_kernel("numberfield L.product", _ZETA9_POWERS))
+    _product = staticmethod(_bilinear_kernel(
+        "numberfield L.product", 6, lambda i, j: _ZETA9_POWERS[i + j]))
     _reduce = staticmethod(_linear_kernel(   # zeta_9^k, k < 9
         "numberfield L.reduce", _ZETA9_POWERS[:9]))
     _galois = staticmethod(_linear_kernel(   # zeta_9 -> zeta_9^4
@@ -428,9 +447,8 @@ def norm_trace_L_over_E(l: CycloElem):
 class CubicExtElem(PolyElem):
     """Element e0 + e1*theta + e2*theta^2 of E(theta) with theta^3 = b.
 
-    The numerators sit on the Q-basis theta^k w^j at slot 3k + j.  Slot 3k + 2
-    stays 0, so the w^2 terms of a product land in slots of their own, not in
-    theta^(k+1).  Each radicand b has its own subclass, made by _cubic_field.
+    The numerators sit on the Q-basis theta^k w^j (j < 2) at slot 2k + j.
+    Each radicand b has its own subclass, made by _cubic_field.
     """
 
     __slots__ = ()
@@ -440,12 +458,10 @@ class CubicExtElem(PolyElem):
         return object.__new__(_cubic_field(_as_quad(b)))
 
     def __init__(self, e0, e1=QUAD_ZERO, e2=QUAD_ZERO, *, b):
-        es = [_as_quad(e) for e in (e0, e1, e2)]
-        self.den = math.lcm(*(e.den for e in es))    # in lowest terms, as each e is
-        self.num = tuple(c * (self.den // e.den) for e in es for c in (*e.num, 0))
+        self.num, self.den = _join([_as_quad(e) for e in (e0, e1, e2)])
 
     coeffs = e = property(lambda self: tuple(
-        QuadElem._new(*_lowest_terms(self.num[k:k + 2], self.den)) for k in (0, 3, 6)))
+        QuadElem._new(*_lowest_terms(self.num[k:k + 2], self.den)) for k in (0, 2, 4)))
 
     @classmethod
     def scalar(cls, v, b: QuadElem) -> "CubicExtElem":
@@ -453,12 +469,11 @@ class CubicExtElem(PolyElem):
 
     def from_E(self, e) -> "CubicExtElem":
         e = _as_quad(e)
-        return self._new(e.num + (0,) * 7, e.den)
+        return self._new(e.num + (0,) * 4, e.den)
 
     def from_rationals(self, qs) -> "CubicExtElem":
         """The element with coordinates qs on the basis theta^k, theta^k w."""
-        n, den = _over_one_denominator(qs)
-        return self._new((n[0], n[1], 0, n[2], n[3], 0, n[4], n[5], 0), den)
+        return self._new(*_over_one_denominator(qs))
 
     def _to_base(self) -> QuadElem:
         if any(self.num[2:]):
@@ -480,24 +495,26 @@ class CubicExtElem(PolyElem):
 @functools.cache
 def _cubic_field(b: QuadElem) -> type:
     """The subclass of CubicExtElem for theta^3 = b = (x + y w)/d, made once per
-    radicand, with its kernels compiled once.  Its maps send slot 3k + j to
-    factor(k) w^j at theta^(k mod 3): the Galois generator theta -> zeta_3
-    theta, and the product's reduction over d, which sends theta^k to
-    d theta^k for k < 3 and to (x + y w) theta^(k-3) beyond.  Slots 3k + 2 of
-    a factor hold 0, so the kernels never read them."""
-    def theta_map(slots, factor):
-        images = [[0] * 9 for _ in range(slots)]
-        for s, image in enumerate(images):
-            k, j = divmod(s, 3)
-            image[3 * (k % 3):3 * (k % 3) + 2] = (factor(k) * QuadElem(0, 1) ** j).num
-        return images
-    live = [s for s in range(9) if s % 3 != 2]
+    radicand, with its kernels compiled once.  theta^k w^j times
+    theta^m w^i is w^(i+j), by E's product, at theta^(k+m), and theta^3 = b;
+    the product's tensor holds d times it, (x + y w) in place of d b, over d.
+    The Galois generator sends theta^k w^j to zeta_3^k theta^k w^j."""
+    def at(k, e):   # e theta^k on the six slots
+        out = [0] * 6
+        out[2 * k:2 * k + 2] = e.num
+        return out
+
+    def product(s, t):   # of slots s and t, over d
+        (k, j), (m, i) = divmod(s, 2), divmod(t, 2)
+        return at((k + m) % 3, (b * b.den if k + m >= 3 else QuadElem(b.den)) * w ** (i + j))
+
+    w = QuadElem(0, 1)
     return type("CubicExtElem", (CubicExtElem,), {
-        "__slots__": (), "b": b, "_reduction_den": b.den,
-        "_product": staticmethod(_product_kernel("numberfield E(theta).product", theta_map(
-            17, lambda k: b * b.den if k >= 3 else QuadElem(b.den)), live)),
+        "__slots__": (), "b": b, "_product_den": b.den,
+        "_product": staticmethod(_bilinear_kernel("numberfield E(theta).product", 6, product)),
         "_galois": staticmethod(_linear_kernel(
-            "numberfield E(theta).rho", theta_map(9, lambda k: ZETA3_E ** k), live)),
+            "numberfield E(theta).rho", [at(k, ZETA3_E ** k * w ** j)
+                                         for k in range(3) for j in range(2)])),
     })
 
 

@@ -3,6 +3,7 @@ archimedean realization."""
 
 import copy
 import itertools
+import operator
 import pickle
 import random
 import sys
@@ -115,18 +116,21 @@ def test_kernels_match_the_l_triple_formulas(algebra, data):
 def test_kernels_are_named_and_hold_no_literal(params):
     """Each kernel is compiled under a file name that names the algebra's kind
     and map, and binds every coefficient as a name: its code holds no constant."""
+    cls = type(AlgebraElem.scalar(params, 1))
     for name in ("product", "alpha"):
-        kernel = getattr(params.kernels, name)
+        kernel = getattr(cls, f"_{name}")
         assert kernel.__code__.co_filename == f"<algebra {params.kind}.{name}>"
         assert kernel.__name__ == name
         assert set(kernel.__code__.co_consts) <= {None}
 
 
 def test_kernels_are_built_once_per_algebra_value():
+    def element_class(params):
+        return type(AlgebraElem.scalar(params, 1))
     a = quad_from_sqrt3_basis(2, 1) / quad_from_sqrt3_basis(2, -1)
-    assert AlgebraParams(GALOIS, a).kernels is GAL.kernels
-    assert example_nongalois_params().kernels is NONGAL.kernels
-    assert AlgebraParams(GALOIS, a * a).kernels is not GAL.kernels
+    assert element_class(AlgebraParams(GALOIS, a)) is element_class(GAL)
+    assert element_class(example_nongalois_params())._product is element_class(NONGAL)._product
+    assert element_class(AlgebraParams(GALOIS, a * a))._product is not element_class(GAL)._product
 
 
 @KINDS
@@ -154,6 +158,16 @@ def test_foreign_coordinates_are_refused():
                       NONGAL.one.from_E(0))
 
 
+def test_elements_of_two_algebras_do_not_mix():
+    a_squared = AlgebraParams(GALOIS, GAL.a * GAL.a)
+    for p, q in ((GAL, NONGAL), (NONGAL, GAL), (GAL, a_squared), (a_squared, GAL)):
+        d, e = AlgebraElem.scalar(p, 1), AlgebraElem.scalar(q, 1)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError, match="^elements belong to different algebras$"):
+                op(d, e)
+        assert (d == e) is False and (d != e) is True
+
+
 # ---------------------------------------------------------------------------
 # The involution and the product on D's Q-basis: alpha is Q-linear and the
 # product Q-bilinear, so each law checked on the basis holds on all of D
@@ -168,12 +182,18 @@ def _q_basis(params):
 
 
 # failures of alpha^2 = id (18 elements), associativity (5,832 triples) and
-# anti-multiplicativity (324 pairs); the non-Galois alpha is no anti-automorphism
-BASIS_LAW_FAILURES = {"galois": (0, 0, 0), "nongalois": (0, 0, 144)}
+# anti-multiplicativity (324 pairs); the non-Galois alpha is no anti-automorphism,
+# with b = 2 zeta_3 as with a rational b = a = 2
+BASIS_LAW_FAILURES = {
+    "galois": (GAL, (0, 0, 0)),
+    "nongalois": (NONGAL, (0, 0, 144)),
+    "nongalois, b=2": (AlgebraParams(NONGALOIS, QuadElem(2), QuadElem(2)), (0, 0, 144)),
+}
 
 
-@KINDS
-def test_laws_on_the_basis(params):
+@pytest.mark.parametrize("algebra", BASIS_LAW_FAILURES)
+def test_laws_on_the_basis(algebra):
+    params, expected = BASIS_LAW_FAILURES[algebra]
     basis = _q_basis(params)
     alpha = [involution(e) for e in basis]
     pairs = list(itertools.product(range(18), repeat=2))
@@ -182,7 +202,7 @@ def test_laws_on_the_basis(params):
     assoc = sum(prod[i, j] * basis[k] != basis[i] * prod[j, k]
                 for (i, j), k in itertools.product(pairs, range(18)))
     anti = sum(involution(prod[i, j]) != alpha[j] * alpha[i] for i, j in pairs)
-    assert (squares, assoc, anti) == BASIS_LAW_FAILURES[params.kind]
+    assert (squares, assoc, anti) == expected
 
 
 # ---------------------------------------------------------------------------
