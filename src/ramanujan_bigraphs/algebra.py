@@ -403,11 +403,11 @@ def random_element(params: AlgebraParams, rng: random.Random) -> AlgebraElem:
 
 
 def _random_real_subfield_element(rng: random.Random) -> CycloElem:
-    """Random element of the tau-fixed cubic subfield of Q(zeta_9)."""
-    eta1 = CycloElem.zeta9(1) + CycloElem.zeta9(8)
-    eta2 = CycloElem.zeta9(2) + CycloElem.zeta9(7)
+    """Random element q0 + q1 eta1 + q2 eta2 of the tau-fixed cubic subfield
+    of Q(zeta_9), with eta1 = z + z^8 = z - z^2 - z^5 and eta2 = z^2 + z^7 =
+    -z + z^2 - z^4 on the power basis of z = zeta_9."""
     q0, q1, q2 = (_random_fraction(rng) for _ in range(3))
-    return CycloElem([q0]) + CycloElem([q1]) * eta1 + CycloElem([q2]) * eta2
+    return CycloElem([q0, q1 - q2, q2 - q1, 0, -q2, -q1])
 
 
 def random_hermitian(params: AlgebraParams, rng: random.Random) -> AlgebraElem:
@@ -416,7 +416,7 @@ def random_hermitian(params: AlgebraParams, rng: random.Random) -> AlgebraElem:
     if params.kind != GALOIS:
         raise ValueError("hermitian sampling implemented for the Galois kind")
     l0 = _random_real_subfield_element(rng)
-    l1 = CycloElem([_random_fraction(rng) for _ in range(6)])
+    l1 = random_l_element(params, rng)
     d = AlgebraElem(params, l0 / 2, l1)
     return d + involution(d)
 
@@ -448,11 +448,10 @@ def random_special_unitary(params: AlgebraParams, rng: random.Random) -> Algebra
         mu = -(-tr_k2.x / 2) / n_k.x  # -S_k / N_k with S_k = -Tr(k^2)/2
         h = one + AlgebraElem.scalar(params, QuadElem(mu)) * k
         s = AlgebraElem.scalar(params, SQRT_M3) * h
-        denom = one + s
-        n = reduced_norm(denom)
-        if not n:
+        try:
+            x = (one - s) * inverse(one + s)
+        except ZeroDivisionError:    # N(1 + s) = 0
             continue
-        x = (one - s) * inverse(denom)
         if not is_special_unitary(x):
             raise ArithmeticError("Cayley transform failed the unitarity check")
         return x

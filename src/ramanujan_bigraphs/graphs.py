@@ -231,11 +231,11 @@ def _raise_first_bad_edge(n: int, edges) -> None:
         except (TypeError, ValueError):
             break
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge {e} references an invalid vertex")
+            raise GraphError(f"edge {tuple(e)} references an invalid vertex")
         if u == v:
             raise GraphError(f"loop at vertex {u} not allowed")
         if max(u, v) > _INT64_MAX:
-            raise GraphError(f"edge {e} names a vertex beyond int64")
+            raise GraphError(f"edge {tuple(e)} names a vertex beyond int64")
     raise GraphError("edges must be pairs of integer vertex ids")
 
 
@@ -267,7 +267,10 @@ def _neighbor_tuples(g: Graph) -> Tuple[Tuple[int, ...], ...]:
 
 def analyze_structure(g: Graph) -> StructureReport:
     """Connectivity, bipartition (if any), and the most specific degree
-    profile, from one pass per graph: every later call returns the same report."""
+    profile, from one pass per graph: every later call returns the same report.
+    Without parts, n >= 2^62 is refused (the double cover's 2n labels are
+    int64); below that, arrays of 2n labels are made, so n = 2^40 raises
+    MemoryError, a resource limit."""
     return _analysed(g)[0]
 
 
@@ -316,6 +319,8 @@ def _structure(g: Graph) -> Tuple[StructureReport, Optional[np.ndarray]]:
     n, ends = g.n, g.edge_array()
     side = g.parts_array()
     if side is None:
+        if 2 * n > _INT64_MAX:
+            raise GraphClassError(f"n={n} is not below 2^62: the cover's labels overflow int64")
         label = _components(2 * n, ends.ravel(), (ends[:, ::-1] + n).ravel())
         low, high = label[:n], label[n:]
         roots = np.minimum(low, high)
@@ -684,12 +689,12 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(doc: dict) -> Graph:
+    """The graph of a JSON document, whose ids are JSON integers: one type
+    scan refuses true and 1.0, then ``Graph`` checks the lists as they are."""
     try:
-        n = doc["n"]
-        edges = tuple(tuple(e) for e in doc["edges"])
-        parts = tuple(doc["parts"]) if "parts" in doc and doc["parts"] is not None else None
-        ints = (n, *(v for e in edges for v in e), *(parts or ()))   # bools excluded
-        if any(len(e) != 2 for e in edges) or any(type(v) is not int for v in ints):
+        n, edges, parts = doc["n"], doc["edges"], doc.get("parts")
+        ids = chain((n,), chain.from_iterable(edges), () if parts is None else parts)
+        if set(map(type, ids)) - {int} or type(edges) is not list or set(map(len, edges)) - {2}:
             raise GraphError("malformed graph document: n, edges or parts not integers")
         return Graph(n, edges, parts)
     except (KeyError, TypeError, ValueError) as exc:

@@ -5,8 +5,9 @@ congruence-tower index bookkeeping.
 The integral model is O_E = Z[omega] with omega^2 = omega - 1 throughout;
 this is the maximal order, so reduction mod 2 is correct (x^2 - x + 1 is
 irreducible over F_2, unlike x^2 + 3).  Every residue ring O_E/q^n, inert or
-split q, is written in the same omega basis, with the formulas of
-``numberfield.QuadElem``.
+split q, is written in the same omega basis, and its product and
+conjugation are E's compiled kernels, ``QuadElem._product`` and
+``QuadElem._galois``, reduced mod q^n.
 
 This module computes the finite reduction targets SU_3(O_E / q^n) and the
 indices between congruence levels; it never constructs the S-arithmetic
@@ -23,7 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 # the splitting kinds are defined in numberfield and re-exported here
-from .numberfield import INERT, RAMIFIED, SPLIT, is_prime, splitting_data
+from .numberfield import INERT, RAMIFIED, SPLIT, QuadElem, is_prime, splitting_data
 
 DEFAULT_ENUM_CEILING = 10_000_000
 PRIMES_CEILING = 10_000_000     # sieve bound: a 10 MB bytearray, about 0.2 s
@@ -73,8 +74,9 @@ class ResidueRing:
 
     Elements are pairs (x, y) mod q^n standing for x + y*omega, for inert
     and split q alike (for split q the ring is isomorphic to Z/q^n x Z/q^n).
-    The operations are elementwise, so x and y may also be numpy integer
-    arrays.
+    The product and conjugation are E's compiled kernels, ``QuadElem._product``
+    and ``_galois``, reduced mod q^n: straight-line code, so x and y may also
+    be numpy integer arrays.
     """
 
     one = (1, 0)
@@ -98,20 +100,14 @@ class ResidueRing:
         return ((a[0] - b[0]) % self.modulus, (a[1] - b[1]) % self.modulus)
 
     def mul(self, a, b):
-        # (x1 + y1 w)(x2 + y2 w) with w^2 = w - 1
-        m = self.modulus
-        return (
-            (a[0] * b[0] - a[1] * b[1]) % m,
-            (a[0] * b[1] + a[1] * b[0] + a[1] * b[1]) % m,
-        )
+        return self.element(*QuadElem._product(a, b))
 
     def conj(self, a):
-        # conj(x + y w) = x + y - y w
-        return ((a[0] + a[1]) % self.modulus, (-a[1]) % self.modulus)
+        return self.element(*QuadElem._galois(a))
 
     def norm(self, a) -> int:
-        """Norm to Z/q^n: a * conj(a)."""
-        return (a[0] * a[0] + a[0] * a[1] + a[1] * a[1]) % self.modulus
+        """Norm to Z/q^n: a * conj(a), whose omega part is 0."""
+        return QuadElem._product(a, QuadElem._galois(a))[0] % self.modulus
 
     def hermitian(self, u, v):
         """Hermitian product sum_i conj(u_i) v_i of two columns."""
@@ -155,7 +151,7 @@ class FiniteGroupReport:
 class _CodeTables:
     """``ring``'s operations as lookup tables on codes c = x + m*y < m^2 of
     the elements x + y*omega of O_E/m, built once by applying ``ResidueRing``'s
-    own formulas to every pair of codes.  Codes are uint8 when m^2 <= 256,
+    operations to every pair of codes at once.  Codes are uint8 when m^2 <= 256,
     else uint16; a binary op is one ``take`` at index a*m^2 + b."""
 
     def __init__(self, ring: ResidueRing):
@@ -195,7 +191,8 @@ class _CodeTables:
         return self.total(self.op(self.herm, u, v))
 
     def unitary_det_mask(self, g):
-        """``_unitary_det_mask`` of the code matrices g of shape (k, 3, 3)."""
+        """Boolean mask of the code matrices g of shape (k, 3, 3) with
+        conj-transpose(g) g = I and det(g) = 1."""
         mask = np.ones(len(g), dtype=bool)
         # conj(g)^T g is Hermitian, so its upper triangle decides whether it is I
         for i in range(3):
@@ -210,13 +207,6 @@ class _CodeTables:
                       self.cross(g[:, 0, 0], minor(1, 1, 2, 2), g[:, 0, 1], minor(1, 0, 2, 2)),
                       self.op(self.mul, g[:, 0, 2], minor(1, 0, 2, 1)))
         return mask & (det == 1)
-
-
-def _unitary_det_mask(x, y, ring: ResidueRing):
-    """Boolean mask of the matrices g = x + y*omega (component arrays of shape
-    (k, 3, 3)) with conj-transpose(g) g = I and det(g) = 1 in ``ring``."""
-    tables = _CodeTables(ring)
-    return tables.unitary_det_mask(tables.encode(x, y))
 
 
 def _complete(t: _CodeTables, c0, c1):

@@ -564,14 +564,6 @@ def _sqrt_minus3_mod(p: int) -> Optional[int]:
 RAMIFIED, SPLIT, INERT = "ramified", "split", "inert"
 
 
-def _splitting_of_prime(p: int):
-    """``splitting_data`` of a number already known to be prime."""
-    if p == 3:
-        return RAMIFIED, None
-    # the order of p mod 9 divides phi(9) = 6
-    return (SPLIT if p % 3 == 1 else INERT), next(k for k in (1, 2, 3, 6) if pow(p, k, 9) == 1)
-
-
 def splitting_data(p: int):
     """Splitting type of p in E and residue degree of p in L = Q(zeta_9).
 
@@ -587,7 +579,10 @@ def splitting_data(p: int):
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _splitting_of_prime(p)
+    if p == 3:
+        return RAMIFIED, None
+    # the order of p mod 9 divides phi(9) = 6
+    return (SPLIT if p % 3 == 1 else INERT), next(k for k in (1, 2, 3, 6) if pow(p, k, 9) == 1)
 
 
 def hensel_sqrt_minus3(p: int, precision: int) -> int:

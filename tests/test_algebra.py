@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ramanujan_bigraphs import algebra
 from ramanujan_bigraphs.numberfield import (
     CubicExtElem,
     CycloElem,
@@ -39,6 +40,7 @@ from ramanujan_bigraphs.algebra import (
     matrix_det,
     matrix_mul,
     random_element,
+    random_hermitian,
     random_special_unitary,
     realize_at_infinity,
     reduced_norm,
@@ -354,6 +356,46 @@ def test_special_unitary_sampler_and_closure():
         assert is_special_unitary(inverse(d))
     for d, e in zip(elems, elems[1:]):
         assert is_special_unitary(d * e)
+
+
+def test_cayley_sampler_retries_when_n_1_plus_s_is_zero(monkeypatch):
+    # an attempt whose 1 + s has reduced norm 0 is skipped: the draw is then
+    # the next attempt's, the one a second draw from the same stream returns
+    rng = random.Random(17)
+    random_special_unitary(GAL, rng)
+    want = random_special_unitary(GAL, rng)
+    calls = []
+
+    def inverse_singular_once(d):
+        calls.append(d)
+        if len(calls) == 1:
+            raise ZeroDivisionError("element has reduced norm zero")
+        return inverse(d)
+
+    monkeypatch.setattr(algebra, "inverse", inverse_singular_once)
+    assert random_special_unitary(GAL, random.Random(17)) == want
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("sample", [
+    lambda p: random_hermitian(p, random.Random(0)),
+    lambda p: random_special_unitary(p, random.Random(0)),
+    lambda p: matrix_at_infinity(AlgebraElem.scalar(p, 1)),
+], ids=["hermitian", "special-unitary", "matrix-at-infinity"])
+def test_galois_only_operations_refuse_the_nongalois_kind(sample):
+    with pytest.raises(ValueError, match="Galois kind"):
+        sample(NONGAL)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("cubic", QuadElem(2)), "unknown algebra kind 'cubic'"),
+    ((GALOIS, QuadElem(0)), "must be a unit of E"),
+    ((NONGALOIS, QuadElem(2)), "needs the radicand b"),
+    ((NONGALOIS, QuadElem(2), QuadElem(2) * ZETA3_E), "requires a = tau"),
+], ids=["kind", "a-zero", "b-missing", "a-not-tau-b"])
+def test_algebra_params_refusals(args, message):
+    with pytest.raises(ValueError, match=message):
+        AlgebraParams(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,7 @@ K33 = "<path of a K_3,3 graph file>"
     ["verify-algebra", "--sam", "1"],
     ["verify-algebra", "--a", "-1e-9"],        # an exponent is no integer, and no option name
     ["verify-algebra", "--samples", "-1e3"],
+    ["verify-algebra", "--a", "-(2+w)/(2-w)"],  # read as an option name: write --a=-(2+w)/(2-w)
 ], ids=["b-with-galois", "a-with-nongalois", "a-True", "a-False", "paper-suite-with-command",
         "seed-before-command", "samples-0", "samples-negative", "deep-sum", "deep-negation",
         "radius-negative", "tree-degree-1", "a-zero", "b-zero", "up-to-1",
@@ -143,7 +144,7 @@ K33 = "<path of a K_3,3 graph file>"
         "spectrum-tolerance-nan", "spectrum-tolerance-negative", "spectrum-tolerance-zero",
         "expansion-ceiling", "tree-ceiling", "finite-group-ceiling",
         "verify-algebra-witness-limit", "primes-abbreviated", "verify-algebra-abbreviated",
-        "a-negative-exponent", "samples-negative-exponent"])
+        "a-negative-exponent", "samples-negative-exponent", "a-leading-minus"])
 def test_ignored_or_non_integer_input_is_usage_error(tmp_path, capsys, argv):
     k33 = write_graph(tmp_path, graphs.complete_bipartite(3, 3))
     code, rep = run([k33 if a == K33 else a for a in argv], capsys)
@@ -184,6 +185,18 @@ def test_cli_options_are_pinned():
     # an option string is taken whole or not at all: no prefix names it
     assert not parser.allow_abbrev
     assert not any(p.allow_abbrev for p in sub.choices.values())
+
+
+@pytest.mark.parametrize("signed, plain", [
+    (["--a=-1"], ["--a", "0-1"]),
+    (["--kind", "nongalois", "--b=+2*zeta3"], ["--kind", "nongalois", "--b", "2*zeta3"]),
+], ids=["a-minus", "b-plus"])
+def test_unary_signs_in_field_elements(capsys, signed, plain):
+    # a value that starts with a sign is written --a=...: the signed and the
+    # unsigned spelling of one element give one report
+    signed, plain = (run(["verify-algebra", "--samples", "2", *argv], capsys)[1]
+                     for argv in (signed, plain))
+    assert signed["results"] == plain["results"]
 
 
 def test_verify_algebra_bad_expression(capsys):
@@ -282,11 +295,17 @@ def test_spectrum_and_expansion(tmp_path, capsys):
     assert code == 0 and rep["results"]["c"]["value"] == "1"
 
 
-def test_tree(capsys):
-    code, rep = run(["tree", "--l", "9", "--m", "3", "--radius", "2"], capsys)
+def test_tree(tmp_path, capsys):
+    out = str(tmp_path / "ball.json")
+    code, rep = run(["tree", "--l", "9", "--m", "3", "--radius", "2", "--out", out], capsys)
     assert code == 0
     assert rep["results"]["vertices"]["value"] == 28
     assert rep["results"]["level_counts"]["value"] == [1, 9, 18]
+    # the written file reads back, through spectrum too, as the same ball
+    assert graphs.load_graph(out) == trees.biregular_tree_ball(9, 3, 2).graph
+    code, rep = run(["spectrum", out], capsys)
+    assert code == 0 and len(rep["results"]["eigenvalues"]["value"]) == 28
+    assert rep["results"]["connected"]["value"] and rep["results"]["bipartite"]["value"]
 
 
 def test_primes(capsys):
@@ -730,6 +749,10 @@ _CORRUPTIONS = {
     "parts-length": lambda d: {**d, "parts": [0] * (d["n"] + 1)},
     "parts-value": lambda d: {**d, "parts": [2] * (d["n"] or 1)},
     "parts-string": lambda d: {**d, "parts": "01"},
+    "n-bool": lambda d: {**d, "n": True},
+    "parts-bool": lambda d: {**d, "parts": [False] * (d["n"] or 1)},
+    "edge-object": lambda d: {**d, "edges": d["edges"] + [{"a": 0, "b": 1}]},
+    "edges-object": lambda d: {**d, "edges": {}},
     "not-an-object": lambda d: [d["n"], d["edges"]],
 }
 

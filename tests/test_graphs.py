@@ -344,6 +344,16 @@ def test_structure_of_long_paths_and_odd_cycles(g):
     assert (rep.bipartition is None) == (g.n % 2 == 1)
 
 
+@pytest.mark.parametrize("n", [2 ** 62, 2 ** 62 + 1, 2 ** 63])
+def test_structure_refuses_a_cover_beyond_int64(n, count_calls):
+    # the 2n labels of the double cover must fit in int64: refused before
+    # any array is made (it raised IndexError or OverflowError)
+    calls = count_calls(graphs, "_components")
+    with pytest.raises(GraphClassError, match="overflow int64"):
+        analyze_structure(Graph(n, ()))
+    assert not calls
+
+
 def test_each_graph_is_analysed_once(count_calls):
     calls = count_calls(graphs, "_neighbor_tuples", "_components", "_structure")
     g = Graph(6, tuple((i, (i + 1) % 6) for i in range(6)))      # C_6, no declared parts
@@ -793,6 +803,7 @@ def test_json_roundtrip():
     {"n": 3, "edges": [[False, 1]]},
     {"n": 2, "edges": [[0, 1]], "parts": [0, 1.0]},
     {"n": 2, "edges": [[0, 1]], "parts": [False, True]},
+    {"n": 0, "edges": {}},                      # edges is a list, not an object
 ])
 def test_json_ids_must_be_integers(doc):
     with pytest.raises(GraphError, match="not integers"):

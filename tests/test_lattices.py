@@ -19,7 +19,6 @@ from ramanujan_bigraphs.lattices import (
     ResidueRing,
     _CodeTables,
     _su3_lift,
-    _unitary_det_mask,
     classify_prime,
     congruence_tower,
     enumerate_su3,
@@ -197,7 +196,8 @@ def test_enumerate_su3_level1_matches_full_scan():
     # of the index sum_k d_k 2^k is x_ij for k = 3i + j and y_ij for k = 9 + 3i + j
     digits = np.indices((2,) * 18).reshape(18, -1)[::-1].T
     x, y = digits[:, :9].reshape(-1, 3, 3), digits[:, 9:].reshape(-1, 3, 3)
-    keep = np.nonzero(_unitary_det_mask(x, y, ResidueRing(2)))[0]
+    t = _CodeTables(ResidueRing(2))
+    keep = np.nonzero(t.unitary_det_mask(t.encode(x, y)))[0]
     scanned = tuple(
         tuple(tuple((int(x[k, i, j]), int(y[k, i, j])) for j in range(3)) for i in range(3))
         for k in keep
@@ -343,7 +343,8 @@ def test_unitary_det_mask_matches_scalar_reference(q):
     mats = [built() for _ in range(1000)]
     mats += [[[rng.choice(elements) for _ in range(3)] for _ in range(3)] for _ in range(1000)]
     arr = np.array(mats)
-    mask = _unitary_det_mask(arr[..., 0], arr[..., 1], ring)
+    t = _CodeTables(ring)
+    mask = t.unitary_det_mask(t.encode(arr[..., 0], arr[..., 1]))
     want = [_is_su3(g, ring) for g in mats]
     assert mask.tolist() == want
     assert 300 < sum(want) < 1000
@@ -405,3 +406,5 @@ def test_congruence_tower_preconditions():
         congruence_tower(3, 2, p=5)
     with pytest.raises(LatticeError):
         congruence_tower(5, 0, p=2)
+    with pytest.raises(LatticeError, match="p = 4 is not prime"):
+        congruence_tower(5, 2, p=4)

@@ -119,6 +119,8 @@ def test_ball_beyond_its_radius_is_refused():
         trees.TreeBall(path, root=1, radius=1, l=2, m=2, root_side="l")
     inside = Graph(3, path.edges[:2])
     assert trees.TreeBall(inside, root=1, radius=1, l=2, m=2, root_side="l").level_counts == (1, 2)
+    with pytest.raises(GraphError, match="root 3 is not a vertex of the ball"):
+        trees.TreeBall(inside, root=3, radius=1, l=2, m=2, root_side="l")
 
 
 def test_ball_spectrum_symmetric():
