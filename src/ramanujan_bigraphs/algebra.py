@@ -11,16 +11,18 @@ flavors are supported:
 An element is one of numberfield's exact vectors: the 18 numerators of l0,
 l1 and l2 in turn over one positive denominator, in lowest terms.  Each
 algebra value (kind, a, b) has its own element class, made once, which holds
-D's product, compiled by numberfield's one product generator from the
-structure tensor (the rows of the matrix image of the Q-basis), and the
-involution, compiled from its per-kind formula on that basis.  The L-triple
-``l``, the matrix image, the reduced norm and the inverse are read in L.
+D's product, compiled by numberfield's one generator of forms from the
+structure tensor (the rows of the matrix image of the Q-basis), the
+involution, compiled from its per-kind formula on that basis, and the
+reduced trace and norm, a linear map and a cubic form on the numerators.
+The L-triple ``l``, the matrix image and the inverse are read in L.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,6 +37,7 @@ from .numberfield import (
     ZETA3_E,
     RationalVector,
     _bilinear_kernel,
+    _form_kernel,
     _join,
     _linear_kernel,
     _lowest_terms,
@@ -112,7 +115,9 @@ class AlgebraElem(RationalVector):
     ``den``, with gcd(den, *num) = 1.  The coordinates given may be elements
     of the algebra's L, or ints, Fractions and QuadElems, which are embedded.
     Each algebra value (kind, a, b) has its own subclass, made by
-    _algebra_class, which holds ``params`` and the compiled kernels.
+    _algebra_class, which holds ``params`` and the compiled kernels.  Only
+    to_matrix, inverse, matrix_at_infinity, copy and pickle, and the repr
+    build the L-triple ``l``.
     """
 
     __slots__ = ("__dict__",)
@@ -187,21 +192,13 @@ def matrix_det(m: Sequence):
 
 
 def reduced_norm(d: AlgebraElem) -> QuadElem:
-    """N(d) = N(l0) + a N(l1) + a^2 N(l2) - a Tr(l0 rho(l1) rho^2(l2))."""
-    p = d.params
-    a = p.a
-    l0, l1, l2 = d.l
-    cross = l0 * l1.rho() * l2.rho().rho()
-    return (
-        l0.norm()
-        + a * l1.norm()
-        + a * a * l2.norm()
-        - a * cross.trace()
-    )
+    """Nrd(d), from the compiled cubic form on d's numerators."""
+    return QuadElem._new(*_lowest_terms(d._nrd(d.num), d.den ** 3 * d._nrd_den))
 
 
 def reduced_trace(d: AlgebraElem) -> QuadElem:
-    return d.l[0].trace()
+    """Trd(d) = Tr_{L/E}(l0), from the compiled linear map on d's numerators."""
+    return QuadElem._new(*_lowest_terms(d._trd(d.num), d.den * d._trd_den))
 
 
 def involution(d: AlgebraElem) -> AlgebraElem:
@@ -225,10 +222,13 @@ def _involution_formula(p: AlgebraParams, l: tuple) -> tuple:
 @functools.cache
 def _algebra_class(params: AlgebraParams) -> type:
     """The subclass of AlgebraElem for one algebra value (kind, a, b), made
-    once, with D's product and involution compiled once under the file names
-    ``<algebra kind.product>`` and ``<algebra kind.alpha>``.  num(d e) is
-    _product(num(d), num(e)) over den(d) den(e) _product_den, and
-    num(alpha(d)) is _alpha(num(d)) over den(d) _alpha_den.
+    once, with D's product, involution, reduced trace and reduced norm
+    compiled once under the file names ``<algebra kind.product>``,
+    ``<algebra kind.alpha>``, ``<algebra kind.trd>`` and
+    ``<algebra kind.nrd>``.  num(d e) is _product(num(d), num(e)) over
+    den(d) den(e) _product_den, num(alpha(d)) is _alpha(num(d)) over
+    den(d) _alpha_den, Trd(d) is _trd(num(d)) over den(d) _trd_den, and
+    Nrd(d) is _nrd(num(d)) over den(d)^3 _nrd_den.
 
     D's Q-basis is c z^k for c in L's Q-basis: the unit vector at slot
     6k + s, where s is c's slot among L's six numerators.  The product
@@ -247,7 +247,50 @@ def _algebra_class(params: AlgebraParams) -> type:
     num, cls._alpha_den = _join([x for e in basis for x in _involution_formula(params, e.l)])
     cls._alpha = staticmethod(_linear_kernel(
         f"algebra {params.kind}.alpha", [num[18 * i:18 * i + 18] for i in range(18)]))
+    num, cls._trd_den = _join([e.l[0].trace() for e in basis])
+    traces = [num[2 * i:2 * i + 2] for i in range(18)]
+    cls._trd = staticmethod(_linear_kernel(f"algebra {params.kind}.trd", traces))
+    terms, cls._nrd_den = _reduced_norm_terms(products, cls._product_den, traces, cls._trd_den)
+    cls._nrd = staticmethod(_form_kernel(f"algebra {params.kind}.nrd", "v", 18, terms, 2))
     return cls
+
+
+def _reduced_norm_terms(products: dict, pd: int, traces: list, td: int) -> tuple:
+    """(terms, den): Nrd on D's Q-basis e_i as the cubic form, the sum of
+    x_i x_j x_k c / den over the (monomial, c) pairs ``terms``, c in E, from
+    the structure tensor P (``products`` over pd) and T_i = Trd(e_i)
+    (``traces`` over td).  Nrd = (t1^3 - 3 t1 t2 + 2 t3)/6 with tk = Trd(x^k),
+    so the ordered triple (i, j, k) adds (T_i T_j T_k - 3 T_i T_jk + 2 T_ijk)/6
+    to its monomial, where T_jk = Trd(e_j e_k) = sum_m P_jkm T_m and
+    T_ijk = sum_m P_ijm T_mk.  Only the nonzero T, P and T_jk are visited,
+    in integers over 6 pd^2 td^3."""
+    mul = QuadElem._product     # E's product on numerator pairs
+    acc = {}    # (i, j, k), sorted -> the numerators of its coefficient
+
+    def add(triple, c, v):
+        img = acc.setdefault(tuple(sorted(triple)), [0, 0])
+        img[0] += c * v[0]
+        img[1] += c * v[1]
+
+    t = {i: v for i, v in enumerate(traces) if any(v)}
+    support = {ij: [(m, c) for m, c in enumerate(row) if c] for ij, row in products.items()}
+    t2 = {m: {} for m in range(len(traces))}    # T_mk over pd td, by m
+    for (j, k), cs in support.items():
+        v = [sum(c * t[m][s] for m, c in cs if m in t) for s in (0, 1)]
+        if any(v):
+            t2[j][k] = v
+    for i, j, k in itertools.product(t, repeat=3):
+        add((i, j, k), pd * pd, mul(mul(t[i], t[j]), t[k]))
+    for i in t:
+        for j in t2:
+            for k, v in t2[j].items():
+                add((i, j, k), -3 * pd * td, mul(t[i], v))
+    for (i, j), cs in support.items():
+        for m, c in cs:
+            for k, v in t2[m].items():
+                add((i, j, k), 2 * td * td * c, v)
+    num, den = _lowest_terms(tuple(c for img in acc.values() for c in img), 6 * pd ** 2 * td ** 3)
+    return [(f"v{i} * v{j} * v{k}", num[2 * m:2 * m + 2]) for m, (i, j, k) in enumerate(acc)], den
 
 
 def involution_failures(params: AlgebraParams, samples: int, rng: random.Random) -> dict:

@@ -690,11 +690,12 @@ def graph_to_json(g: Graph) -> dict:
 
 def graph_from_json(doc: dict) -> Graph:
     """The graph of a JSON document, whose ids are JSON integers: one type
-    scan refuses true and 1.0, then ``Graph`` checks the lists as they are."""
+    scan refuses true and 1.0, then ``Graph`` checks the lists as they are,
+    the arity of each edge included."""
     try:
         n, edges, parts = doc["n"], doc["edges"], doc.get("parts")
         ids = chain((n,), chain.from_iterable(edges), () if parts is None else parts)
-        if set(map(type, ids)) - {int} or type(edges) is not list or set(map(len, edges)) - {2}:
+        if set(map(type, ids)) - {int} or type(edges) is not list:
             raise GraphError("malformed graph document: n, edges or parts not integers")
         return Graph(n, edges, parts)
     except (KeyError, TypeError, ValueError) as exc:

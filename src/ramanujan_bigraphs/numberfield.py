@@ -11,12 +11,13 @@ quotients sharing one kernel on top of it, :class:`PolyElem`:
 * L = Q(zeta_9) = Q[x]/(x^6 + x^3 + 1), on the power basis of zeta_9;
 * E(theta) = E[theta]/(theta^3 - b), on the Q-basis theta^k w^j, j < 2.
 
-Every product, of E, L, E(theta) and D, is compiled by one bilinear
-generator from the images of the pairs of basis elements: pairs with the same
-image are summed once, and each output is a combination of those sums.  The
-Galois maps and L's constructor reduction are compiled as linear maps.  E and
-L compile at import, E(theta) once per radicand b, D once per algebra; each
-is a straight-line Python function on the integer numerators.  Coefficients
+Every product, of E, L, E(theta) and D, and D's reduced norm are compiled
+by one generator of forms from the images of the monomials, products of
+basis elements: monomials with the same image are summed once, and each
+output is a combination of those sums.  The Galois maps and L's constructor
+reduction are compiled as linear maps.  E and L compile at import, E(theta)
+once per radicand b, D once per algebra; each is a straight-line Python
+function on the integer numerators.  Coefficients
 other than +-1 are bound as names, never written into the source, so a
 radicand of any size compiles.  Relative norms, traces and inverses follow
 from the Galois generator.  ``coeffs`` reads the coefficients: Fractions on E
@@ -75,22 +76,29 @@ def _linear_kernel(label: str, images):
                     results, consts)
 
 
-def _bilinear_kernel(label: str, n: int, image):
-    """(a, b) -> sum over i, j < n of a[i] b[j] image(i, j), straight-line on
-    integer n-tuples: the one generator of products.  Pairs (i, j) with the
-    same image are summed once, and each output is a _combination of those
-    sums."""
-    groups = {}     # image -> the pairs that have it
-    for i in range(n):
-        for j in range(n):
-            if any(img := tuple(image(i, j))):
-                groups.setdefault(img, []).append(f"a{i} * b{j}")
-    body = [f"{', '.join(f'{v}{i}' for i in range(n))}, = {v}" for v in "ab"]
-    body += [f"p{g} = {' + '.join(pairs)}" for g, pairs in enumerate(groups.values())]
+def _form_kernel(label: str, args: str, n: int, terms, width: int):
+    """The sum of monomial * image over the (monomial, image) pairs ``terms``,
+    straight-line on the integer n-tuples named by the letters of ``args``: a
+    monomial is the source of a product, such as ``a0 * b3``, and an image a
+    width-tuple of ints.  The one generator of products and forms: monomials
+    with the same image are summed once, and each output is a _combination
+    of those sums."""
+    groups = {}     # image -> the monomials that have it
+    for monomial, img in terms:
+        if any(img):
+            groups.setdefault(tuple(img), []).append(monomial)
+    body = [f"{', '.join(f'{v}{i}' for i in range(n))}, = {v}" for v in args]
+    body += [f"p{g} = {' + '.join(monomials)}" for g, monomials in enumerate(groups.values())]
     consts = {}
     results = [_combination([(f"p{g}", img[s]) for g, img in enumerate(groups)], consts)
-               for s in range(n)]
-    return _compile(label, "a, b", body, results, consts)
+               for s in range(width)]
+    return _compile(label, ", ".join(args), body, results, consts)
+
+
+def _bilinear_kernel(label: str, n: int, image):
+    """(a, b) -> sum over i, j < n of a[i] b[j] image(i, j), on n-tuples."""
+    return _form_kernel(label, "ab", n, ((f"a{i} * b{j}", image(i, j))
+                                         for i in range(n) for j in range(n)), n)
 
 
 def _powers(top):

@@ -44,6 +44,7 @@ from ramanujan_bigraphs.algebra import (
     random_special_unitary,
     realize_at_infinity,
     reduced_norm,
+    reduced_trace,
     to_matrix,
     torus_point,
     triple_is_unitary_norm_one,
@@ -76,6 +77,14 @@ def reference_involution(d) -> tuple:
     # transpose the theta/z coefficient grid and conjugate
     grid = zip(*(lj.coeffs for lj in d.l))
     return tuple(CubicExtElem(*(e.conj() for e in col), b=p.b) for col in grid)
+
+
+def reference_reduced_norm(d):
+    """Nrd(d) = N(l0) + a N(l1) + a^2 N(l2) - a Tr(l0 rho(l1) rho^2(l2)), in L."""
+    a = d.params.a
+    l0, l1, l2 = d.l
+    cross = l0 * l1.rho() * l2.rho().rho()
+    return l0.norm() + a * l1.norm() + a * a * l2.norm() - a * cross.trace()
 
 
 # a radicand whose numerator has more decimal digits than str(int) allows
@@ -112,6 +121,10 @@ def test_kernels_match_the_l_triple_formulas(algebra, data):
         assert x == built and hash(x) == hash(built)
         assert repr(x) == f"AlgebraElem({ref[0]!r}, {ref[1]!r}, {ref[2]!r})"
     assert bool(d - d) is False and (d - d) == AlgebraElem(params, 0)
+    nrd, ref = reduced_norm(d), reference_reduced_norm(d)
+    assert (nrd.num, nrd.den) == (ref.num, ref.den)
+    trd, ref = reduced_trace(d), d.l[0].trace()
+    assert (trd.num, trd.den) == (ref.num, ref.den)
 
 
 @KINDS
@@ -119,7 +132,7 @@ def test_kernels_are_named_and_hold_no_literal(params):
     """Each kernel is compiled under a file name that names the algebra's kind
     and map, and binds every coefficient as a name: its code holds no constant."""
     cls = type(AlgebraElem.scalar(params, 1))
-    for name in ("product", "alpha"):
+    for name in ("product", "alpha", "trd", "nrd"):
         kernel = getattr(cls, f"_{name}")
         assert kernel.__code__.co_filename == f"<algebra {params.kind}.{name}>"
         assert kernel.__name__ == name
@@ -183,13 +196,23 @@ def _q_basis(params):
             for k in range(3) for c in units]
 
 
-# failures of alpha^2 = id (18 elements), associativity (5,832 triples) and
-# anti-multiplicativity (324 pairs); the non-Galois alpha is no anti-automorphism,
-# with b = 2 zeta_3 as with a rational b = a = 2
+def _cubic_points(basis):
+    """e_i, e_i + e_j, 2 e_i + e_j (i < j) and e_i + e_j + e_k (i < j < k):
+    1,140 points on which two Q-cubic forms in 18 variables agree only if
+    they are equal."""
+    pairs = list(itertools.combinations(basis, 2))
+    return (basis + [x + y for x, y in pairs] + [x + x + y for x, y in pairs]
+            + [x + y + z for x, y, z in itertools.combinations(basis, 3)])
+
+
+# failures of alpha^2 = id (18 elements), associativity (5,832 triples),
+# anti-multiplicativity (324 pairs) and Nrd(alpha(x)) = tau(Nrd(x)) (1,140
+# points); the non-Galois alpha is no anti-automorphism and does not conjugate
+# the norm, with b = 2 zeta_3 as with a rational b = a = 2
 BASIS_LAW_FAILURES = {
-    "galois": (GAL, (0, 0, 0)),
-    "nongalois": (NONGAL, (0, 0, 144)),
-    "nongalois, b=2": (AlgebraParams(NONGALOIS, QuadElem(2), QuadElem(2)), (0, 0, 144)),
+    "galois": (GAL, (0, 0, 0, 0)),
+    "nongalois": (NONGAL, (0, 0, 144, 48)),
+    "nongalois, b=2": (AlgebraParams(NONGALOIS, QuadElem(2), QuadElem(2)), (0, 0, 144, 48)),
 }
 
 
@@ -204,7 +227,10 @@ def test_laws_on_the_basis(algebra):
     assoc = sum(prod[i, j] * basis[k] != basis[i] * prod[j, k]
                 for (i, j), k in itertools.product(pairs, range(18)))
     anti = sum(involution(prod[i, j]) != alpha[j] * alpha[i] for i, j in pairs)
-    assert (squares, assoc, anti) == expected
+    points = _cubic_points(basis)
+    assert len(points) == 1140
+    norm = sum(reduced_norm(involution(x)) != reduced_norm(x).conj() for x in points)
+    assert (squares, assoc, anti, norm) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -810,6 +810,12 @@ def test_json_ids_must_be_integers(doc):
         graph_from_json(doc)
 
 
+@pytest.mark.parametrize("edge", [[0, 1, 2], [0], []])
+def test_json_edges_must_be_pairs(edge):
+    with pytest.raises(GraphError, match="^edges must be pairs of integer vertex ids$"):
+        graph_from_json({"n": 3, "edges": [[0, 1], edge]})
+
+
 def test_dot_export():
     dot = to_dot(complete_bipartite(2, 2))
     assert dot.startswith("graph G {") and "0 -- 2;" in dot
