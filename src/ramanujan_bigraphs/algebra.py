@@ -4,7 +4,8 @@ The algebra is D = L + L*z + L*z^2 with z^3 = a and z*l = rho(l)*z.  Two
 flavors are supported:
 
 * kind "galois": L = Q(zeta_9), which is C6-Galois over Q; the involution is
-  the tau-conjugate-transpose on the regular representation.
+  the tau-conjugate-transpose on the regular representation, so alpha(d) is
+  tau of column 0 of d's matrix image.
 * kind "nongalois": L = E(theta) with theta^3 = b and a = tau(b); the
   involution swaps theta and z.
 
@@ -13,9 +14,11 @@ l1 and l2 in turn over one positive denominator, in lowest terms.  Each
 algebra value (kind, a, b) has its own element class, made once, which holds
 D's product, compiled by numberfield's one generator of forms from the
 structure tensor (the rows of the matrix image of the Q-basis), the
-involution, compiled from its per-kind formula on that basis, and the
-reduced trace and norm, a linear map and a cubic form on the numerators.
-The L-triple ``l``, the matrix image and the inverse are read in L.
+involution, compiled from tau of column 0 of the same images (Galois kind)
+or the theta/z swap, and the reduced trace and norm, a linear map and a
+cubic form on the numerators.  The L-triple ``l``, the matrix image and the
+inverse are read in L.  Ints, Fractions and elements of E enter D as
+scalars; elements of two algebras do not mix (RationalVector's one rule).
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .numberfield import (
     _lowest_terms,
     galois_actions_commute,
     galois_rho,
-    galois_tau,
     is_prime,
     local_norm_obstruction,
     quad_from_sqrt3_basis,
@@ -62,7 +64,7 @@ class AlgebraParams:
 
     ``one`` is the unit of the coefficient field L: Q(zeta_9) for the Galois
     kind, E(theta) for the other.  The operations of L come from its elements.
-    ``a_l`` and ``ta_l`` are the structure constant a and tau(a) embedded in L.
+    ``a_l`` is the structure constant a embedded in L.
     """
 
     kind: str
@@ -70,7 +72,6 @@ class AlgebraParams:
     b: Optional[QuadElem] = None
     one: CycloElem | CubicExtElem = field(init=False, repr=False, compare=False)
     a_l: CycloElem | CubicExtElem = field(init=False, repr=False, compare=False)
-    ta_l: CycloElem | CubicExtElem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (GALOIS, NONGALOIS):
@@ -83,11 +84,12 @@ class AlgebraParams:
             if self.a != self.b.conj():
                 raise ValueError("non-Galois kind requires a = tau(b)")
             one = CubicExtElem.scalar(1, self.b)
+        elif self.b is not None:
+            raise ValueError("the Galois kind takes no radicand b")
         else:
             one = CycloElem([1])
         object.__setattr__(self, "one", one)
         object.__setattr__(self, "a_l", one.from_E(self.a))
-        object.__setattr__(self, "ta_l", one.from_E(self.a.conj()))
 
     def times_z(self, m) -> tuple:
         """Triple of z (m0 + m1 z + m2 z^2) = a rho(m2) + rho(m0) z + rho(m1) z^2: the
@@ -108,7 +110,7 @@ def example_nongalois_params() -> AlgebraParams:
     return AlgebraParams(NONGALOIS, b.conj(), b)
 
 
-class AlgebraElem(RationalVector):
+class AlgebraElem(RationalVector, mixing="elements belong to different algebras"):
     """Element l0 + l1*z + l2*z^2 of the cyclic algebra.
 
     ``num`` holds the 18 numerators of l0, l1, l2 in turn over the positive
@@ -151,17 +153,9 @@ class AlgebraElem(RationalVector):
     def gen_z(cls, params: AlgebraParams) -> "AlgebraElem":
         return cls(params, 0, params.one)
 
-    def _coerce(self, other):
-        if isinstance(other, type(self)):
-            return other
-        if isinstance(other, AlgebraElem):
-            raise ValueError("elements belong to different algebras")
-        return NotImplemented
-
-    def __eq__(self, other):    # elements of two algebras are unequal, not an error
-        return type(other) is type(self) and RationalVector.__eq__(self, other)
-
-    __hash__ = RationalVector.__hash__
+    def from_E(self, e) -> "AlgebraElem":    # the scalar embedding of E
+        c = self.params.one.from_E(e)
+        return self._new(c.num + (0,) * 12, c.den)
 
     def __reduce__(self):    # copy and pickle rebuild it in its algebra's subclass
         return AlgebraElem, (self.params, *self.l)
@@ -183,12 +177,19 @@ def matrix_mul(m1: Sequence, m2: Sequence) -> List[list]:
     ]
 
 
-def matrix_det(m: Sequence):
+def _column0_cofactors(m: Sequence) -> tuple:
+    """Row 0 of adj(m): the cofactors of column 0 of m."""
     return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        m[1][1] * m[2][2] - m[1][2] * m[2][1],
+        m[0][2] * m[2][1] - m[0][1] * m[2][2],
+        m[0][1] * m[1][2] - m[0][2] * m[1][1],
     )
+
+
+def matrix_det(m: Sequence):
+    """det(m), expanded along column 0."""
+    c0, c1, c2 = _column0_cofactors(m)
+    return m[0][0] * c0 + m[1][0] * c1 + m[2][0] * c2
 
 
 def reduced_norm(d: AlgebraElem) -> QuadElem:
@@ -207,14 +208,9 @@ def involution(d: AlgebraElem) -> AlgebraElem:
 
 
 def _involution_formula(p: AlgebraParams, l: tuple) -> tuple:
-    """The involution on an L-triple, per the algebra kind: the compiled
-    kernel's matrix is read from it on the basis."""
-    l0, l1, l2 = l
-    if p.kind == GALOIS:
-        t, r = galois_tau, galois_rho
-        return (t(l0), p.ta_l * t(r(l2)), p.ta_l * t(r(r(l1))))
-    # non-Galois kind: transpose the theta/z coefficient grid and conjugate,
-    # so the theta^k coefficient of l_j becomes the theta^j one of entry k
+    """The non-Galois involution on an L-triple: transpose the theta/z
+    coefficient grid and conjugate, so the theta^k coefficient of l_j becomes
+    the theta^j one of entry k."""
     grid = zip(*(lj.coeffs for lj in l))
     return tuple(CubicExtElem(*(e.conj() for e in col), b=p.b) for col in grid)
 
@@ -233,7 +229,9 @@ def _algebra_class(params: AlgebraParams) -> type:
     D's Q-basis is c z^k for c in L's Q-basis: the unit vector at slot
     6k + s, where s is c's slot among L's six numerators.  The product
     c z^k e is c times row k of e's matrix image, z^k e, so the structure
-    tensor is read from the rows of the basis elements' images.
+    tensor is read from the rows of the basis elements' images, and the
+    Galois alpha, whose image is the tau-conjugate transpose, from tau of
+    their columns 0.
     """
     cls = type("AlgebraElem", (AlgebraElem,), {"__slots__": (), "params": params})
     basis = [cls._new(tuple(int(i == s) for i in range(18))) for s in range(18)]
@@ -244,7 +242,11 @@ def _algebra_class(params: AlgebraParams) -> type:
     products = {ij: num[18 * m:18 * m + 18] for m, ij in enumerate(pairs)}
     cls._product = staticmethod(_bilinear_kernel(
         f"algebra {params.kind}.product", 18, lambda i, j: products[i, j]))
-    num, cls._alpha_den = _join([x for e in basis for x in _involution_formula(params, e.l)])
+    if params.kind == GALOIS:
+        images = [[row[0].tau() for row in m] for m in rows]
+    else:
+        images = [_involution_formula(params, e.l) for e in basis]
+    num, cls._alpha_den = _join([x for image in images for x in image])
     cls._alpha = staticmethod(_linear_kernel(
         f"algebra {params.kind}.alpha", [num[18 * i:18 * i + 18] for i in range(18)]))
     num, cls._trd_den = _join([e.l[0].trace() for e in basis])
@@ -311,11 +313,10 @@ def involution_failures(params: AlgebraParams, samples: int, rng: random.Random)
         nd = reduced_norm(d)
         s = QuadElem(i % 11 - 5, i % 7 - 3)
         failures["alpha_squared_is_identity"] += involution(ad) != d
-        failures["restricts_to_tau_on_E"] += involution(AlgebraElem.scalar(params, s)) != \
-            AlgebraElem.scalar(params, s.conj())
+        failures["restricts_to_tau_on_E"] += involution(d.from_E(s)) != s.conj()
         failures["anti_automorphism"] += involution(d * elems[j]) != images[j] * ad
         failures["norm_conjugation"] += reduced_norm(ad) != nd.conj()
-        failures["norm_equals_det"] += matrix_det(to_matrix(d)) != params.one.from_E(nd)
+        failures["norm_equals_det"] += matrix_det(to_matrix(d)) != nd
     return failures
 
 
@@ -324,22 +325,14 @@ def inverse(d: AlgebraElem) -> AlgebraElem:
     n = reduced_norm(d)
     if not n:
         raise ZeroDivisionError("element has reduced norm zero")
-    m = to_matrix(d)
     inv_n = d.params.one.from_E(n.inverse())
-    # row 0 of A^{-1} = adj(A) / N carries the triple of d^{-1}; it holds the
-    # cofactors of column 0 of A
-    adj = (
-        m[1][1] * m[2][2] - m[1][2] * m[2][1],
-        m[0][2] * m[2][1] - m[0][1] * m[2][2],
-        m[0][1] * m[1][2] - m[0][2] * m[1][1],
-    )
-    return AlgebraElem(d.params, *(inv_n * c for c in adj))
+    # row 0 of A^{-1} = adj(A) / N carries the triple of d^{-1}
+    return AlgebraElem(d.params, *(inv_n * c for c in _column0_cofactors(to_matrix(d))))
 
 
 def is_special_unitary(d: AlgebraElem) -> bool:
     """True iff alpha(d) * d = 1 and the reduced norm is 1, exactly."""
-    one = AlgebraElem.scalar(d.params, 1)
-    return involution(d) * d == one and reduced_norm(d) == QuadElem(1)
+    return involution(d) * d == 1 and reduced_norm(d) == 1
 
 
 # --------------------------------------------------------------------------
@@ -475,13 +468,12 @@ def random_special_unitary(params: AlgebraParams, rng: random.Random) -> Algebra
     """
     if params.kind != GALOIS:
         raise ValueError("special-unitary sampling implemented for the Galois kind")
-    one = AlgebraElem.scalar(params, 1)
     for _ in range(100):
         k = random_hermitian(params, rng)
         tr = reduced_trace(k)
         if not tr.is_rational:
             raise ArithmeticError("hermitian trace must be rational")
-        k = k - AlgebraElem.scalar(params, QuadElem(tr.x / 3))
+        k = k - QuadElem(tr.x / 3)
         if not k:
             continue
         n_k = reduced_norm(k)
@@ -489,10 +481,9 @@ def random_special_unitary(params: AlgebraParams, rng: random.Random) -> Algebra
         if not (n_k.is_rational and tr_k2.is_rational) or n_k.x == 0:
             continue
         mu = -(-tr_k2.x / 2) / n_k.x  # -S_k / N_k with S_k = -Tr(k^2)/2
-        h = one + AlgebraElem.scalar(params, QuadElem(mu)) * k
-        s = AlgebraElem.scalar(params, SQRT_M3) * h
+        s = SQRT_M3 * (1 + QuadElem(mu) * k)
         try:
-            x = (one - s) * inverse(one + s)
+            x = (1 - s) * inverse(1 + s)
         except ZeroDivisionError:    # N(1 + s) = 0
             continue
         if not is_special_unitary(x):

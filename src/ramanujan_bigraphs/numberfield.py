@@ -157,12 +157,20 @@ class RationalVector:
 
     A subclass fixes the space: ``_product`` is its compiled product on
     numerator tuples, whose result lies over ``_product_den``, and
-    ``_coerce`` takes the other operand into the space, by default an int,
-    Fraction or element of E through the subclass's ``from_E``.
+    ``from_E`` embeds an int, Fraction or element of E, which is how such an
+    operand is taken into the space.  A family, E(theta) or D, has one
+    subclass of its base ``_family`` per value (radicand or algebra), and
+    two values do not mix: arithmetic raises ``ValueError(_mixing)`` and
+    ``==`` is False.  The base names its message: ``class F(..., mixing=...)``.
     """
 
     __slots__ = ("num", "den")
     _product_den = 1
+    _family = ()    # no family: isinstance(x, ()) is False
+
+    def __init_subclass__(cls, mixing: Optional[str] = None):
+        if mixing:
+            cls._family, cls._mixing = cls, mixing
 
     @classmethod
     def _new(cls, num: tuple, den: int = 1) -> "RationalVector":
@@ -180,6 +188,8 @@ class RationalVector:
             return other
         if isinstance(other, (int, Fraction, QuadElem)):
             return self.from_E(other)
+        if isinstance(other, self._family):
+            raise ValueError(self._mixing)
         return NotImplemented
 
     def __add__(self, other):
@@ -218,6 +228,8 @@ class RationalVector:
     __rmul__ = __mul__
 
     def __eq__(self, other):
+        if type(other) is not type(self) and isinstance(other, self._family):
+            return False    # values of one family are unequal, not an error
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -452,7 +464,7 @@ def norm_trace_L_over_E(l: CycloElem):
 # --------------------------------------------------------------------------
 
 
-class CubicExtElem(PolyElem):
+class CubicExtElem(PolyElem, mixing="mixing cubic extensions with different radicands"):
     """Element e0 + e1*theta + e2*theta^2 of E(theta) with theta^3 = b.
 
     The numerators sit on the Q-basis theta^k w^j (j < 2) at slot 2k + j.
@@ -468,7 +480,7 @@ class CubicExtElem(PolyElem):
     def __init__(self, e0, e1=QUAD_ZERO, e2=QUAD_ZERO, *, b):
         self.num, self.den = _join([_as_quad(e) for e in (e0, e1, e2)])
 
-    coeffs = e = property(lambda self: tuple(
+    coeffs = property(lambda self: tuple(
         QuadElem._new(*_lowest_terms(self.num[k:k + 2], self.den)) for k in (0, 2, 4)))
 
     @classmethod
@@ -488,16 +500,11 @@ class CubicExtElem(PolyElem):
             raise ValueError(f"{type(self).__name__} element does not lie in Q(sqrt(-3))")
         return QuadElem._new(self.num[:2], self.den)
 
-    def _coerce(self, other):
-        if isinstance(other, CubicExtElem) and type(other) is not type(self):
-            raise ValueError("mixing cubic extensions with different radicands")
-        return PolyElem._coerce(self, other)
-
     def __reduce__(self):    # copy and pickle rebuild it in its radicand's subclass
         return functools.partial(CubicExtElem, b=self.b), self.coeffs
 
     def __repr__(self):
-        return f"CubicExtElem({self.e[0]!r}, {self.e[1]!r}, {self.e[2]!r}, b={self.b!r})"
+        return f"CubicExtElem({', '.join(map(repr, self.coeffs))}, b={self.b!r})"
 
 
 @functools.cache

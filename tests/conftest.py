@@ -3,6 +3,12 @@
 from collections import Counter
 
 import pytest
+from hypothesis import Phase, settings
+
+# chosen only by mutants/run.py: a mutant is killed by the first failure, so
+# shrinking it and saving the example would only cost time
+settings.register_profile("mutants", database=None,
+                          phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 
 @pytest.fixture

@@ -73,7 +73,8 @@ def reference_involution(d) -> tuple:
     l0, l1, l2 = d.l
     if p.kind == GALOIS:
         t, r = galois_tau, galois_rho
-        return (t(l0), p.ta_l * t(r(l2)), p.ta_l * t(r(r(l1))))
+        ta = p.one.from_E(p.a.conj())
+        return (t(l0), ta * t(r(l2)), ta * t(r(r(l1))))
     # transpose the theta/z coefficient grid and conjugate
     grid = zip(*(lj.coeffs for lj in d.l))
     return tuple(CubicExtElem(*(e.conj() for e in col), b=p.b) for col in grid)
@@ -181,6 +182,20 @@ def test_elements_of_two_algebras_do_not_mix():
             with pytest.raises(ValueError, match="^elements belong to different algebras$"):
                 op(d, e)
         assert (d == e) is False and (d != e) is True
+
+
+@KINDS
+def test_scalars_coerce_into_D(params):
+    """ints, Fractions and elements of E enter D as its scalars, on either side."""
+    d = random_element(params, random.Random(5))
+    one = AlgebraElem.scalar(params, 1)
+    mu, e = Fraction(-2, 3), QuadElem(Fraction(1, 2), -1)
+    assert d + 1 == d + one and 1 - d == one - d
+    assert QuadElem(mu) * d == d * QuadElem(mu) == d * AlgebraElem.scalar(params, mu)
+    assert e * d == d * e == AlgebraElem.scalar(params, e) * d
+    for x in (d, one):
+        assert (x == AlgebraElem.scalar(params, 1)) is (x == 1) is (1 == x)
+    assert one == 1 and d != 1
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +433,8 @@ def test_galois_only_operations_refuse_the_nongalois_kind(sample):
     ((GALOIS, QuadElem(0)), "must be a unit of E"),
     ((NONGALOIS, QuadElem(2)), "needs the radicand b"),
     ((NONGALOIS, QuadElem(2), QuadElem(2) * ZETA3_E), "requires a = tau"),
-], ids=["kind", "a-zero", "b-missing", "a-not-tau-b"])
+    ((GALOIS, QuadElem(2), QuadElem(5)), "Galois kind takes no radicand b"),
+], ids=["kind", "a-zero", "b-missing", "a-not-tau-b", "b-for-galois"])
 def test_algebra_params_refusals(args, message):
     with pytest.raises(ValueError, match=message):
         AlgebraParams(*args)
