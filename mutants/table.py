@@ -26,12 +26,30 @@ MUTANTS = (
            "[[row[1].tau() for row in m] for m in rows]",
            ("tests/test_algebra.py::test_galois_involution_is_conjugate_transpose",
             "tests/test_algebra.py::test_kernels_match_the_l_triple_formulas")),
-    # one sign flipped among the cofactors that the inverse and det share
+    # one sign flipped among the integer cofactors that the inverse and det share
     Mutant("cofactor-sign", ALGEBRA,
-           "m[0][2] * m[2][1] - m[0][1] * m[2][2],",
-           "m[0][1] * m[2][2] - m[0][2] * m[2][1],",
+           "minor(2, 7, 1, 8)",
+           "minor(1, 8, 2, 7)",
            ("tests/test_algebra.py::test_inverse",
-            "tests/test_algebra.py::test_reduced_norm")),
+            "tests/test_algebra.py::test_reduced_norm",
+            "tests/test_algebra.py::test_integer_cofactors_match_the_l_formula")),
+    # det's integer sum put over den^2 pd^2, not den^3 pd^2
+    Mutant("det-den-squared", ALGEBRA,
+           "den ** 3 * x._product_den ** 2",
+           "den ** 2 * x._product_den ** 2",
+           ("tests/test_algebra.py::test_reduced_norm",
+            "tests/test_algebra.py::test_integer_cofactors_match_the_l_formula")),
+    # the complex embedding reads zeta_9^(i+1) for the numerator of zeta_9^i
+    Mutant("zeta9-powers-shifted", ALGEBRA,
+           "cmath.exp(2j * cmath.pi / 9) ** i for i in range(6))",
+           "cmath.exp(2j * cmath.pi / 9) ** i for i in range(1, 7))",
+           ("tests/test_algebra.py::test_realize_constants",
+            "tests/test_algebra.py::test_embedding_is_the_fraction_formula_bit_for_bit")),
+    # the hermitian draw takes the numerator of q for 2q
+    Mutant("hermitian-unscaled", ALGEBRA,
+           "rng.randint(-3, 3) * (2 // rng.randint(1, 2))",
+           "rng.randint(-3, 3)",
+           ("tests/test_algebra.py::test_random_hermitian_is_the_fraction_draw",)),
     # == between two values of one family raises instead of reading False
     Mutant("family-eq-guard", NUMBERFIELD,
            "        if type(other) is not type(self) and isinstance(other, self._family):\n"

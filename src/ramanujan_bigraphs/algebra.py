@@ -16,9 +16,11 @@ D's product, compiled by numberfield's one generator of forms from the
 structure tensor (the rows of the matrix image of the Q-basis), the
 involution, compiled from tau of column 0 of the same images (Galois kind)
 or the theta/z swap, and the reduced trace and norm, a linear map and a
-cubic form on the numerators.  The L-triple ``l``, the matrix image and the
-inverse are read in L.  Ints, Fractions and elements of E enter D as
-scalars; elements of two algebras do not mix (RationalVector's one rule).
+cubic form on the numerators.  The L-triple ``l`` and the matrix image are
+read in L; the inverse and the determinant form the image's cofactors with
+L's compiled product on its numerators over one denominator, normalising
+once.  Ints, Fractions and elements of E enter D as scalars; elements of
+two algebras do not mix (RationalVector's one rule).
 """
 
 from __future__ import annotations
@@ -118,8 +120,8 @@ class AlgebraElem(RationalVector, mixing="elements belong to different algebras"
     of the algebra's L, or ints, Fractions and QuadElems, which are embedded.
     Each algebra value (kind, a, b) has its own subclass, made by
     _algebra_class, which holds ``params`` and the compiled kernels.  Only
-    to_matrix, inverse, matrix_at_infinity, copy and pickle, and the repr
-    build the L-triple ``l``.
+    to_matrix (read by inverse and matrix_at_infinity), copy and pickle, and
+    the repr build the L-triple ``l``.  A scalar hashes as its value in E.
     """
 
     __slots__ = ("__dict__",)
@@ -157,6 +159,9 @@ class AlgebraElem(RationalVector, mixing="elements belong to different algebras"
         c = self.params.one.from_E(e)
         return self._new(c.num + (0,) * 12, c.den)
 
+    def _in_E(self, num):    # the scalars of D are l0 in E
+        return None if any(num[6:]) else self.params.one._in_E(num[:6])
+
     def __reduce__(self):    # copy and pickle rebuild it in its algebra's subclass
         return AlgebraElem, (self.params, *self.l)
 
@@ -178,18 +183,28 @@ def matrix_mul(m1: Sequence, m2: Sequence) -> List[list]:
 
 
 def _column0_cofactors(m: Sequence) -> tuple:
-    """Row 0 of adj(m): the cofactors of column 0 of m."""
-    return (
-        m[1][1] * m[2][2] - m[1][2] * m[2][1],
-        m[0][2] * m[2][1] - m[0][1] * m[2][2],
-        m[0][1] * m[1][2] - m[0][2] * m[1][1],
-    )
+    """(cofactors, e, den): row 0 of adj(m), the cofactors of column 0 of m,
+    in integers.  The nine entries, in L, are joined over their lcm den once,
+    entry (i, j) being the numerator tuple e[3 i + j], and each minor is
+    formed by L's compiled product on them, so each cofactor is a numerator
+    tuple over den^2 pd, pd being L's _product_den."""
+    num, den = _join([x for row in m for x in row])
+    e = [num[i:i + 6] for i in range(0, 54, 6)]
+    mul = m[0][0]._product
+
+    def minor(i, j, k, l):    # e_i e_j - e_k e_l
+        return tuple(x - y for x, y in zip(mul(e[i], e[j]), mul(e[k], e[l])))
+
+    return (minor(4, 8, 5, 7), minor(2, 7, 1, 8), minor(1, 5, 2, 4)), e, den
 
 
 def matrix_det(m: Sequence):
-    """det(m), expanded along column 0."""
-    c0, c1, c2 = _column0_cofactors(m)
-    return m[0][0] * c0 + m[1][0] * c1 + m[2][0] * c2
+    """det(m), expanded along column 0 in integers over den^3 pd^2 and
+    normalised once."""
+    cofactors, e, den = _column0_cofactors(m)
+    x = m[0][0]
+    terms = [x._product(e[3 * i], c) for i, c in enumerate(cofactors)]
+    return x._canonical(tuple(map(sum, zip(*terms))), den ** 3 * x._product_den ** 2)
 
 
 def reduced_norm(d: AlgebraElem) -> QuadElem:
@@ -321,13 +336,16 @@ def involution_failures(params: AlgebraParams, samples: int, rng: random.Random)
 
 
 def inverse(d: AlgebraElem) -> AlgebraElem:
-    """Inverse via the adjugate of the matrix image divided by the norm."""
+    """Inverse via the adjugate of the matrix image divided by the norm: the
+    integer cofactors times Nrd(d)^-1 in L, normalised once."""
     n = reduced_norm(d)
     if not n:
         raise ZeroDivisionError("element has reduced norm zero")
     inv_n = d.params.one.from_E(n.inverse())
+    cofactors, _, den = _column0_cofactors(to_matrix(d))
     # row 0 of A^{-1} = adj(A) / N carries the triple of d^{-1}
-    return AlgebraElem(d.params, *(inv_n * c for c in _column0_cofactors(to_matrix(d))))
+    num = tuple(x for c in cofactors for x in inv_n._product(c, inv_n.num))
+    return d._canonical(num, den ** 2 * inv_n._product_den ** 2 * inv_n.den)
 
 
 def is_special_unitary(d: AlgebraElem) -> bool:
@@ -438,22 +456,19 @@ def random_element(params: AlgebraParams, rng: random.Random) -> AlgebraElem:
     return AlgebraElem(params, *(random_l_element(params, rng) for _ in range(3)))
 
 
-def _random_real_subfield_element(rng: random.Random) -> CycloElem:
-    """Random element q0 + q1 eta1 + q2 eta2 of the tau-fixed cubic subfield
-    of Q(zeta_9), with eta1 = z + z^8 = z - z^2 - z^5 and eta2 = z^2 + z^7 =
-    -z + z^2 - z^4 on the power basis of z = zeta_9."""
-    q0, q1, q2 = (_random_fraction(rng) for _ in range(3))
-    return CycloElem([q0, q1 - q2, q2 - q1, 0, -q2, -q1])
-
-
 def random_hermitian(params: AlgebraParams, rng: random.Random) -> AlgebraElem:
     """Random alpha-fixed element of the Galois-kind algebra: d + alpha(d) for
-    d = l0/2 + l1 z, with l0 in the real subfield that alpha fixes."""
+    d = l0/2 + l1 z, with l0 = q0 + q1 eta1 + q2 eta2 in the real subfield
+    that alpha fixes (eta1 = z + z^8 = z - z^2 - z^5 and eta2 = z^2 + z^7 =
+    -z + z^2 - z^4 on the power basis of z = zeta_9) and l1 as
+    random_l_element draws it.  Each rational q is drawn as _random_fraction
+    draws it, with the same calls, and d is built as 18 numerators over 4
+    straight away: 2q = randint(-3, 3) * (2 // randint(1, 2)) is an integer."""
     if params.kind != GALOIS:
         raise ValueError("hermitian sampling implemented for the Galois kind")
-    l0 = _random_real_subfield_element(rng)
-    l1 = random_l_element(params, rng)
-    d = AlgebraElem(params, l0 / 2, l1)
+    r0, r1, r2, *r = (rng.randint(-3, 3) * (2 // rng.randint(1, 2)) for _ in range(9))
+    num = (r0, r1 - r2, r2 - r1, 0, -r2, -r1, *(2 * x for x in r), *(0,) * 6)
+    d = _algebra_class(params)._new(*_lowest_terms(num, 4))
     return d + involution(d)
 
 
@@ -496,12 +511,14 @@ def random_special_unitary(params: AlgebraParams, rng: random.Random) -> Algebra
 # Archimedean realization: L ⊗ R ≅ C^3, D ⊗ R ≅ M_3(C).
 # --------------------------------------------------------------------------
 
-_ZETA9_C = cmath.exp(2j * cmath.pi / 9)
+_ZETA9_C_POWERS = tuple(cmath.exp(2j * cmath.pi / 9) ** i for i in range(6))
 
 
 def _embed_c(l: CycloElem) -> complex:
-    """Fixed complex embedding zeta_9 -> exp(2*pi*i/9)."""
-    return sum(float(c) * _ZETA9_C ** i for i, c in enumerate(l.coeffs))
+    """Fixed complex embedding zeta_9 -> exp(2*pi*i/9): the sum of
+    (c_i / den) zeta_9^i read from the numerators, each c_i / den an int
+    true division, so correctly rounded, the float of Fraction(c_i, den)."""
+    return sum(c / l.den * z for c, z in zip(l.num, _ZETA9_C_POWERS))
 
 
 def realize_at_infinity(l: CycloElem) -> Tuple[complex, complex, complex]:

@@ -153,13 +153,14 @@ def _fraction_repr(num: int, den: int) -> str:
 class RationalVector:
     """Integer numerators ``num`` over one positive ``den``, with
     gcd(den, *num) = 1 after every operation, so the form is canonical and
-    equality and hashing are structural.
+    equality is structural; equal values hash equal in every space.
 
     A subclass fixes the space: ``_product`` is its compiled product on
-    numerator tuples, whose result lies over ``_product_den``, and
-    ``from_E`` embeds an int, Fraction or element of E, which is how such an
-    operand is taken into the space.  A family, E(theta) or D, has one
-    subclass of its base ``_family`` per value (radicand or algebra), and
+    numerator tuples, whose result lies over ``_product_den``, ``from_E``
+    embeds an int, Fraction or element of E, which is how such an operand is
+    taken into the space, and ``_in_E`` reads back the numerators on E's
+    basis of a value of E, None for any other.  A family, E(theta) or D, has
+    one subclass of its base ``_family`` per value (radicand or algebra), and
     two values do not mix: arithmetic raises ``ValueError(_mixing)`` and
     ``==`` is False.  The base names its message: ``class F(..., mixing=...)``.
     """
@@ -236,7 +237,14 @@ class RationalVector:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # equal values hash equal: a value of Q hashes as that rational, and
+        # one of E by its numerators on E's basis, whatever its space
+        e = self._in_E(self.num)
+        if e is None:
+            return hash((self.num, self.den))
+        if e[1]:
+            return hash((e, self.den))
+        return hash(e[0]) if self.den == 1 else hash(Fraction(e[0], self.den))
 
     def __bool__(self):
         return any(self.num)
@@ -249,7 +257,7 @@ class PolyElem(RationalVector):
     ``_product`` multiplies and reduces to n numerators over
     ``_product_den``, ``_galois`` is the generator g of Gal(F/base) and
     ``_order`` its order, and ``from_E`` embeds E.  The fixed field of g is
-    the coefficient field unless the subclass overrides ``_to_base``.
+    E, except on E itself, whose ``_to_base`` reads Q.
     """
 
     __slots__ = ()
@@ -281,9 +289,10 @@ class PolyElem(RationalVector):
 
     def _to_base(self):
         """The element as one of the fixed field of g; raises if it is not."""
-        if any(self.num[1:]):
-            raise ValueError(f"{type(self).__name__} element does not lie in the base field")
-        return self.coeffs[0]
+        e = self._in_E(self.num)
+        if e is None:
+            raise ValueError(f"{type(self).__name__} element does not lie in Q(sqrt(-3))")
+        return QuadElem._new(e, self.den)
 
     def rho(self) -> "PolyElem":
         """The generator g of Gal(F/base): conj on E, zeta_9 -> zeta_9^4 on L,
@@ -336,6 +345,12 @@ class QuadElem(PolyElem):
     x = property(lambda self: Fraction(self.num[0], self.den))
     y = property(lambda self: Fraction(self.num[1], self.den))
     conj = PolyElem.rho   # the nontrivial automorphism of E/Q
+    _in_E = staticmethod(lambda num: num)
+
+    def _to_base(self) -> Fraction:    # the fixed field of conj is Q
+        if self.num[1]:
+            raise ValueError("QuadElem element does not lie in the base field")
+        return self.x
 
     def from_E(self, e) -> "QuadElem":
         return _as_quad(e)
@@ -410,13 +425,9 @@ class CycloElem(PolyElem):
     def from_E(self, e) -> "CycloElem":
         return embed_E_in_L(_as_quad(e))
 
-    def _to_base(self) -> QuadElem:
-        """Inverse of embed_E_in_L; raises if the element is not in E."""
-        if not is_in_E(self):
-            raise ValueError(f"{type(self).__name__} element does not lie in Q(sqrt(-3))")
-        # l = c0 + c3 zeta_3 = (c0 - c3) + c3 w, still in lowest terms
-        c = self.num
-        return QuadElem._new((c[0] - c[3], c[3]), self.den)
+    @staticmethod
+    def _in_E(c):    # the inverse of embed_E_in_L: c0 + c3 zeta_3 = (c0 - c3) + c3 w
+        return None if c[1] or c[2] or c[4] or c[5] else (c[0] - c[3], c[3])
 
     def tau(self) -> "CycloElem":
         """Complex conjugation zeta_9 -> zeta_9^8."""
@@ -450,8 +461,7 @@ def embed_E_in_L(e: QuadElem) -> CycloElem:
 
 
 def is_in_E(l: CycloElem) -> bool:
-    c = l.num
-    return not (c[1] or c[2] or c[4] or c[5])
+    return l._in_E(l.num) is not None
 
 
 def norm_trace_L_over_E(l: CycloElem):
@@ -495,10 +505,7 @@ class CubicExtElem(PolyElem, mixing="mixing cubic extensions with different radi
         """The element with coordinates qs on the basis theta^k, theta^k w."""
         return self._new(*_over_one_denominator(qs))
 
-    def _to_base(self) -> QuadElem:
-        if any(self.num[2:]):
-            raise ValueError(f"{type(self).__name__} element does not lie in Q(sqrt(-3))")
-        return QuadElem._new(self.num[:2], self.den)
+    _in_E = staticmethod(lambda num: None if any(num[2:]) else num[:2])
 
     def __reduce__(self):    # copy and pickle rebuild it in its radicand's subclass
         return functools.partial(CubicExtElem, b=self.b), self.coeffs

@@ -1,6 +1,7 @@
 """Unit tests for the cyclic algebra, its involutions, and the
 archimedean realization."""
 
+import cmath
 import copy
 import itertools
 import operator
@@ -315,6 +316,93 @@ def test_inverse():
 
 
 # ---------------------------------------------------------------------------
+# The cofactors of the matrix image in integers against the L formulas
+# ---------------------------------------------------------------------------
+
+def reference_cofactors(m) -> tuple:
+    """Row 0 of adj(m), the cofactors of column 0, in L."""
+    return (
+        m[1][1] * m[2][2] - m[1][2] * m[2][1],
+        m[0][2] * m[2][1] - m[0][1] * m[2][2],
+        m[0][1] * m[1][2] - m[0][2] * m[1][1],
+    )
+
+
+def reference_det(m):
+    c0, c1, c2 = reference_cofactors(m)
+    return m[0][0] * c0 + m[1][0] * c1 + m[2][0] * c2
+
+
+def reference_inverse(d):
+    """Row 0 of adj(A) / Nrd(d), in L: the triple of d^-1."""
+    inv_n = d.params.one.from_E(reference_reduced_norm(d).inverse())
+    return AlgebraElem(d.params, *(inv_n * c for c in reference_cofactors(to_matrix(d))))
+
+
+# a radicand with a denominator, so that E(theta)'s product lies over 3
+_B_THIRDS = QuadElem(Fraction(2, 3), 1)
+INTEGER_ROUTE = {
+    "galois": GAL,
+    "nongalois": NONGAL,
+    "galois, a=10^400": FUZZED["galois, a=10^400"],
+    "nongalois, b=2/3+w": AlgebraParams(NONGALOIS, _B_THIRDS.conj(), _B_THIRDS),
+}
+
+
+def test_integer_route_meets_a_product_denominator():
+    assert type(INTEGER_ROUTE["nongalois, b=2/3+w"].one)._product_den == 3
+    assert {type(INTEGER_ROUTE[k].one)._product_den for k in ("galois", "nongalois")} == {1}
+
+
+@pytest.mark.parametrize("algebra", INTEGER_ROUTE)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_integer_cofactors_match_the_l_formula(algebra, data):
+    params = INTEGER_ROUTE[algebra]
+    d = data.draw(_elements(params))
+    m = to_matrix(d)
+    det, ref = matrix_det(m), reference_det(m)
+    assert (det.num, det.den) == (ref.num, ref.den)
+    assert det == params.one.from_E(reduced_norm(d))
+    if not reduced_norm(d):
+        with pytest.raises(ZeroDivisionError):
+            inverse(d)
+        return
+    x, ref = inverse(d), reference_inverse(d)
+    assert (x.num, x.den) == (ref.num, ref.den)
+    assert d * x == 1 and x * d == 1
+
+
+def test_inverse_of_cayley_draws_matches_the_l_formula():
+    rng = random.Random(22)
+    for _ in range(5):
+        d = random_special_unitary(GAL, rng)
+        x, ref = inverse(d), reference_inverse(d)
+        assert (x.num, x.den) == (ref.num, ref.den) and x == involution(d)
+
+
+_FRACTIONS = st.fractions(min_value=-_BIG, max_value=_BIG, max_denominator=_BIG)
+
+
+@given(x=_FRACTIONS, y=st.one_of(st.just(0), _FRACTIONS))
+@settings(max_examples=60, deadline=None)
+def test_equal_values_hash_equal(x, y):
+    """a == b implies hash(a) == hash(b) across ints, Fractions, E, L, E(theta)
+    and D: a value of E is equal to its images in every space."""
+    e = QuadElem(x, y)
+    forms = [e, embed_E_in_L(e), CubicExtElem.scalar(e, NONGAL.b),
+             CubicExtElem.scalar(e, _B_THIRDS)]
+    forms += [AlgebraElem.scalar(p, e) for p in INTEGER_ROUTE.values()]
+    assert all(f == e for f in forms)
+    if not y:
+        forms += [x, x.numerator] if x.denominator == 1 else [x]
+    forms += [embed_E_in_L(e) + CycloElem.zeta9(1), AlgebraElem(GAL, e, 1)]   # not in E
+    for a, b in itertools.product(forms, repeat=2):
+        if a == b:
+            assert hash(a) == hash(b), (a, b)
+
+
+# ---------------------------------------------------------------------------
 # Involutions
 # ---------------------------------------------------------------------------
 
@@ -418,6 +506,23 @@ def test_cayley_sampler_retries_when_n_1_plus_s_is_zero(monkeypatch):
     assert len(calls) == 2
 
 
+def reference_random_hermitian(params, rng):
+    """The hermitian draw in Fractions: d + alpha(d) for d = l0/2 + l1 z, with
+    l0 = q0 + q1 eta1 + q2 eta2 in the real cubic subfield and l1 in L."""
+    q0, q1, q2 = (algebra._random_fraction(rng) for _ in range(3))
+    l0 = CycloElem([q0, q1 - q2, q2 - q1, 0, -q2, -q1])
+    d = AlgebraElem(params, l0 / 2, algebra.random_l_element(params, rng))
+    return d + involution(d)
+
+
+def test_random_hermitian_is_the_fraction_draw():
+    for seed in range(200):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        h, ref = random_hermitian(GAL, rng), reference_random_hermitian(GAL, ref_rng)
+        assert (h.num, h.den) == (ref.num, ref.den) and involution(h) == h
+        assert rng.getstate() == ref_rng.getstate()    # the same calls
+
+
 @pytest.mark.parametrize("sample", [
     lambda p: random_hermitian(p, random.Random(0)),
     lambda p: random_special_unitary(p, random.Random(0)),
@@ -496,6 +601,30 @@ def test_conditions_require_galois_kind():
 # ---------------------------------------------------------------------------
 # Archimedean realization
 # ---------------------------------------------------------------------------
+
+def reference_embed_c(l) -> complex:
+    """The embedding zeta_9 -> exp(2 pi i / 9) from l's Fraction coefficients."""
+    zeta = cmath.exp(2j * cmath.pi / 9)
+    return sum(float(c) * zeta ** i for i, c in enumerate(l.coeffs))
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=complex).tobytes()
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_embedding_is_the_fraction_formula_bit_for_bit(data):
+    d = data.draw(st.one_of(_elements(GAL), st.integers(0, 2 ** 32).map(
+        lambda seed: random_special_unitary(GAL, random.Random(seed)))))
+    m = to_matrix(d)
+    assert matrix_at_infinity(d).tobytes() == _bits([[reference_embed_c(x) for x in row]
+                                                     for row in m])
+    for l in d.l:
+        r = galois_rho(l)
+        want = (reference_embed_c(l), reference_embed_c(r), reference_embed_c(galois_rho(r)))
+        assert _bits(realize_at_infinity(l)) == _bits(want)
+
 
 def test_realize_constants():
     t = realize_at_infinity(CycloElem([1]))
