@@ -26,12 +26,11 @@ MUTANTS = (
            "[[row[1].tau() for row in m] for m in rows]",
            ("tests/test_algebra.py::test_galois_involution_is_conjugate_transpose",
             "tests/test_algebra.py::test_kernels_match_the_l_triple_formulas")),
-    # one sign flipped among the integer cofactors that the inverse and det share
+    # one sign flipped among the integer cofactors of det's expansion
     Mutant("cofactor-sign", ALGEBRA,
            "minor(2, 7, 1, 8)",
            "minor(1, 8, 2, 7)",
-           ("tests/test_algebra.py::test_inverse",
-            "tests/test_algebra.py::test_reduced_norm",
+           ("tests/test_algebra.py::test_reduced_norm",
             "tests/test_algebra.py::test_integer_cofactors_match_the_l_formula")),
     # det's integer sum put over den^2 pd^2, not den^3 pd^2
     Mutant("det-den-squared", ALGEBRA,
@@ -87,4 +86,17 @@ MUTANTS = (
            '"v", 18, [t for t in terms if t[1] != terms[0][1]], 2))',
            ("tests/test_algebra.py::test_reduced_norm",
             "tests/test_algebra.py::test_kernels_match_the_l_triple_formulas")),
+    # the first image group of the compiled reduced adjoint x^# is dropped
+    Mutant("adj-drop-group", ALGEBRA,
+           '"v", 18, terms, 18))',
+           '"v", 18, [t for t in terms if t[1] != terms[0][1]], 18))',
+           ("tests/test_algebra.py::test_inverse",
+            "tests/test_algebra.py::test_adjugate_form_matches_the_l_formula",
+            "tests/test_algebra.py::test_reduced_adjoint_law")),
+    # a scalar x + y w of E acts by its conjugate, x + y - y w, in place of it
+    Mutant("w-action-conj", NUMBERFIELD,
+           "x * a + y * b for a, b in zip(num, self._times_w(num))",
+           "(x + y) * a - y * b for a, b in zip(num, self._times_w(num))",
+           ("tests/test_algebra.py::test_scalars_act_as_the_product",
+            "tests/test_algebra.py::test_scalars_coerce_into_D")),
 )

@@ -13,14 +13,17 @@ An element is one of numberfield's exact vectors: the 18 numerators of l0,
 l1 and l2 in turn over one positive denominator, in lowest terms.  Each
 algebra value (kind, a, b) has its own element class, made once, which holds
 D's product, compiled by numberfield's one generator of forms from the
-structure tensor (the rows of the matrix image of the Q-basis), the
-involution, compiled from tau of column 0 of the same images (Galois kind)
-or the theta/z swap, and the reduced trace and norm, a linear map and a
-cubic form on the numerators.  The L-triple ``l`` and the matrix image are
-read in L; the inverse and the determinant form the image's cofactors with
-L's compiled product on its numerators over one denominator, normalising
-once.  Ints, Fractions and elements of E enter D as scalars; elements of
-two algebras do not mix (RationalVector's one rule).
+structure tensor (the rows of the matrix image of the Q-basis), the product
+by w, read from it, the involution, compiled from tau of column 0 of the
+same images (Galois kind) or the theta/z swap, and the reduced trace, norm
+and adjoint, a linear map, a cubic form with values in E and a quadratic
+form with values in D on the numerators.  The inverse is the reduced
+adjoint over the reduced norm, scaled once by an element of E.  The L-triple
+``l`` and the matrix image are read in L; the determinant forms the image's
+cofactors with L's compiled product on its numerators over one denominator,
+normalising once.  Ints, Fractions and elements of E enter D as scalars,
+acting by the product by w; elements of two algebras do not mix
+(RationalVector's one rule).
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .numberfield import (
     _join,
     _linear_kernel,
     _lowest_terms,
+    _times_w_kernel,
     galois_actions_commute,
     galois_rho,
     is_prime,
@@ -120,8 +124,9 @@ class AlgebraElem(RationalVector, mixing="elements belong to different algebras"
     of the algebra's L, or ints, Fractions and QuadElems, which are embedded.
     Each algebra value (kind, a, b) has its own subclass, made by
     _algebra_class, which holds ``params`` and the compiled kernels.  Only
-    to_matrix (read by inverse and matrix_at_infinity), copy and pickle, and
-    the repr build the L-triple ``l``.  A scalar hashes as its value in E.
+    to_matrix (read by matrix_det's check and matrix_at_infinity), copy and
+    pickle, and the repr build the L-triple ``l``.  A scalar hashes as its
+    value in E.
     """
 
     __slots__ = ("__dict__",)
@@ -149,15 +154,16 @@ class AlgebraElem(RationalVector, mixing="elements belong to different algebras"
 
     @classmethod
     def scalar(cls, params: AlgebraParams, e) -> "AlgebraElem":
-        return cls(params, e)
+        return _algebra_class(params).from_E(e)
 
     @classmethod
     def gen_z(cls, params: AlgebraParams) -> "AlgebraElem":
         return cls(params, 0, params.one)
 
-    def from_E(self, e) -> "AlgebraElem":    # the scalar embedding of E
-        c = self.params.one.from_E(e)
-        return self._new(c.num + (0,) * 12, c.den)
+    @classmethod
+    def from_E(cls, e) -> "AlgebraElem":    # the scalar embedding of E, as l0
+        c = cls.params.one.from_E(e)
+        return cls._new(c.num + (0,) * 12, c.den)
 
     def _in_E(self, num):    # the scalars of D are l0 in E
         return None if any(num[6:]) else self.params.one._in_E(num[:6])
@@ -182,28 +188,22 @@ def matrix_mul(m1: Sequence, m2: Sequence) -> List[list]:
     ]
 
 
-def _column0_cofactors(m: Sequence) -> tuple:
-    """(cofactors, e, den): row 0 of adj(m), the cofactors of column 0 of m,
-    in integers.  The nine entries, in L, are joined over their lcm den once,
-    entry (i, j) being the numerator tuple e[3 i + j], and each minor is
-    formed by L's compiled product on them, so each cofactor is a numerator
-    tuple over den^2 pd, pd being L's _product_den."""
+def matrix_det(m: Sequence):
+    """det(m), expanded along column 0 in integers.  The nine entries, in L,
+    are joined over their lcm den once, entry (i, j) being the numerator
+    tuple e[3 i + j]; each minor and each term is formed by L's compiled
+    product on them, so the sum lies over den^3 pd^2, pd being L's
+    _product_den, and is normalised once."""
     num, den = _join([x for row in m for x in row])
     e = [num[i:i + 6] for i in range(0, 54, 6)]
-    mul = m[0][0]._product
+    x = m[0][0]
+    mul = x._product
 
     def minor(i, j, k, l):    # e_i e_j - e_k e_l
-        return tuple(x - y for x, y in zip(mul(e[i], e[j]), mul(e[k], e[l])))
+        return tuple(a - b for a, b in zip(mul(e[i], e[j]), mul(e[k], e[l])))
 
-    return (minor(4, 8, 5, 7), minor(2, 7, 1, 8), minor(1, 5, 2, 4)), e, den
-
-
-def matrix_det(m: Sequence):
-    """det(m), expanded along column 0 in integers over den^3 pd^2 and
-    normalised once."""
-    cofactors, e, den = _column0_cofactors(m)
-    x = m[0][0]
-    terms = [x._product(e[3 * i], c) for i, c in enumerate(cofactors)]
+    cofactors = (minor(4, 8, 5, 7), minor(2, 7, 1, 8), minor(1, 5, 2, 4))
+    terms = [mul(e[3 * i], c) for i, c in enumerate(cofactors)]
     return x._canonical(tuple(map(sum, zip(*terms))), den ** 3 * x._product_den ** 2)
 
 
@@ -233,54 +233,80 @@ def _involution_formula(p: AlgebraParams, l: tuple) -> tuple:
 @functools.cache
 def _algebra_class(params: AlgebraParams) -> type:
     """The subclass of AlgebraElem for one algebra value (kind, a, b), made
-    once, with D's product, involution, reduced trace and reduced norm
-    compiled once under the file names ``<algebra kind.product>``,
-    ``<algebra kind.alpha>``, ``<algebra kind.trd>`` and
-    ``<algebra kind.nrd>``.  num(d e) is _product(num(d), num(e)) over
-    den(d) den(e) _product_den, num(alpha(d)) is _alpha(num(d)) over
-    den(d) _alpha_den, Trd(d) is _trd(num(d)) over den(d) _trd_den, and
-    Nrd(d) is _nrd(num(d)) over den(d)^3 _nrd_den.
+    once, with D's product, product by w, involution, reduced trace, reduced
+    norm and reduced adjoint compiled once under the file names
+    ``<algebra kind.product>``, ``<algebra kind.times_w>``,
+    ``<algebra kind.alpha>``, ``<algebra kind.trd>``, ``<algebra kind.nrd>``
+    and ``<algebra kind.adj>``.  num(d e) is _product(num(d), num(e)) over
+    den(d) den(e) _product_den, num(w d) is _times_w(num(d)) over den(d),
+    num(alpha(d)) is _alpha(num(d)) over den(d) _alpha_den, Trd(d) is
+    _trd(num(d)) over den(d) _trd_den, Nrd(d) is _nrd(num(d)) over
+    den(d)^3 _nrd_den, and num(d^#) is _adj(num(d)) over den(d)^2 _adj_den.
 
     D's Q-basis is c z^k for c in L's Q-basis: the unit vector at slot
     6k + s, where s is c's slot among L's six numerators.  The product
     c z^k e is c times row k of e's matrix image, z^k e, so the structure
     tensor is read from the rows of the basis elements' images, and the
     Galois alpha, whose image is the tau-conjugate transpose, from tau of
-    their columns 0.
+    their columns 0.  Nrd and x^# are built in integers from the structure
+    tensor, the traces of the basis and the product by w.
     """
     cls = type("AlgebraElem", (AlgebraElem,), {"__slots__": (), "params": params})
+    kind = params.kind
     basis = [cls._new(tuple(int(i == s) for i in range(18))) for s in range(18)]
     rows = [to_matrix(e) for e in basis]
     pairs = [(i, j) for i in range(18) for j in range(18)]
-    num, cls._product_den = _join([basis[i].l[i // 6] * x if x else x
-                                   for i, j in pairs for x in rows[j][i // 6]])
+    num, pd = _join([basis[i].l[i // 6] * x if x else x
+                     for i, j in pairs for x in rows[j][i // 6]])
     products = {ij: num[18 * m:18 * m + 18] for m, ij in enumerate(pairs)}
+    cls._product_den = pd
     cls._product = staticmethod(_bilinear_kernel(
-        f"algebra {params.kind}.product", 18, lambda i, j: products[i, j]))
-    if params.kind == GALOIS:
+        f"algebra {kind}.product", 18, lambda i, j: products[i, j]))
+    cls._times_w = staticmethod(_times_w_kernel(
+        f"algebra {kind}.times_w", cls._product, cls.from_E(QuadElem(0, 1)).num, pd))
+    if kind == GALOIS:
         images = [[row[0].tau() for row in m] for m in rows]
     else:
         images = [_involution_formula(params, e.l) for e in basis]
     num, cls._alpha_den = _join([x for image in images for x in image])
     cls._alpha = staticmethod(_linear_kernel(
-        f"algebra {params.kind}.alpha", [num[18 * i:18 * i + 18] for i in range(18)]))
-    num, cls._trd_den = _join([e.l[0].trace() for e in basis])
+        f"algebra {kind}.alpha", [num[18 * i:18 * i + 18] for i in range(18)]))
+    num, td = _join([e.l[0].trace() for e in basis])
     traces = [num[2 * i:2 * i + 2] for i in range(18)]
-    cls._trd = staticmethod(_linear_kernel(f"algebra {params.kind}.trd", traces))
-    terms, cls._nrd_den = _reduced_norm_terms(products, cls._product_den, traces, cls._trd_den)
-    cls._nrd = staticmethod(_form_kernel(f"algebra {params.kind}.nrd", "v", 18, terms, 2))
+    cls._trd_den = td
+    cls._trd = staticmethod(_linear_kernel(f"algebra {kind}.trd", traces))
+    pair_traces = _pair_traces(products, traces)
+    terms, cls._nrd_den = _reduced_norm_terms(products, pd, traces, td, pair_traces)
+    cls._nrd = staticmethod(_form_kernel(f"algebra {kind}.nrd", "v", 18, terms, 2))
+    terms, cls._adj_den = _adjugate_terms(products, pd, traces, td, pair_traces,
+                                          cls._times_w, cls.from_E(1).num)
+    cls._adj = staticmethod(_form_kernel(f"algebra {kind}.adj", "v", 18, terms, 18))
     return cls
 
 
-def _reduced_norm_terms(products: dict, pd: int, traces: list, td: int) -> tuple:
+def _pair_traces(products: dict, traces: list) -> dict:
+    """T_jk = Trd(e_j e_k) = sum_m P_jkm T_m, over pd td, for each ordered
+    pair (j, k) where it is nonzero: P is the structure tensor
+    (``products`` over pd) and T_m = Trd(e_m) (``traces`` over td)."""
+    t = {m: v for m, v in enumerate(traces) if any(v)}
+    out = {}
+    for jk, row in products.items():
+        v = [sum(c * t[m][s] for m, c in enumerate(row) if c and m in t) for s in (0, 1)]
+        if any(v):
+            out[jk] = v
+    return out
+
+
+def _reduced_norm_terms(products: dict, pd: int, traces: list, td: int,
+                        pair_traces: dict) -> tuple:
     """(terms, den): Nrd on D's Q-basis e_i as the cubic form, the sum of
     x_i x_j x_k c / den over the (monomial, c) pairs ``terms``, c in E, from
-    the structure tensor P (``products`` over pd) and T_i = Trd(e_i)
-    (``traces`` over td).  Nrd = (t1^3 - 3 t1 t2 + 2 t3)/6 with tk = Trd(x^k),
-    so the ordered triple (i, j, k) adds (T_i T_j T_k - 3 T_i T_jk + 2 T_ijk)/6
-    to its monomial, where T_jk = Trd(e_j e_k) = sum_m P_jkm T_m and
-    T_ijk = sum_m P_ijm T_mk.  Only the nonzero T, P and T_jk are visited,
-    in integers over 6 pd^2 td^3."""
+    the structure tensor P (``products`` over pd), T_i = Trd(e_i)
+    (``traces`` over td) and T_jk (``pair_traces``, _pair_traces).
+    Nrd = (t1^3 - 3 t1 t2 + 2 t3)/6 with tk = Trd(x^k), so the ordered triple
+    (i, j, k) adds (T_i T_j T_k - 3 T_i T_jk + 2 T_ijk)/6 to its monomial,
+    where T_ijk = sum_m P_ijm T_mk.  Only the nonzero T, P and T_jk are
+    visited, in integers over 6 pd^2 td^3."""
     mul = QuadElem._product     # E's product on numerator pairs
     acc = {}    # (i, j, k), sorted -> the numerators of its coefficient
 
@@ -292,10 +318,8 @@ def _reduced_norm_terms(products: dict, pd: int, traces: list, td: int) -> tuple
     t = {i: v for i, v in enumerate(traces) if any(v)}
     support = {ij: [(m, c) for m, c in enumerate(row) if c] for ij, row in products.items()}
     t2 = {m: {} for m in range(len(traces))}    # T_mk over pd td, by m
-    for (j, k), cs in support.items():
-        v = [sum(c * t[m][s] for m, c in cs if m in t) for s in (0, 1)]
-        if any(v):
-            t2[j][k] = v
+    for (m, k), v in pair_traces.items():
+        t2[m][k] = v
     for i, j, k in itertools.product(t, repeat=3):
         add((i, j, k), pd * pd, mul(mul(t[i], t[j]), t[k]))
     for i in t:
@@ -308,6 +332,52 @@ def _reduced_norm_terms(products: dict, pd: int, traces: list, td: int) -> tuple
                 add((i, j, k), 2 * td * td * c, v)
     num, den = _lowest_terms(tuple(c for img in acc.values() for c in img), 6 * pd ** 2 * td ** 3)
     return [(f"v{i} * v{j} * v{k}", num[2 * m:2 * m + 2]) for m, (i, j, k) in enumerate(acc)], den
+
+
+def _adjugate_terms(products: dict, pd: int, traces: list, td: int, pair_traces: dict,
+                    times_w, one: tuple) -> tuple:
+    """(terms, den): the reduced adjoint x^# = x^2 - t1 x + (t1^2 - t2)/2,
+    with x x^# = x^# x = Nrd(x) (Knus-Merkurjev-Rost-Tignol, The Book of
+    Involutions, section 1), on D's Q-basis e_i as the quadratic form with
+    values in D: the sum of x_i x_j c / den over the (monomial, c) pairs
+    ``terms``, c a numerator vector, from the structure tensor P
+    (``products`` over pd), T_i = Trd(e_i) (``traces`` over td) and T_ij
+    (``pair_traces``).  The ordered pair (i, j) adds
+    P_ij - T_i e_j + (T_i T_j - T_ij)/2 to its monomial; c' + c'' w in E acts
+    on a vector v as c' v + c'' W(v), W being ``times_w``, and enters D as
+    that action on ``one``.  In integers over 2 pd td^2; the monomials whose
+    coefficient is zero are left out."""
+    n = len(one)
+    mul = QuadElem._product
+    zero = (0,) * n
+    acc = {(i, j): [2 * td * td * (x + y) for x, y in zip(p, products[j, i] if i < j else zero)]
+           for (i, j), p in products.items() if i <= j}    # x^2 on the monomials i <= j
+
+    def add(i, j, c, v):    # c v, v a numerator vector
+        if c:
+            img = acc[min(i, j), max(i, j)]
+            for s, x in enumerate(v):
+                if x:
+                    img[s] += c * x
+
+    t = {i: v for i, v in enumerate(traces) if any(v)}
+    units = [tuple(int(i == s) for i in range(n)) for s in range(n)]
+    w_units, w_one = [times_w(u) for u in units], times_w(one)
+    for i, (t0, t1) in t.items():    # - T_i e_j
+        for j in range(n):
+            add(i, j, -2 * pd * td * t0, units[j])
+            add(i, j, -2 * pd * td * t1, w_units[j])
+    halves = {(i, j): [pd * x for x in mul(t[i], t[j])] for i in t for j in t}
+    for ij, v in pair_traces.items():
+        h = halves.setdefault(ij, [0, 0])
+        h[0] -= td * v[0]
+        h[1] -= td * v[1]
+    for (i, j), (h0, h1) in halves.items():    # (T_i T_j - T_ij)/2, times 2 pd td^2
+        add(i, j, h0, one)
+        add(i, j, h1, w_one)
+    num, den = _lowest_terms(tuple(c for img in acc.values() for c in img), 2 * pd * td * td)
+    return [(f"v{i} * v{j}", num[n * m:n * m + n]) for m, (i, j) in enumerate(acc)
+            if any(num[n * m:n * m + n])], den
 
 
 def involution_failures(params: AlgebraParams, samples: int, rng: random.Random) -> dict:
@@ -336,16 +406,14 @@ def involution_failures(params: AlgebraParams, samples: int, rng: random.Random)
 
 
 def inverse(d: AlgebraElem) -> AlgebraElem:
-    """Inverse via the adjugate of the matrix image divided by the norm: the
-    integer cofactors times Nrd(d)^-1 in L, normalised once."""
+    """d^-1 = d^# / Nrd(d), d^# = d^2 - t1 d + (t1^2 - t2)/2 (tk = Trd(d^k))
+    being the reduced adjoint, d d^# = d^# d = Nrd(d): the compiled form
+    _adj on d's numerators, over den^2 _adj_den, scaled by
+    Nrd(d)^-1 = tau(n)/N(n) in E and normalised once."""
     n = reduced_norm(d)
     if not n:
         raise ZeroDivisionError("element has reduced norm zero")
-    inv_n = d.params.one.from_E(n.inverse())
-    cofactors, _, den = _column0_cofactors(to_matrix(d))
-    # row 0 of A^{-1} = adj(A) / N carries the triple of d^{-1}
-    num = tuple(x for c in cofactors for x in inv_n._product(c, inv_n.num))
-    return d._canonical(num, den ** 2 * inv_n._product_den ** 2 * inv_n.den)
+    return d._scaled(d._adj(d.num), d.den ** 2 * d._adj_den, n.inverse())
 
 
 def is_special_unitary(d: AlgebraElem) -> bool:

@@ -11,11 +11,12 @@ quotients sharing one kernel on top of it, :class:`PolyElem`:
 * L = Q(zeta_9) = Q[x]/(x^6 + x^3 + 1), on the power basis of zeta_9;
 * E(theta) = E[theta]/(theta^3 - b), on the Q-basis theta^k w^j, j < 2.
 
-Every product, of E, L, E(theta) and D, and D's reduced norm are compiled
-by one generator of forms from the images of the monomials, products of
-basis elements: monomials with the same image are summed once, and each
-output is a combination of those sums.  The Galois maps and L's constructor
-reduction are compiled as linear maps.  E and L compile at import, E(theta)
+Every product, of E, L, E(theta) and D, and D's reduced norm and adjoint
+are compiled by one generator of forms from the images of the monomials,
+products of basis elements: monomials with the same image are summed once,
+and each output is a combination of those sums.  The Galois maps, L's
+constructor reduction and each space's product by w, through which a scalar
+of E acts, are compiled as linear maps.  E and L compile at import, E(theta)
 once per radicand b, D once per algebra; each is a straight-line Python
 function on the integer numerators.  Coefficients
 other than +-1 are bound as names, never written into the source, so a
@@ -101,6 +102,16 @@ def _bilinear_kernel(label: str, n: int, image):
                                          for i in range(n) for j in range(n)), n)
 
 
+def _times_w_kernel(label: str, product, w: tuple, pd: int = 1):
+    """v -> num(w v), the product by w = (1 + sqrt(-3))/2 as a compiled linear
+    map, read from a space's compiled product: w's numerators ``w``, over 1,
+    times each basis element, over the product's ``pd``.  Each basis is
+    integral and w acts on it without the radicand or a, so every image is an
+    integer vector and the division by pd is exact."""
+    units = [tuple(int(i == s) for i in range(len(w))) for s in range(len(w))]
+    return _linear_kernel(label, [[c // pd for c in product(w, e)] for e in units])
+
+
 def _powers(top):
     """t^0, ..., t^(2n-2) as vectors on the basis 1, t, ..., t^(n-1), for the
     monic rule t^n = top[0] + top[1] t + ... + top[n-1] t^(n-1)."""
@@ -156,13 +167,17 @@ class RationalVector:
     equality is structural; equal values hash equal in every space.
 
     A subclass fixes the space: ``_product`` is its compiled product on
-    numerator tuples, whose result lies over ``_product_den``, ``from_E``
+    numerator tuples, whose result lies over ``_product_den``, ``_times_w``
+    its compiled product by w, a linear map with integer images, ``from_E``
     embeds an int, Fraction or element of E, which is how such an operand is
-    taken into the space, and ``_in_E`` reads back the numerators on E's
-    basis of a value of E, None for any other.  A family, E(theta) or D, has
-    one subclass of its base ``_family`` per value (radicand or algebra), and
-    two values do not mix: arithmetic raises ``ValueError(_mixing)`` and
-    ``==`` is False.  The base names its message: ``class F(..., mixing=...)``.
+    taken into ``+``, ``-`` and ``==``, and ``_in_E`` reads back the
+    numerators on E's basis of a value of E, None for any other.  In ``*`` a
+    scalar e = (x + y w)/d of E acts as (x v + y W(v))/d on the numerators
+    v, W being ``_times_w``, never through the full product.  A family,
+    E(theta) or D, has one subclass of its base ``_family`` per value
+    (radicand or algebra), and two values do not mix: arithmetic raises
+    ``ValueError(_mixing)`` and ``==`` is False.  The base names its
+    message: ``class F(..., mixing=...)``.
     """
 
     __slots__ = ("num", "den")
@@ -219,12 +234,25 @@ class RationalVector:
     def __neg__(self):
         return self._new(tuple(-a for a in self.num), self.den)
 
+    def _scaled(self, num: tuple, den: int, e: "QuadElem") -> "RationalVector":
+        """e (num / den) for e = (x + y w)/d in E: x num + y W(num) over den d,
+        W being the space's compiled product by w, normalised once."""
+        (x, y), d = e.num, e.den
+        if y:
+            num = tuple(x * a + y * b for a, b in zip(num, self._times_w(num)))
+        else:
+            num = tuple(x * a for a in num)
+        return self._canonical(num, den * d)
+
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._canonical(self._product(self.num, o.num),
-                               self.den * o.den * self._product_den)
+        if isinstance(other, type(self)):
+            return self._canonical(self._product(self.num, other.num),
+                                   self.den * other.den * self._product_den)
+        if isinstance(other, (int, Fraction, QuadElem)):    # a scalar of E acts by W
+            return self._scaled(self.num, self.den, _as_quad(other))
+        if isinstance(other, self._family):
+            raise ValueError(self._mixing)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -338,6 +366,7 @@ class QuadElem(PolyElem):
     _product = staticmethod(_bilinear_kernel(   # w^2 = -1 + w
         "numberfield E.product", 2, lambda i, j: _powers((-1, 1))[i + j]))
     _galois = staticmethod(_linear_kernel("numberfield E.rho", [(1, 0), (1, -1)]))  # w -> 1 - w
+    _times_w = staticmethod(_times_w_kernel("numberfield E.times_w", _product, (0, 1)))
 
     def __init__(self, x: Scalar = 0, y: Scalar = 0):
         self.num, self.den = _over_one_denominator((x, y))
@@ -410,6 +439,8 @@ class CycloElem(PolyElem):
         "numberfield L.rho", [_ZETA9_POWERS[4 * i % 9] for i in range(6)]))
     _tau = staticmethod(_linear_kernel(      # zeta_9 -> zeta_9^8
         "numberfield L.tau", [_ZETA9_POWERS[8 * i % 9] for i in range(6)]))
+    _times_w = staticmethod(_times_w_kernel(    # w = 1 + zeta_9^3
+        "numberfield L.times_w", _product, (1, 0, 0, 1, 0, 0)))
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         num, den = _over_one_denominator(coeffs)
@@ -520,7 +551,8 @@ def _cubic_field(b: QuadElem) -> type:
     radicand, with its kernels compiled once.  theta^k w^j times
     theta^m w^i is w^(i+j), by E's product, at theta^(k+m), and theta^3 = b;
     the product's tensor holds d times it, (x + y w) in place of d b, over d.
-    The Galois generator sends theta^k w^j to zeta_3^k theta^k w^j."""
+    The product by w is read from it; the Galois generator sends theta^k w^j
+    to zeta_3^k theta^k w^j."""
     def at(k, e):   # e theta^k on the six slots
         out = [0] * 6
         out[2 * k:2 * k + 2] = e.num
@@ -531,9 +563,11 @@ def _cubic_field(b: QuadElem) -> type:
         return at((k + m) % 3, (b * b.den if k + m >= 3 else QuadElem(b.den)) * w ** (i + j))
 
     w = QuadElem(0, 1)
+    mul = _bilinear_kernel("numberfield E(theta).product", 6, product)
     return type("CubicExtElem", (CubicExtElem,), {
-        "__slots__": (), "b": b, "_product_den": b.den,
-        "_product": staticmethod(_bilinear_kernel("numberfield E(theta).product", 6, product)),
+        "__slots__": (), "b": b, "_product_den": b.den, "_product": staticmethod(mul),
+        "_times_w": staticmethod(_times_w_kernel(
+            "numberfield E(theta).times_w", mul, (0, 1, 0, 0, 0, 0), b.den)),
         "_galois": staticmethod(_linear_kernel(
             "numberfield E(theta).rho", [at(k, ZETA3_E ** k * w ** j)
                                          for k in range(3) for j in range(2)])),

@@ -19,6 +19,7 @@ from ramanujan_bigraphs.numberfield import (
     CubicExtElem,
     CycloElem,
     QuadElem,
+    SQRT_M3,
     ZETA3_E,
     embed_E_in_L,
     galois_rho,
@@ -134,7 +135,7 @@ def test_kernels_are_named_and_hold_no_literal(params):
     """Each kernel is compiled under a file name that names the algebra's kind
     and map, and binds every coefficient as a name: its code holds no constant."""
     cls = type(AlgebraElem.scalar(params, 1))
-    for name in ("product", "alpha", "trd", "nrd"):
+    for name in ("product", "times_w", "alpha", "trd", "nrd", "adj"):
         kernel = getattr(cls, f"_{name}")
         assert kernel.__code__.co_filename == f"<algebra {params.kind}.{name}>"
         assert kernel.__name__ == name
@@ -364,6 +365,23 @@ def test_integer_cofactors_match_the_l_formula(algebra, data):
     det, ref = matrix_det(m), reference_det(m)
     assert (det.num, det.den) == (ref.num, ref.den)
     assert det == params.one.from_E(reduced_norm(d))
+
+
+# ---------------------------------------------------------------------------
+# The reduced adjoint x^# as a compiled quadratic form, and the inverse
+# ---------------------------------------------------------------------------
+
+def reduced_adjoint(d):
+    """x^# from the compiled form, normalised."""
+    return d._canonical(d._adj(d.num), d.den ** 2 * d._adj_den)
+
+
+@pytest.mark.parametrize("algebra", INTEGER_ROUTE)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_adjugate_form_matches_the_l_formula(algebra, data):
+    params = INTEGER_ROUTE[algebra]
+    d = data.draw(_elements(params))
     if not reduced_norm(d):
         with pytest.raises(ZeroDivisionError):
             inverse(d)
@@ -371,6 +389,31 @@ def test_integer_cofactors_match_the_l_formula(algebra, data):
     x, ref = inverse(d), reference_inverse(d)
     assert (x.num, x.den) == (ref.num, ref.den)
     assert d * x == 1 and x * d == 1
+
+
+@pytest.mark.parametrize("algebra", INTEGER_ROUTE)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_reduced_adjoint_law(algebra, data):
+    """x x^# = x^# x = Nrd(x), with x^# = x^2 - t1 x + (t1^2 - t2)/2."""
+    params = INTEGER_ROUTE[algebra]
+    d = data.draw(_elements(params))
+    adj, n = reduced_adjoint(d), reduced_norm(d)
+    assert d * adj == n and adj * d == n
+    t1, t2 = reduced_trace(d), reduced_trace(d * d)
+    assert adj == d * d - t1 * d + (t1 * t1 - t2) / 2
+
+
+def test_reduced_adjoint_at_a_zero_divisor():
+    """On the split algebra b = a = 2, Nrd(z - theta) = 0 with z - theta != 0:
+    the adjoint is a nonzero zero divisor and the inverse still raises."""
+    params = AlgebraParams(NONGALOIS, QuadElem(2), QuadElem(2))
+    x = AlgebraElem(params, -CubicExtElem(0, 1, b=params.b), 1)
+    adj = reduced_adjoint(x)
+    assert x and adj and not reduced_norm(x)
+    assert x * adj == 0 and adj * x == 0
+    with pytest.raises(ZeroDivisionError):
+        inverse(x)
 
 
 def test_inverse_of_cayley_draws_matches_the_l_formula():
@@ -382,6 +425,49 @@ def test_inverse_of_cayley_draws_matches_the_l_formula():
 
 
 _FRACTIONS = st.fractions(min_value=-_BIG, max_value=_BIG, max_denominator=_BIG)
+
+
+def test_scalar_is_the_constructor_route():
+    """AlgebraElem.scalar embeds E straight into the class: the same num, den
+    and class as the constructor, which embeds each coordinate into L."""
+    for params in INTEGER_ROUTE.values():
+        for e in (0, 3, Fraction(-2, 3), QuadElem(Fraction(1, 2), -1), QuadElem(10) ** 50):
+            x, ref = AlgebraElem.scalar(params, e), AlgebraElem(params, e)
+            assert (type(x), x.num, x.den) == (type(ref), ref.num, ref.den)
+            assert x.l == ref.l
+
+
+def _scalar_spaces():
+    """An element of E, L, E(theta) at two radicands and D of four algebras."""
+    rng = random.Random(31)
+    six = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)]
+    yield QuadElem(Fraction(3, 4), -5)
+    yield CycloElem(six)
+    for b in (NONGAL.b, _B_THIRDS):
+        yield CubicExtElem.scalar(1, b).from_rationals(six)
+    for params in INTEGER_ROUTE.values():
+        yield random_element(params, rng)
+
+
+@pytest.mark.parametrize("e", [7, -1, Fraction(-5, 6), QuadElem(0, 1), SQRT_M3,
+                               QuadElem(Fraction(2, 9), Fraction(-7, 4))],
+                         ids=["int", "minus-one", "fraction", "w", "sqrt-3", "quad"])
+def test_scalars_act_as_the_product(e):
+    """e x and x e, by the compiled product by w, equal x's product with the
+    embedded e in num and den, in every space."""
+    for x in _scalar_spaces():
+        s = x.from_E(e)
+        ref = x._canonical(x._product(s.num, x.num), s.den * x.den * x._product_den)
+        for y in (e * x, x * e):
+            assert (type(y), y.num, y.den) == (type(ref), ref.num, ref.den)
+    a_squared = AlgebraParams(GALOIS, GAL.a * GAL.a)
+    pairs = [(CubicExtElem.scalar(e, NONGAL.b), CubicExtElem.scalar(e, _B_THIRDS)),
+             (AlgebraElem.scalar(GAL, e), AlgebraElem.scalar(a_squared, e)),
+             (AlgebraElem.scalar(GAL, e), AlgebraElem.scalar(NONGAL, e))]
+    for x, y in pairs:
+        for u, v in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="^(mixing|elements belong)"):
+                u * v
 
 
 @given(x=_FRACTIONS, y=st.one_of(st.just(0), _FRACTIONS))

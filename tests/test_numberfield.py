@@ -484,7 +484,7 @@ def test_kernels_are_named_and_hold_no_literal(field):
     and binds every coefficient as a name: its code holds no constant."""
     cls = type(KERNEL_FIELDS[field][0])
     prefix = field.partition(",")[0]
-    maps = {"product": cls._product, "rho": cls._galois}
+    maps = {"product": cls._product, "rho": cls._galois, "times_w": cls._times_w}
     if cls is CycloElem:
         maps.update(tau=cls._tau, reduce=cls._reduce)
     for name, kernel in maps.items():
